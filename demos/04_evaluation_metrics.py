@@ -9,9 +9,10 @@ import math
 import numpy as np
 
 from motionkit import (
-    GmmTrajectory,
     HorizonConfig,
+    best_mode,
     combined_loss,
+    gmm_nll,
     ifr_macro,
     ifr_micro,
     ifr_scenario,
@@ -55,11 +56,9 @@ print("\nGMM loss arithmetic at the selected steps [29, 49, 79]:")
 t = horizon.t_pred
 mu = np.stack([gt + np.array([1.0, 0.0]), gt.copy()])  # mode 1 is exact
 sigma = np.ones((2, t, 2))
-gmm = GmmTrajectory(mu=mu, sigma=sigma)
-best = gmm.best_mode(gt, horizon.t_select)
-nll = gmm.nll(gt, valid, best, horizon.t_select)
+best = best_mode(mu, gt, horizon.t_select)
+nll = gmm_nll(mu, sigma, gt, valid, best, horizon.t_select)
 ce_uniform = score_loss(np.full(2, 0.5), best)
 print(f"  best mode = {best} (the exact one), NLL over 3 steps = {nll:.3f}")
 print(f"  uniform-score cross-entropy = ln 2 = {ce_uniform:.4f} (ln 6 = {math.log(6):.4f} for six modes)")
-print(f"  combined loss: NLL + CE = {combined_loss(nll, ce_uniform):.4f}; "
-      f"pseudocode-literal NLL - CE = {combined_loss(nll, ce_uniform, pseudocode_literal=True):.4f}")
+print(f"  combined loss: NLL + CE = {combined_loss(nll, ce_uniform):.4f}")

@@ -12,13 +12,13 @@ from .attributes import (
     DirectionLabel,
     DirectionThresholds,
     FineDirection,
+    LabelRules,
     MotionAttributes,
     SpeedCategory,
     classify_acceleration,
     classify_direction_fine,
     classify_speed,
     classify_two_step,
-    collapse_direction,
     extract_motion_attributes,
 )
 from .behavior import (
@@ -51,7 +51,7 @@ from .feasibility import (
     reachable_range,
     tag_instruction,
 )
-from .geometry import infer_headings, to_ego_frame, wrap_angle
+from .geometry import wrap_angle
 from .instructions import (
     Decision,
     InstructionRecord,
@@ -66,7 +66,6 @@ from .instructions import (
 )
 from .metrics import (
     EvalReport,
-    GmmTrajectory,
     PredictionSet,
     best_mode,
     combined_loss,

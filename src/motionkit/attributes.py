@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -99,6 +99,19 @@ class DirectionThresholds:
                 raise ValueError(f"{name} must be strictly positive")
 
 
+@dataclass(frozen=True)
+class LabelRules:
+    """Everything that turns a track window into coarse labels: the direction
+    thresholds, the fine-to-coarse collapse, and the speed and acceleration
+    bands. Every function that returns a coarse label takes one, so a single
+    resolved config labels the same track the same way everywhere."""
+
+    direction: DirectionThresholds = DirectionThresholds()
+    collapse: dict[FineDirection, DirectionLabel] = field(default_factory=lambda: dict(DEFAULT_COLLAPSE))
+    speed_kmh: tuple[float, ...] = SPEED_THRESHOLDS_KMH
+    accel_kmh: tuple[float, ...] = ACCEL_THRESHOLDS_KMH
+
+
 def classify_direction_arrays(
     xy: np.ndarray,
     speeds: np.ndarray,
@@ -175,13 +188,6 @@ def classify_direction_fine(
     return classify_direction_arrays(xy, speeds, th, fallback_heading=valid[0].heading)
 
 
-def collapse_direction(
-    fine: FineDirection, mapping: Optional[dict[FineDirection, DirectionLabel]] = None
-) -> DirectionLabel:
-    """Fold the eight fine classes onto the five coarse instruction labels."""
-    return (mapping or DEFAULT_COLLAPSE)[fine]
-
-
 def classify_speed(
     mean_speed_kmh: float, thresholds: tuple[float, ...] = SPEED_THRESHOLDS_KMH
 ) -> SpeedCategory:
@@ -250,23 +256,17 @@ StepAttributes = tuple[DirectionLabel, SpeedCategory, AccelCategory]
 
 
 def classify_two_step(
-    track: AgentTrack,
-    horizon: HorizonConfig,
-    th: DirectionThresholds = DirectionThresholds(),
-    collapse: Optional[dict[FineDirection, DirectionLabel]] = None,
-    speed_thresholds: tuple[float, ...] = SPEED_THRESHOLDS_KMH,
-    accel_thresholds: tuple[float, ...] = ACCEL_THRESHOLDS_KMH,
+    track: AgentTrack, horizon: HorizonConfig, rules: LabelRules = LabelRules()
 ) -> tuple[StepAttributes, StepAttributes]:
     """Split the future window at its midpoint and classify each half independently."""
     start, stop = horizon.future_window
     mid = start + (stop - start) // 2
     steps = []
     for half in ((start, mid), (mid, stop)):
-        fine = classify_direction_fine(track.points, half, th)
-        direction = collapse_direction(fine, collapse)
-        speed = classify_speed(window_mean_speed_kmh(track.points, half), speed_thresholds)
-        accel = classify_acceleration(window_delta_v_kmh(track.points, half, horizon.dt), accel_thresholds)
-        steps.append((direction, speed, accel))
+        fine = classify_direction_fine(track.points, half, rules.direction)
+        speed = classify_speed(window_mean_speed_kmh(track.points, half), rules.speed_kmh)
+        accel = classify_acceleration(window_delta_v_kmh(track.points, half, horizon.dt), rules.accel_kmh)
+        steps.append((rules.collapse[fine], speed, accel))
     return steps[0], steps[1]
 
 
@@ -282,19 +282,14 @@ class MotionAttributes:
 
 
 def extract_motion_attributes(
-    track: AgentTrack,
-    horizon: HorizonConfig,
-    th: DirectionThresholds = DirectionThresholds(),
-    collapse: Optional[dict[FineDirection, DirectionLabel]] = None,
-    speed_thresholds: tuple[float, ...] = SPEED_THRESHOLDS_KMH,
-    accel_thresholds: tuple[float, ...] = ACCEL_THRESHOLDS_KMH,
+    track: AgentTrack, horizon: HorizonConfig, rules: LabelRules = LabelRules()
 ) -> MotionAttributes:
     window = horizon.future_window
-    fine = classify_direction_fine(track.points, window, th)
+    fine = classify_direction_fine(track.points, window, rules.direction)
     return MotionAttributes(
         fine_direction=fine,
-        direction=collapse_direction(fine, collapse),
-        speed=classify_speed(window_mean_speed_kmh(track.points, window), speed_thresholds),
-        acceleration=classify_acceleration(window_delta_v_kmh(track.points, window, horizon.dt), accel_thresholds),
-        two_step=classify_two_step(track, horizon, th, collapse, speed_thresholds, accel_thresholds),
+        direction=rules.collapse[fine],
+        speed=classify_speed(window_mean_speed_kmh(track.points, window), rules.speed_kmh),
+        acceleration=classify_acceleration(window_delta_v_kmh(track.points, window, horizon.dt), rules.accel_kmh),
+        two_step=classify_two_step(track, horizon, rules),
     )

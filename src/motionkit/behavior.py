@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
+from .attributes import REFERENCE_WINDOW_S
 from .core import MPS_TO_KMH, AgentTrack, HorizonConfig
 from .errors import CapError, CoverageError, InsufficientPoints, SchemaError, UnknownScenarioType
 
@@ -100,7 +101,7 @@ def classify_behavior(
     def delta_v(sub: list[tuple[int, float]], steps: int) -> float:
         if len(sub) < 2 or steps <= 0:
             return 0.0
-        return (sub[-1][1] - sub[0][1]) * MPS_TO_KMH * (8.0 / (steps * dt))
+        return (sub[-1][1] - sub[0][1]) * MPS_TO_KMH * (REFERENCE_WINDOW_S / (steps * dt))
 
     band = params.delta_v_const_kmh
     mid = n_steps // 2
@@ -208,7 +209,7 @@ def label_safety(scenario_type: str, behavior: BehaviorLabel, book: GuidelineBoo
     phrase and verdict.
     """
     if scenario_type not in book.defaults:
-        raise UnknownScenarioType(scenario_type)
+        raise UnknownScenarioType(f"scenario_type {scenario_type!r} is not in the guideline book")
     hit = book.entries.get((scenario_type, behavior))
     if hit is not None:
         return hit

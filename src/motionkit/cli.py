@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 input error, 2 config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -18,10 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .attributes import DirectionLabel, extract_motion_attributes
+from .attributes import DirectionLabel, LabelRules, extract_motion_attributes
 from .behavior import GuidelineBook, Safety, load_default_guidelines, load_guidelines
 from .config import Config, load_config
-from .core import parse_scenario, serialize_scenario
+from .core import Scenario, parse_scenario, serialize_scenario
 from .errors import (
     ConfigError,
     InsufficientPoints,
@@ -53,23 +54,6 @@ from .synth import build_corpus, expectation_to_obj
 
 _JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
-# Per-process context for pool workers (set by the initializer; fork-safe).
-_CTX: dict = {}
-
-
-def _init_worker(cfg: Config, extra: dict) -> None:
-    global _CTX
-    _CTX = {"config": cfg, **extra}
-
-
-def _run_sharded(items: list, worker, jobs: int, cfg: Config, extra: Optional[dict] = None) -> list:
-    _init_worker(cfg, extra or {})
-    if jobs <= 1 or len(items) < 2:
-        return [worker(item) for item in items]
-    chunk = max(1, len(items) // (jobs * 8))
-    with multiprocessing.Pool(processes=jobs, initializer=_init_worker, initargs=(cfg, extra or {})) as pool:
-        return pool.map(worker, items, chunksize=chunk)
-
 
 def _read_lines(path: str) -> list[str]:
     if path == "-":
@@ -93,38 +77,72 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _scenario_items(path: str) -> list[tuple[int, str]]:
-    return [(i, line) for i, line in enumerate(_read_lines(path), start=1) if line.strip()]
+# -- the per-line map ------------------------------------------------------------
 
 
-def _parse_line(lineno: int, line: str):
+class _Skip(Exception):
+    """A scenario with nothing to label; the message is the reason the skip summary prints."""
+
+
+def _apply(worker, where: str, item: tuple):
+    """One line's outcome as a value: ``("ok", (key, payload))``, ``("skip", reason)`` or ``("error", exc)``."""
     try:
-        return parse_scenario(line)
+        return "ok", worker(item)
+    except _Skip as exc:
+        return "skip", str(exc)
+    except InsufficientPoints:
+        return "skip", "fewer than 2 valid future points"
+    except InvalidAnchor:
+        return "skip", "no valid current pose"
     except MotionKitError as exc:
-        raise type(exc)(f"line {lineno}: {exc}") from exc
+        return "error", type(exc)(f"{where} {item[0]}: {exc}")
+
+
+def _map_lines(worker, items, jobs: int, where: str = "line") -> list:
+    """Run ``worker`` on every non-blank ``(line number, line, ...)`` item and merge the outcomes.
+
+    Runs in-process at one job and through ``Pool.map`` otherwise; ``worker``
+    carries its settings (config, rules, guideline book) as a
+    ``functools.partial``. Returns the kept payloads in key (``scenario_id``)
+    order. The input error with the lowest line number is raised, whatever the
+    job count; skips are summarised on stderr, one line per reason.
+    """
+    items = [item for item in items if item[1].strip()]
+    call = functools.partial(_apply, worker, where)
+    if jobs <= 1 or len(items) < 2:
+        outcomes = [call(item) for item in items]
+    else:
+        with multiprocessing.Pool(processes=jobs) as pool:
+            outcomes = pool.map(call, items, chunksize=max(1, len(items) // (jobs * 8)))
+    kept = []
+    skips: dict[str, tuple[int, int]] = {}
+    for item, (status, value) in zip(items, outcomes):
+        if status == "error":
+            raise value
+        if status == "skip":
+            count, first = skips.get(value, (0, item[0]))
+            skips[value] = (count + 1, first)
+        else:
+            kept.append(value)
+    for reason, (count, first) in sorted(skips.items()):
+        print(f"skipped {count} scenario(s): {reason} (first at line {first})", file=sys.stderr)
+    kept.sort(key=lambda kv: kv[0])
+    return [payload for _, payload in kept]
+
+
+def _vehicle_scenario(line: str) -> Scenario:
+    scenario = parse_scenario(line)
+    if scenario.focal_track.agent_kind != "vehicle":
+        raise _Skip("focal agent is not a vehicle")
+    return scenario
 
 
 # -- extract -------------------------------------------------------------------
 
 
-def _extract_worker(item: tuple[int, str]):
-    lineno, line = item
-    cfg: Config = _CTX["config"]
-    scenario = _parse_line(lineno, line)
-    track = scenario.focal_track
-    if track.agent_kind != "vehicle":
-        return ("skip", scenario.scenario_id, "focal agent is not a vehicle")
-    try:
-        attrs = extract_motion_attributes(
-            track,
-            scenario.horizon,
-            cfg.direction,
-            cfg.direction_collapse,
-            cfg.speed_thresholds_kmh,
-            cfg.accel_thresholds_kmh,
-        )
-    except InsufficientPoints:
-        return ("skip", scenario.scenario_id, "fewer than 2 valid future points")
+def _extract_worker(rules: LabelRules, item: tuple[int, str]) -> tuple[str, str]:
+    scenario = _vehicle_scenario(item[1])
+    attrs = extract_motion_attributes(scenario.focal_track, scenario.horizon, rules)
     obj = {
         "scenario_id": scenario.scenario_id,
         "focal_agent_id": scenario.focal_agent_id,
@@ -136,37 +154,22 @@ def _extract_worker(item: tuple[int, str]):
             {"direction": d.value, "speed": s.value, "acceleration": a.value} for d, s, a in attrs.two_step
         ],
     }
-    return ("ok", scenario.scenario_id, json.dumps(obj, **_JSON_COMPACT))
+    return scenario.scenario_id, json.dumps(obj, **_JSON_COMPACT)
 
 
 def cmd_extract(args, cfg: Config) -> int:
-    items = _scenario_items(args.input)
-    results = _run_sharded(items, _extract_worker, args.jobs or cfg.jobs, cfg)
-    return _emit_rows(results, args.out)
-
-
-def _emit_rows(results: list, out: Optional[str]) -> int:
-    skipped = [r for r in results if r[0] == "skip"]
-    rows = sorted((r for r in results if r[0] == "ok"), key=lambda r: r[1])
-    _write_text(out, "".join(line + "\n" for _, _, line in rows))
-    if skipped:
-        print(f"skipped {len(skipped)} scenario(s): unusable focal track", file=sys.stderr)
+    worker = functools.partial(_extract_worker, cfg.rules)
+    rows = _map_lines(worker, enumerate(_read_lines(args.input), start=1), args.jobs or cfg.jobs)
+    _write_text(args.out, "".join(row + "\n" for row in rows))
     return 0
 
 
 # -- feasibility ---------------------------------------------------------------
 
 
-def _feasibility_worker(item: tuple[int, str]):
-    lineno, line = item
-    cfg: Config = _CTX["config"]
-    scenario = _parse_line(lineno, line)
-    if scenario.focal_track.agent_kind != "vehicle":
-        return ("skip", scenario.scenario_id, "focal agent is not a vehicle")
-    try:
-        report = feasibility_set(scenario, cfg.feasibility, cfg.direction)
-    except (InvalidAnchor, InsufficientPoints):
-        return ("skip", scenario.scenario_id, "no valid pose/future")
+def _feasibility_worker(cfg: Config, rules: LabelRules, item: tuple[int, str]) -> tuple[str, str]:
+    scenario = _vehicle_scenario(item[1])
+    report = feasibility_set(scenario, cfg.feasibility, rules)
     obj = {
         "scenario_id": scenario.scenario_id,
         "focal_agent_id": scenario.focal_agent_id,
@@ -175,32 +178,29 @@ def _feasibility_worker(item: tuple[int, str]):
         "infeasible": sorted(d.value for d in report.infeasible),
         "candidates_examined": report.candidates_examined,
     }
-    return ("ok", scenario.scenario_id, json.dumps(obj, **_JSON_COMPACT))
+    return scenario.scenario_id, json.dumps(obj, **_JSON_COMPACT)
 
 
 def cmd_feasibility(args, cfg: Config) -> int:
-    items = _scenario_items(args.input)
-    results = _run_sharded(items, _feasibility_worker, args.jobs or cfg.jobs, cfg)
-    return _emit_rows(results, args.out)
+    worker = functools.partial(_feasibility_worker, cfg, cfg.rules)
+    rows = _map_lines(worker, enumerate(_read_lines(args.input), start=1), args.jobs or cfg.jobs)
+    _write_text(args.out, "".join(row + "\n" for row in rows))
+    return 0
 
 
 # -- gen-instructions ------------------------------------------------------------
 
 
-def _gen_worker(item: tuple[int, str]):
-    lineno, line = item
-    cfg: Config = _CTX["config"]
-    scenario = _parse_line(lineno, line)
-    if scenario.focal_track.agent_kind != "vehicle":
-        return ("skip", scenario.scenario_id, [])
-    try:
-        if _CTX["mode"] == "direction":
-            rows = build_direction_rows(scenario, cfg.feasibility, cfg.direction)
-        else:
-            rows = [build_behavior_row(scenario, _CTX["book"], cfg.behavior)]
-    except (InvalidAnchor, InsufficientPoints, SchemaError):
-        return ("skip", scenario.scenario_id, [])
-    return ("ok", scenario.scenario_id, rows)
+def _gen_worker(
+    cfg: Config, rules: LabelRules, book: Optional[GuidelineBook], item: tuple[int, str]
+) -> tuple[str, list[InstructionRecord]]:
+    """Direction-mode rows, or the behavior-mode row when a guideline book is given."""
+    scenario = _vehicle_scenario(item[1])
+    if book is None:
+        return scenario.scenario_id, build_direction_rows(scenario, cfg.feasibility, rules)
+    if scenario.scenario_type is None:
+        raise _Skip("no scenario_type")
+    return scenario.scenario_id, [build_behavior_row(scenario, book, cfg.behavior)]
 
 
 def _load_book(cfg: Config, flag_path: Optional[str]) -> GuidelineBook:
@@ -216,14 +216,10 @@ def _load_book(cfg: Config, flag_path: Optional[str]) -> GuidelineBook:
 def cmd_gen_instructions(args, cfg: Config) -> int:
     if args.mode == "behavior" and args.mix is not None:
         raise ConfigError("--mix applies to direction mode only")
-    extra = {"mode": args.mode}
-    if args.mode == "behavior":
-        extra["book"] = _load_book(cfg, args.guidelines)
-    items = _scenario_items(args.input)
-    results = _run_sharded(items, _gen_worker, args.jobs or cfg.jobs, cfg, extra)
-    skipped = sum(1 for r in results if r[0] == "skip")
-    ordered = sorted((r for r in results if r[0] == "ok"), key=lambda r: r[1])
-    rows: list[InstructionRecord] = [row for _, _, rs in ordered for row in rs]
+    book = _load_book(cfg, args.guidelines) if args.mode == "behavior" else None
+    worker = functools.partial(_gen_worker, cfg, cfg.rules, book)
+    per_scenario = _map_lines(worker, enumerate(_read_lines(args.input), start=1), args.jobs or cfg.jobs)
+    rows: list[InstructionRecord] = [row for rs in per_scenario for row in rs]
 
     if args.mix is not None:
         gt_frac, if_frac = _parse_mix(args.mix)
@@ -233,12 +229,10 @@ def cmd_gen_instructions(args, cfg: Config) -> int:
             class_balanced=args.balanced if args.balanced is not None else cfg.sampler.class_balanced,
             seed=args.seed if args.seed is not None else cfg.sampler.seed,
         )
-        n_draws = args.draws if args.draws is not None else len(ordered)
+        n_draws = args.draws if args.draws is not None else len(per_scenario)
         rows = list(sample_training_mix(rows, sampler, n_draws))
 
     _write_text(args.out, "".join(json.dumps(r.to_obj(), **_JSON_COMPACT) + "\n" for r in rows))
-    if skipped:
-        print(f"skipped {skipped} scenario(s): unusable focal track", file=sys.stderr)
     return 0
 
 
@@ -276,13 +270,10 @@ def _parse_prediction(obj: dict, where: str) -> PredictionSet:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _evaluate_worker(item: tuple[int, str, Optional[str]]):
+def _evaluate_worker(cfg: Config, rules: LabelRules, item: tuple[int, str, Optional[str]]) -> tuple[tuple, dict]:
     lineno, row_line, pred_line = item
-    cfg: Config = _CTX["config"]
-    try:
-        row = InstructionRecord.from_obj(json.loads(row_line))
-    except (json.JSONDecodeError, SchemaError) as exc:
-        raise SchemaError(f"dataset line {lineno}: {exc}") from exc
+    row = InstructionRecord.from_obj(json.loads(row_line))
+    key = (row.scenario_id, row.direction.value if row.direction else "", lineno)
     result = {
         "scenario_id": row.scenario_id,
         "direction": row.direction.value if row.direction else None,
@@ -297,7 +288,7 @@ def _evaluate_worker(item: tuple[int, str, Optional[str]]):
         "decision": None,
     }
     if pred_line is None:
-        return result
+        return key, result
     preds = _parse_prediction(json.loads(pred_line), f"prediction for {row.scenario_id}")
     dt = cfg.horizon.dt
     instructed = row.direction
@@ -306,11 +297,11 @@ def _evaluate_worker(item: tuple[int, str, Optional[str]]):
             np.asarray(row.gt_future_xy, dtype=float),
             np.asarray(row.gt_future_valid, dtype=bool) if row.gt_future_valid else None,
             dt,
-            cfg.direction,
+            rules,
         )
     if instructed is not None:
         result["direction"] = instructed.value
-        result["ifr"], result["unclassifiable"] = ifr_scenario(instructed, preds, dt, cfg.direction)
+        result["ifr"], result["unclassifiable"] = ifr_scenario(instructed, preds, dt, rules)
     if row.has_gt_trajectory and row.gt_future_xy is not None:
         gt_xy = np.asarray(row.gt_future_xy, dtype=float)
         gt_valid = (
@@ -327,11 +318,10 @@ def _evaluate_worker(item: tuple[int, str, Optional[str]]):
         result["decision"] = preds.decision.value
     if preds.with_context is not None:
         result["with_context"] = bool(preds.with_context)
-    return result
+    return key, result
 
 
 def cmd_evaluate(args, cfg: Config) -> int:
-    row_lines = [l for l in _read_lines(args.dataset) if l.strip()]
     pred_index: dict[tuple[str, Optional[str]], str] = {}
     for i, line in enumerate((l for l in _read_lines(args.predictions) if l.strip()), start=1):
         try:
@@ -343,19 +333,17 @@ def cmd_evaluate(args, cfg: Config) -> int:
             raise SchemaError(f"predictions line {i}: duplicate key {key}")
         pred_index[key] = line
 
-    keyed = []
-    for i, line in enumerate(row_lines, start=1):
+    items = []
+    for i, line in enumerate((l for l in _read_lines(args.dataset) if l.strip()), start=1):
         try:
             obj = json.loads(line)
             sid = obj["scenario_id"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise SchemaError(f"dataset line {i}: {exc}") from exc
-        pred_line = pred_index.get((sid, obj.get("direction"))) or pred_index.get((sid, None))
-        keyed.append(((sid, obj.get("direction") or "", i), (i, line, pred_line)))
-    keyed.sort(key=lambda kv: kv[0])
-    items = [item for _, item in keyed]
+        items.append((i, line, pred_index.get((sid, obj.get("direction"))) or pred_index.get((sid, None))))
 
-    results = _run_sharded(items, _evaluate_worker, args.jobs or cfg.jobs, cfg)
+    worker = functools.partial(_evaluate_worker, cfg, cfg.rules)
+    results = _map_lines(worker, items, args.jobs or cfg.jobs, where="dataset line")
     report = _aggregate(results)
     payload = {
         "config": cfg.to_obj(),

@@ -20,6 +20,7 @@ from .attributes import (
     DirectionThresholds,
     FineDirection,
     DEFAULT_COLLAPSE,
+    LabelRules,
 )
 from .behavior import BehaviorParams
 from .core import HorizonConfig
@@ -42,6 +43,13 @@ class Config:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     jobs: int = 1
     guidelines: Optional[str] = None
+
+    @property
+    def rules(self) -> LabelRules:
+        """The labelling rules every command applies."""
+        return LabelRules(
+            self.direction, self.direction_collapse, self.speed_thresholds_kmh, self.accel_thresholds_kmh
+        )
 
     def to_obj(self) -> dict:
         return {

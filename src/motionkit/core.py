@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -188,12 +188,6 @@ class Scenario:
             if a.agent_id == self.focal_agent_id:
                 return a
         raise ReferenceError(self.focal_agent_id)  # unreachable after validation
-
-    def lane_by_id(self, lane_id: str) -> Lane:
-        for lane in self.lanes:
-            if lane.lane_id == lane_id:
-                return lane
-        raise ReferenceError(f"unknown lane {lane_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,26 +390,3 @@ def serialize_scenario(s: Scenario) -> str:
     """One-line JSON encoding such that ``parse_scenario(serialize_scenario(s)) == s``."""
     return json.dumps(scenario_to_obj(s), sort_keys=True, separators=(",", ":"))
 
-
-def iter_scenarios(fp: TextIO) -> Iterator[tuple[int, Scenario]]:
-    """Yield (1-based line number, Scenario) from a JSONL stream, skipping blank lines.
-
-    Parse errors are re-raised with the line number prefixed to the message.
-    """
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield lineno, parse_scenario(line)
-        except (SchemaError, GeometryError) as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from exc
-
-
-def write_scenarios(fp: TextIO, scenarios: Iterable[Scenario]) -> int:
-    n = 0
-    for s in scenarios:
-        fp.write(serialize_scenario(s))
-        fp.write("\n")
-        n += 1
-    return n

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .attributes import DirectionLabel, DirectionThresholds, classify_direction_fine, collapse_direction
+from .attributes import DirectionLabel, FineDirection, LabelRules, classify_direction_fine
 from .core import MPS_TO_KMH, Lane, Scenario, TrajectoryPoint
 from .errors import InvalidAnchor, SchemaError
 from .geometry import point_along_polyline, polyline_arclength, rotate_into_frame, wrap_angle
@@ -205,25 +205,29 @@ def enumerate_candidates(
     return samples
 
 
-def classify_candidate(candidate: Candidate, th: DirectionThresholds) -> DirectionLabel:
-    """Map one destination sample to a coarse direction with the shared thresholds.
+def classify_candidate(candidate: Candidate, rules: LabelRules) -> DirectionLabel:
+    """Map one destination sample to a coarse direction with the shared rules.
 
     Candidates never classify Stationary (that feasibility comes from the
-    speed rule alone); both right-side fine classes fold onto Right.
+    speed rule alone) nor as a veer; a turn becomes a U-turn when the sample
+    lies more than ``d_u`` on the side opposite the turn, and the collapse
+    maps the result onto a coarse label.
     """
-    theta_s = math.radians(th.theta_s)
+    th = rules.direction
     dtheta = candidate.rel_heading
-    if abs(dtheta) <= theta_s:
-        return DirectionLabel.STRAIGHT
-    if dtheta > 0:
-        return DirectionLabel.LEFT_U_TURN if candidate.lat < -th.d_u else DirectionLabel.LEFT
-    return DirectionLabel.RIGHT
+    if abs(dtheta) <= math.radians(th.theta_s):
+        fine = FineDirection.STRAIGHT
+    elif dtheta > 0:
+        fine = FineDirection.LEFT_U_TURN if candidate.lat < -th.d_u else FineDirection.LEFT_TURN
+    else:
+        fine = FineDirection.RIGHT_U_TURN if candidate.lat > th.d_u else FineDirection.RIGHT_TURN
+    return rules.collapse[fine]
 
 
 def feasibility_set(
     scenario: Scenario,
     params: FeasibilityParams = FeasibilityParams(),
-    th: DirectionThresholds = DirectionThresholds(),
+    rules: LabelRules = LabelRules(),
 ) -> FeasibilityReport:
     """Full GT / Feasible / Infeasible partition for the focal vehicle.
 
@@ -238,11 +242,11 @@ def feasibility_set(
     pose = _focal_pose(scenario)
 
     candidates = enumerate_candidates(scenario, params)
-    labels = {classify_candidate(c, th) for c in candidates}
+    labels = {classify_candidate(c, rules) for c in candidates}
     if pose.speed * MPS_TO_KMH < params.stationary_speed_cap_kmh:
         labels.add(DirectionLabel.STATIONARY)
 
-    gt = collapse_direction(classify_direction_fine(track.points, scenario.horizon.future_window, th))
+    gt = rules.collapse[classify_direction_fine(track.points, scenario.horizon.future_window, rules.direction)]
     feasible = frozenset(labels - {gt})
     return FeasibilityReport(
         gt_direction=gt,

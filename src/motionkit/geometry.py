@@ -1,4 +1,4 @@
-"""Planar rigid-frame geometry: angle wrapping, ego-frame transforms, heading inference.
+"""Planar rigid-frame geometry: angle wrapping, frame rotation, polyline arc length.
 
 Conventions used everywhere in this package:
 
@@ -11,14 +11,9 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .errors import InvalidAnchor
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .core import AgentTrack, TrajectoryPoint
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,11 +38,6 @@ def normalize_heading(theta: float) -> float:
     return theta if -math.pi < theta <= math.pi else wrap_angle(theta)
 
 
-def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`wrap_angle`."""
-    return np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), TWO_PI)
-
-
 def rotate_into_frame(xy: np.ndarray, anchor_xy: Sequence[float], anchor_heading: float) -> np.ndarray:
     """Express map-frame points in the frame anchored at ``anchor_xy``/``anchor_heading``.
 
@@ -60,61 +50,6 @@ def rotate_into_frame(xy: np.ndarray, anchor_xy: Sequence[float], anchor_heading
     lon = c * d[:, 0] + s * d[:, 1]
     lat = -s * d[:, 0] + c * d[:, 1]
     return np.stack([lon, lat], axis=1)
-
-
-def to_ego_frame(track: "AgentTrack", anchor_step: int) -> list[tuple[float, float, float]]:
-    """Transform every point of ``track`` into the frame of the point at ``anchor_step``.
-
-    The anchor point maps to (0, 0, 0); headings become relative headings
-    wrapped to (-pi, pi]. Raises :class:`InvalidAnchor` when the anchor step is
-    out of range or flagged invalid.
-    """
-    points = track.points
-    if not 0 <= anchor_step < len(points):
-        raise InvalidAnchor(f"anchor step {anchor_step} outside track of length {len(points)}")
-    anchor = points[anchor_step]
-    if not anchor.valid:
-        raise InvalidAnchor(f"anchor step {anchor_step} is marked invalid")
-    lonlat = rotate_into_frame(track.xy, (anchor.x, anchor.y), anchor.heading)
-    rel = wrap_angles(track.headings - anchor.heading)
-    return [(float(lon), float(lat), float(r)) for (lon, lat), r in zip(lonlat, rel)]
-
-
-def infer_headings(points: Sequence["TrajectoryPoint"], epsilon_disp: float = EPSILON_DISP) -> list[float]:
-    """Infer one heading per point from consecutive displacements.
-
-    ``heading[k]`` is the direction of the displacement from the k-th valid
-    point to the next valid one whenever that displacement exceeds
-    ``epsilon_disp``; shorter displacements carry the previously inferred
-    heading. The first entry falls back to the recorded heading field, so an
-    all-stationary track returns the recorded heading throughout. Entries at
-    invalid points are placeholders (carried values) and are ignored
-    downstream.
-    """
-    n = len(points)
-    valid_idx = [i for i in range(n) if points[i].valid]
-    out = [0.0] * n
-    if not valid_idx:
-        return out
-    current = points[valid_idx[0]].heading
-    headings_at_valid = []
-    for a, b in zip(valid_idx, valid_idx[1:]):
-        dx = points[b].x - points[a].x
-        dy = points[b].y - points[a].y
-        if math.hypot(dx, dy) > epsilon_disp:
-            current = math.atan2(dy, dx)
-        headings_at_valid.append(current)
-    headings_at_valid.append(current)  # last valid point carries
-
-    # Fill the full-length list: invalid slots repeat the nearest prior value.
-    fill = headings_at_valid[0]
-    j = 0
-    for i in range(n):
-        if j < len(valid_idx) and i == valid_idx[j]:
-            fill = headings_at_valid[j]
-            j += 1
-        out[i] = fill
-    return out
 
 
 def polyline_arclength(xy: np.ndarray) -> np.ndarray:

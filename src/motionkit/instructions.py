@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .attributes import (
     AccelCategory,
     DirectionLabel,
-    DirectionThresholds,
+    LabelRules,
     SpeedCategory,
     StepAttributes,
     classify_two_step,
@@ -190,7 +190,7 @@ def build_direction_row(
     scenario: Scenario,
     instructed: DirectionLabel,
     params: FeasibilityParams = FeasibilityParams(),
-    th: DirectionThresholds = DirectionThresholds(),
+    rules: LabelRules = LabelRules(),
     report: Optional[FeasibilityReport] = None,
 ) -> InstructionRecord:
     """Compose feasibility tagging and templating into one dataset row.
@@ -200,7 +200,7 @@ def build_direction_row(
     reject.
     """
     if report is None:
-        report = feasibility_set(scenario, params, th)
+        report = feasibility_set(scenario, params, rules)
     tag = tag_instruction(report, instructed)
     common = dict(
         scenario_id=scenario.scenario_id,
@@ -210,7 +210,7 @@ def build_direction_row(
         direction=instructed,
     )
     if tag is FeasTag.GT:
-        two_step = classify_two_step(scenario.focal_track, scenario.horizon, th)
+        two_step = classify_two_step(scenario.focal_track, scenario.horizon, rules)
         xy, valid = _gt_future(scenario)
         return InstructionRecord(
             caption_text=render_caption(instructed, two_step),
@@ -229,11 +229,11 @@ def build_direction_row(
 def build_direction_rows(
     scenario: Scenario,
     params: FeasibilityParams = FeasibilityParams(),
-    th: DirectionThresholds = DirectionThresholds(),
+    rules: LabelRules = LabelRules(),
 ) -> list[InstructionRecord]:
     """One row per direction label (the GT row first, then F, then IF)."""
-    report = feasibility_set(scenario, params, th)
-    rows = [build_direction_row(scenario, d, params, th, report=report) for d in DirectionLabel]
+    report = feasibility_set(scenario, params, rules)
+    rows = [build_direction_row(scenario, d, params, rules, report=report) for d in DirectionLabel]
     order = {FeasTag.GT: 0, FeasTag.F: 1, FeasTag.IF: 2}
     rows.sort(key=lambda r: (order[r.feas_tag], r.direction.value))  # type: ignore[union-attr]
     return rows
@@ -331,18 +331,3 @@ def sample_training_mix(
         else:
             yield if_rows[rng.randrange(len(if_rows))]
 
-
-@dataclass
-class MixtureCounts:
-    """Bookkeeping helper for sampler statistics in tests and demos."""
-
-    gt: int = 0
-    if_: int = 0
-    per_class: dict = field(default_factory=dict)
-
-    def add(self, row: InstructionRecord) -> None:
-        if row.feas_tag is FeasTag.GT:
-            self.gt += 1
-            self.per_class[row.direction] = self.per_class.get(row.direction, 0) + 1
-        else:
-            self.if_ += 1

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attributes import DirectionLabel, DirectionThresholds, classify_direction_arrays, collapse_direction
+from .attributes import DirectionLabel, LabelRules, classify_direction_arrays
 from .behavior import Safety
 from .errors import NoValidOverlap, NonPositiveSigma, SchemaError
 from .feasibility import FeasTag
@@ -58,7 +58,7 @@ class PredictionSet:
 
 
 def classify_prediction(
-    xy: np.ndarray, valid: Optional[np.ndarray], dt: float, th: DirectionThresholds = DirectionThresholds()
+    xy: np.ndarray, valid: Optional[np.ndarray], dt: float, rules: LabelRules = LabelRules()
 ) -> Optional[DirectionLabel]:
     """Direction bucket of one generated trajectory; None when unclassifiable.
 
@@ -80,15 +80,14 @@ def classify_prediction(
     seg = np.diff(pts, axis=0)
     pair_speeds = np.hypot(seg[:, 0], seg[:, 1]) / (dt * gaps)
     speeds = np.append(pair_speeds, pair_speeds[-1])
-    fine = classify_direction_arrays(pts, speeds, th, fallback_heading=0.0)
-    return collapse_direction(fine)
+    return rules.collapse[classify_direction_arrays(pts, speeds, rules.direction, fallback_heading=0.0)]
 
 
 def ifr_scenario(
     instructed: DirectionLabel,
     preds: PredictionSet,
     dt: float,
-    th: DirectionThresholds = DirectionThresholds(),
+    rules: LabelRules = LabelRules(),
 ) -> tuple[float, int]:
     """Per-scenario IFR plus the count of unclassifiable trajectories.
 
@@ -98,7 +97,7 @@ def ifr_scenario(
     matches = 0
     unclassifiable = 0
     for j in range(preds.n_modes):
-        label = classify_prediction(preds.trajectories[j], preds.valid[j], dt, th)
+        label = classify_prediction(preds.trajectories[j], preds.valid[j], dt, rules)
         if label is None:
             unclassifiable += 1
         elif label == instructed:
@@ -199,30 +198,6 @@ def safety_accuracy(
     return {key: correct.get(key, 0) / total for key, total in totals.items()}
 
 
-@dataclass(frozen=True)
-class GmmTrajectory:
-    """Per-mode, per-step diagonal-Gaussian parameters (mu_x, mu_y, sigma_x, sigma_y)."""
-
-    mu: np.ndarray  # (M, T, 2)
-    sigma: np.ndarray  # (M, T, 2), strictly positive
-
-    def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if mu.ndim != 3 or mu.shape[2] != 2 or sigma.shape != mu.shape:
-            raise SchemaError(f"mu/sigma must both be (M, T, 2), got {mu.shape} / {sigma.shape}")
-        if np.any(sigma <= 0):
-            raise NonPositiveSigma("sigma values must be strictly positive")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-
-    def best_mode(self, gt_xy: np.ndarray, t_select: Sequence[int]) -> int:
-        return best_mode(self.mu, gt_xy, t_select)
-
-    def nll(self, gt_xy: np.ndarray, gt_valid: np.ndarray, best: int, t_select: Sequence[int]) -> float:
-        return gmm_nll(self.mu, self.sigma, gt_xy, gt_valid, best, t_select)
-
-
 def best_mode(mode_xy: np.ndarray, gt_xy: np.ndarray, t_select: Sequence[int]) -> int:
     """Mode index minimizing the mean displacement at the selected steps; ties
     resolve to the lowest index."""
@@ -279,13 +254,9 @@ def score_loss(scores: np.ndarray, best: int) -> float:
     return float(-np.log(p))
 
 
-def combined_loss(nll: float, cross_entropy: float, pseudocode_literal: bool = False) -> float:
-    """Trajectory loss combining NLL and score cross-entropy.
-
-    The default is the standard additive composite NLL + CE;
-    ``pseudocode_literal`` switches to NLL - CE.
-    """
-    return nll - cross_entropy if pseudocode_literal else nll + cross_entropy
+def combined_loss(nll: float, cross_entropy: float) -> float:
+    """Trajectory loss: the additive composite NLL + score cross-entropy."""
+    return nll + cross_entropy
 
 
 @dataclass

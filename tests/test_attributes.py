@@ -13,12 +13,13 @@ from motionkit.attributes import (
     DirectionLabel,
     DirectionThresholds,
     FineDirection,
+    LabelRules,
     SpeedCategory,
     classify_acceleration,
     classify_direction_fine,
     classify_speed,
     classify_two_step,
-    collapse_direction,
+    extract_motion_attributes,
 )
 from motionkit.synth import Phase, SynthSpec, default_suite, gen_trajectory
 
@@ -85,6 +86,15 @@ class TestDirectionRules:
         track = make_track(xy, speeds=[8.0] * 20, valid=valid)
         assert classify_full(track) is FineDirection.STRAIGHT
 
+    def test_short_first_chord_falls_back_to_recorded_heading(self):
+        # The first chord (1 cm) is below epsilon_disp, so the start heading is
+        # the recorded one (90 deg) and the drive along +x reads as a right
+        # turn; a 10 cm first chord is used as the start heading instead.
+        for first, expected in ((0.01, FineDirection.RIGHT_TURN), (0.1, FineDirection.STRAIGHT)):
+            xy = [(0.0, 0.0)] + [(first + 2.0 * i, 0.0) for i in range(21)]
+            track = make_track(xy, speeds=[8.0] * 22, headings=[math.pi / 2] * 22)
+            assert classify_full(track) is expected
+
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(2)
         base_tracks = [
@@ -136,11 +146,16 @@ class TestCollapse:
         ],
     )
     def test_mapping(self, fine, coarse):
-        assert collapse_direction(fine) is coarse
+        assert LabelRules().collapse[fine] is coarse
 
-    def test_custom_mapping(self):
-        mapping = {f: DirectionLabel.STRAIGHT for f in FineDirection}
-        assert collapse_direction(FineDirection.LEFT_U_TURN, mapping) is DirectionLabel.STRAIGHT
+    def test_custom_mapping(self, horizon):
+        track, expected = gen_trajectory(SynthSpec(kind="u_turn", radius=1.0, angle_deg=170.0, speed=8.0), horizon)
+        assert expected.direction is DirectionLabel.LEFT_U_TURN
+        rules = LabelRules(collapse={f: DirectionLabel.STRAIGHT for f in FineDirection})
+        attrs = extract_motion_attributes(track, horizon, rules)
+        assert attrs.fine_direction is FineDirection.LEFT_U_TURN
+        assert attrs.direction is DirectionLabel.STRAIGHT
+        assert {step[0] for step in attrs.two_step} == {DirectionLabel.STRAIGHT}
 
 
 class TestSpeedCategories:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from motionkit.cli import main
-from motionkit.core import HorizonConfig
+from motionkit.config import load_config
+from motionkit.core import HorizonConfig, serialize_scenario
+from motionkit.metrics import classify_prediction
 from motionkit.synth import SynthSpec, gen_prediction_set, gen_scenario
 
 H = HorizonConfig()
@@ -51,6 +53,21 @@ class TestSynthAndExtract:
         src.write_text(serialize_scenario(good) + "\n{broken\n")
         assert run("extract", str(src), "--out", str(tmp_path / "o.jsonl")) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_lowest_bad_line_is_reported_at_any_jobs(self, tmp_path, capsys):
+        src = tmp_path / "corpus.jsonl"
+        assert run("synth", "--n", "160", "--seed", "3", "--out", str(src)) == 0
+        lines = src.read_text().splitlines()
+        chunk = len(lines) // (2 * 8)  # the pool's chunk size at --jobs 2
+        lines[chunk - 1] = "{broken"  # last line of the first chunk
+        lines[chunk] = '{"scenario_id": 3}'  # first line of the second chunk
+        src.write_text("".join(l + "\n" for l in lines))
+        errs = []
+        for jobs in ("1", "2"):
+            assert run("extract", str(src), "--out", str(tmp_path / "o.jsonl"), "--jobs", jobs) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"error: line {chunk}: ")
 
     def test_jobs_do_not_change_bytes(self, tmp_path, corpus):
         corpus_path, _ = corpus
@@ -170,6 +187,33 @@ class TestGenInstructions:
         assert rows[0]["behavior"] == "NotMoving"
         assert rows[1]["safety_tag"] == "Safe"
         assert rows[1]["behavior"] == "MaintainingSpeed"
+
+    def test_unknown_scenario_type_names_its_line(self, tmp_path, capsys):
+        lines = [
+            serialize_scenario(gen_scenario(SynthSpec(kind="straight", speed=10.0), f"s{i}", H, scenario_type=t)[0])
+            for i, t in enumerate(("traversing_intersection", "no_such_type"))
+        ]
+        src = tmp_path / "s.jsonl"
+        src.write_text("".join(l + "\n" for l in lines))
+        assert run("gen-instructions", str(src), "--out", str(tmp_path / "rows.jsonl"), "--mode", "behavior") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and "no_such_type" in err
+
+    def test_behavior_skips_are_summarised_by_reason(self, tmp_path, corpus, capsys):
+        corpus_path, _ = corpus
+        lines = corpus_path.read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc["agents"][0]["agent_kind"] = "pedestrian"
+        lines[2] = json.dumps(doc)
+        src = tmp_path / "s.jsonl"
+        src.write_text("".join(l + "\n" for l in lines))
+        out = tmp_path / "rows.jsonl"
+        assert run("gen-instructions", str(src), "--out", str(out), "--mode", "behavior", "--jobs", "2") == 0
+        assert out.read_text() == ""
+        assert capsys.readouterr().err == (
+            "skipped 1 scenario(s): focal agent is not a vehicle (first at line 3)\n"
+            f"skipped {len(lines) - 1} scenario(s): no scenario_type (first at line 1)\n"
+        )
 
     def test_mix_with_behavior_mode_is_config_error(self, tmp_path, corpus):
         corpus_path, _ = corpus
@@ -292,3 +336,66 @@ class TestConfigHandling:
     def test_bad_mix_flag(self, corpus):
         corpus_path, _ = corpus
         assert run("gen-instructions", str(corpus_path), "--mix", "nonsense") == 2
+
+
+# Veers fold onto Left/Right, and the speed and acceleration bands move.
+NON_DEFAULT_RULES = {
+    "direction_collapse": {
+        "Stationary": "Stationary",
+        "Straight": "Straight",
+        "StraightVeerLeft": "Left",
+        "StraightVeerRight": "Right",
+        "LeftTurn": "Left",
+        "RightTurn": "Right",
+        "LeftUTurn": "LeftUTurn",
+        "RightUTurn": "Right",
+    },
+    "speed_thresholds_kmh": [15.0, 30.0, 60.0, 100.0],
+    "accel_thresholds_kmh": [4.0, 15.0, 35.0, 55.0],
+}
+
+
+class TestCrossCommandAgreement:
+    def test_commands_agree_under_non_default_rules(self, tmp_path, corpus):
+        corpus_path, _ = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(NON_DEFAULT_RULES))
+
+        def rows(command: str) -> list[dict]:
+            out = tmp_path / f"{command}.jsonl"
+            assert run(command, str(corpus_path), "--config", str(cfg), "--out", str(out), "--jobs", "2") == 0
+            return [json.loads(l) for l in out.read_text().splitlines()]
+
+        extract = {r["scenario_id"]: r for r in rows("extract")}
+        feasibility = {r["scenario_id"]: r["gt_direction"] for r in rows("feasibility")}
+        gt_rows = {r["scenario_id"]: r for r in rows("gen-instructions") if r["feas_tag"] == "GT"}
+        assert set(extract) == set(feasibility) == set(gt_rows)
+        assert any(r["fine_direction"].startswith("StraightVeer") for r in extract.values())
+
+        for sid, attrs in extract.items():
+            assert attrs["direction"] == feasibility[sid] == gt_rows[sid]["direction"], sid
+            assert attrs["two_step"] == gt_rows[sid]["two_step"], sid
+
+        rules = load_config(str(cfg)).rules
+        for sid, gt in gt_rows.items():
+            xy, valid = np.asarray(gt["gt_future_xy"]), np.asarray(gt["gt_future_valid"])
+            assert classify_prediction(xy, valid, H.dt, rules).value == extract[sid]["direction"], sid
+
+        # evaluate labels predictions the same way: replaying each GT future
+        # follows the GT instruction, so every scenario scores 1.
+        dataset = tmp_path / "gt_rows.jsonl"
+        predictions = tmp_path / "preds.jsonl"
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in gt_rows.values()))
+        predictions.write_text(
+            "".join(
+                json.dumps({"scenario_id": sid, "trajectories": [r["gt_future_xy"]], "valid": [r["gt_future_valid"]]})
+                + "\n"
+                for sid, r in gt_rows.items()
+            )
+        )
+        report = tmp_path / "report.json"
+        argv = ["--dataset", str(dataset), "--predictions", str(predictions), "--report", str(report)]
+        assert run("evaluate", *argv, "--config", str(cfg), "--jobs", "2") == 0
+        metrics = json.loads(report.read_text())["metrics"]
+        assert metrics["n_scored"] == len(extract)
+        assert metrics["ifr_micro"] == 1.0

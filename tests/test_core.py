@@ -1,4 +1,4 @@
-"""Scenario schema, ego-frame geometry, and heading inference."""
+"""Scenario schema, ego-frame rotation, and angle wrapping."""
 
 import json
 import math
@@ -8,10 +8,8 @@ import pytest
 
 from motionkit import errors
 from motionkit.core import HorizonConfig, parse_scenario, serialize_scenario
-from motionkit.geometry import infer_headings, to_ego_frame, wrap_angle
+from motionkit.geometry import rotate_into_frame, wrap_angle
 from motionkit.synth import build_corpus
-
-from conftest import circle_track, make_track, rigid_transform
 
 
 def minimal_doc(**overrides) -> dict:
@@ -120,74 +118,27 @@ class TestHorizonConfig:
 
 class TestEgoFrame:
     def test_anchor_maps_to_origin(self):
-        track = make_track([(3.0, 4.0), (5.0, 6.0)], headings=[0.7, 0.7])
-        lon, lat, rel = to_ego_frame(track, 0)[0]
-        assert (lon, lat, rel) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+        lon, lat = rotate_into_frame(np.array([[3.0, 4.0]]), (3.0, 4.0), 0.7)[0]
+        assert (lon, lat) == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_point_straight_ahead(self):
-        track = make_track([(0.0, 0.0), (10.0, 0.0)], headings=[0.0, 0.0])
-        lon, lat, rel = to_ego_frame(track, 0)[1]
-        assert (lon, lat, rel) == pytest.approx((10.0, 0.0, 0.0), abs=1e-12)
+        lon, lat = rotate_into_frame(np.array([[10.0, 0.0]]), (0.0, 0.0), 0.0)[0]
+        assert (lon, lat) == pytest.approx((10.0, 0.0), abs=1e-12)
 
     def test_left_of_rotated_anchor(self):
         # anchor heading 90 deg at (2, 1); the map point (2 - 5, 1) sits 5 m to its left
-        track = make_track([(2.0, 1.0), (-3.0, 1.0)], headings=[math.pi / 2, math.pi / 2])
-        lon, lat, _ = to_ego_frame(track, 0)[1]
+        lon, lat = rotate_into_frame(np.array([[-3.0, 1.0]]), (2.0, 1.0), math.pi / 2)[0]
         assert (lon, lat) == pytest.approx((0.0, 5.0), abs=1e-12)
-
-    def test_invalid_anchor(self):
-        track = make_track([(0.0, 0.0), (1.0, 0.0)], valid=[False, True])
-        with pytest.raises(errors.InvalidAnchor):
-            to_ego_frame(track, 0)
-        with pytest.raises(errors.InvalidAnchor):
-            to_ego_frame(track, 5)
 
     def test_isometry_under_random_anchors(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             xy = rng.uniform(-50, 50, size=(12, 2))
-            headings = rng.uniform(-math.pi, math.pi, size=12)
-            track = make_track(list(map(tuple, xy)), headings=list(headings))
-            out = np.array([(lon, lat) for lon, lat, _ in to_ego_frame(track, 3)])
+            heading = float(rng.uniform(-math.pi, math.pi))
+            out = rotate_into_frame(xy, xy[3], heading)
             orig = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2)
             new = np.linalg.norm(out[:, None, :] - out[None, :, :], axis=2)
             assert np.max(np.abs(orig - new)) < 1e-9
-
-
-class TestInferHeadings:
-    def test_straight_line(self):
-        track = make_track([(float(i), 0.0) for i in range(10)])
-        assert infer_headings(track.points) == pytest.approx([0.0] * 10, abs=1e-12)
-
-    def test_ccw_quarter_circle_monotonic(self):
-        track = circle_track(radius=20.0, angle_deg=90.0, n=30)
-        headings = infer_headings(track.points)
-        per_step = math.radians(90.0) / 29
-        diffs = np.diff(headings[:-1])  # last entry carries its predecessor
-        assert np.all(diffs > 0)
-        assert diffs == pytest.approx([per_step] * len(diffs), abs=1e-9)
-
-    def test_standstill_carries_recorded_heading(self):
-        track = make_track([(0.0, 0.0)] * 6, headings=[1.0] * 6)
-        assert infer_headings(track.points) == pytest.approx([1.0] * 6)
-
-    def test_rotation_equivariance(self):
-        rng = np.random.default_rng(5)
-        base = circle_track(radius=15.0, angle_deg=60.0, n=25)
-        for _ in range(25):
-            phi = float(rng.uniform(-math.pi, math.pi))
-            rotated = rigid_transform(base, phi, 3.0, -7.0)
-            h0 = infer_headings(base.points)
-            h1 = infer_headings(rotated.points)
-            for a, b in zip(h0, h1):
-                assert abs(wrap_angle(b - a - phi)) < 1e-9
-
-    def test_small_displacements_carry(self):
-        # 1 cm jitter is below the 5 cm default threshold
-        track = make_track([(0.0, 0.0), (0.01, 0.0), (0.01, 0.01), (1.0, 0.0)], headings=[0.5] * 4)
-        headings = infer_headings(track.points)
-        assert headings[0] == pytest.approx(0.5)
-        assert headings[1] == pytest.approx(0.5)
 
 
 class TestWrapAngle:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from motionkit.attributes import DirectionLabel, DirectionThresholds
+from motionkit.attributes import DirectionLabel, LabelRules
 from motionkit.core import HorizonConfig
 from motionkit.feasibility import (
     ALL_DIRECTIONS,
@@ -149,22 +149,22 @@ class TestCandidates:
 
 
 class TestClassifyCandidate:
-    TH = DirectionThresholds()
+    RULES = LabelRules()
 
     def test_straight_band(self):
         c = Candidate("l", 10.0, 10.0, 0.5, math.radians(10.0))
-        assert classify_candidate(c, self.TH) is DirectionLabel.STRAIGHT
+        assert classify_candidate(c, self.RULES) is DirectionLabel.STRAIGHT
 
     def test_left_vs_left_u_turn(self):
         left = Candidate("l", 10.0, 5.0, 4.0, math.radians(80.0))
         uturn = Candidate("l", 10.0, 5.0, -6.0, math.radians(80.0))
-        assert classify_candidate(left, self.TH) is DirectionLabel.LEFT
-        assert classify_candidate(uturn, self.TH) is DirectionLabel.LEFT_U_TURN
+        assert classify_candidate(left, self.RULES) is DirectionLabel.LEFT
+        assert classify_candidate(uturn, self.RULES) is DirectionLabel.LEFT_U_TURN
 
     def test_right_side_always_right(self):
         for lat in (-6.0, 0.0, 6.0):
             c = Candidate("l", 10.0, 5.0, lat, math.radians(-80.0))
-            assert classify_candidate(c, self.TH) is DirectionLabel.RIGHT
+            assert classify_candidate(c, self.RULES) is DirectionLabel.RIGHT
 
 
 class TestFeasibilitySet:

@@ -291,9 +291,8 @@ class TestBestModeAndScore:
     def test_one_hot_scores_zero(self):
         assert score_loss(np.array([1.0, 0, 0, 0, 0, 0]), 0) == 0.0
 
-    def test_combined_default_and_literal(self):
+    def test_combined_is_nll_plus_ce(self):
         assert combined_loss(2.0, 0.5) == 2.5
-        assert combined_loss(2.0, 0.5, pseudocode_literal=True) == 1.5
 
     def test_negative_scores_rejected(self):
         with pytest.raises(errors.SchemaError):
