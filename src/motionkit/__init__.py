@@ -36,7 +36,6 @@ from .core import (
     HorizonConfig,
     Lane,
     Scenario,
-    TrajectoryPoint,
     parse_scenario,
     serialize_scenario,
 )

@@ -12,11 +12,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
-from .core import MPS_TO_KMH, AgentTrack, HorizonConfig, TrajectoryPoint
+from .core import MPS_TO_KMH, AgentTrack, HorizonConfig
 from .errors import InsufficientPoints, NegativeSpeed
 from .geometry import EPSILON_DISP, wrap_angle
 
@@ -169,23 +167,26 @@ def classify_direction_arrays(
     return FineDirection.RIGHT_U_TURN if lat > th.d_u else FineDirection.RIGHT_TURN
 
 
+def _valid_steps(track: AgentTrack, window: tuple[int, int]) -> np.ndarray:
+    """Indices of the valid steps in ``window`` (half-open [start, stop))."""
+    start, stop = window
+    return start + np.flatnonzero(track.valid_mask[start:stop])
+
+
 def classify_direction_fine(
-    points: Sequence[TrajectoryPoint] | AgentTrack,
+    track: AgentTrack,
     window: tuple[int, int],
     th: DirectionThresholds = DirectionThresholds(),
 ) -> FineDirection:
-    """Classify the motion over ``window`` (half-open [start, stop) point
-    indices), ignoring invalid points; see :func:`classify_direction_arrays`
+    """Classify the motion over ``window`` (half-open [start, stop) step
+    indices), ignoring invalid steps; see :func:`classify_direction_arrays`
     for the rules."""
-    if isinstance(points, AgentTrack):
-        points = points.points
-    start, stop = window
-    valid = [p for p in points[start:stop] if p.valid]
-    if len(valid) < 2:
-        raise InsufficientPoints(f"window [{start}, {stop}) has {len(valid)} valid points")
-    xy = np.array([(p.x, p.y) for p in valid], dtype=float)
-    speeds = np.array([p.speed for p in valid], dtype=float)
-    return classify_direction_arrays(xy, speeds, th, fallback_heading=valid[0].heading)
+    steps = _valid_steps(track, window)
+    if steps.size < 2:
+        raise InsufficientPoints(f"window [{window[0]}, {window[1]}) has {steps.size} valid points")
+    return classify_direction_arrays(
+        track.xy[steps], track.speeds[steps], th, fallback_heading=float(track.headings[steps[0]])
+    )
 
 
 def classify_speed(
@@ -226,29 +227,24 @@ def classify_acceleration(
     return levels[-1]
 
 
-def _window_valid(points: Sequence[TrajectoryPoint], window: tuple[int, int]) -> list[TrajectoryPoint]:
-    start, stop = window
-    return [p for p in points[start:stop] if p.valid]
-
-
-def window_mean_speed_kmh(points: Sequence[TrajectoryPoint], window: tuple[int, int]) -> float:
-    valid = _window_valid(points, window)
-    if not valid:
+def window_mean_speed_kmh(track: AgentTrack, window: tuple[int, int]) -> float:
+    steps = _valid_steps(track, window)
+    if not steps.size:
         raise InsufficientPoints("no valid points in window")
-    return float(np.mean([p.speed for p in valid])) * MPS_TO_KMH
+    return float(np.mean(track.speeds[steps])) * MPS_TO_KMH
 
 
-def window_delta_v_kmh(points: Sequence[TrajectoryPoint], window: tuple[int, int], dt: float) -> float:
+def window_delta_v_kmh(track: AgentTrack, window: tuple[int, int], dt: float) -> float:
     """Signed speed change over the window, rescaled to the 8 s table convention.
 
     The window of n steps stands for n * dt seconds; the raw last-minus-first
     valid speed difference is multiplied by (8 s / window duration).
     """
-    valid = _window_valid(points, window)
-    if len(valid) < 2:
+    steps = _valid_steps(track, window)
+    if steps.size < 2:
         raise InsufficientPoints("need >= 2 valid points for a speed change")
     duration = (window[1] - window[0]) * dt
-    raw = (valid[-1].speed - valid[0].speed) * MPS_TO_KMH
+    raw = float(track.speeds[steps[-1]] - track.speeds[steps[0]]) * MPS_TO_KMH
     return raw * (REFERENCE_WINDOW_S / duration)
 
 
@@ -263,9 +259,9 @@ def classify_two_step(
     mid = start + (stop - start) // 2
     steps = []
     for half in ((start, mid), (mid, stop)):
-        fine = classify_direction_fine(track.points, half, rules.direction)
-        speed = classify_speed(window_mean_speed_kmh(track.points, half), rules.speed_kmh)
-        accel = classify_acceleration(window_delta_v_kmh(track.points, half, horizon.dt), rules.accel_kmh)
+        fine = classify_direction_fine(track, half, rules.direction)
+        speed = classify_speed(window_mean_speed_kmh(track, half), rules.speed_kmh)
+        accel = classify_acceleration(window_delta_v_kmh(track, half, horizon.dt), rules.accel_kmh)
         steps.append((rules.collapse[fine], speed, accel))
     return steps[0], steps[1]
 
@@ -285,11 +281,11 @@ def extract_motion_attributes(
     track: AgentTrack, horizon: HorizonConfig, rules: LabelRules = LabelRules()
 ) -> MotionAttributes:
     window = horizon.future_window
-    fine = classify_direction_fine(track.points, window, rules.direction)
+    fine = classify_direction_fine(track, window, rules.direction)
     return MotionAttributes(
         fine_direction=fine,
         direction=rules.collapse[fine],
-        speed=classify_speed(window_mean_speed_kmh(track.points, window), rules.speed_kmh),
-        acceleration=classify_acceleration(window_delta_v_kmh(track.points, window, horizon.dt), rules.accel_kmh),
+        speed=classify_speed(window_mean_speed_kmh(track, window), rules.speed_kmh),
+        acceleration=classify_acceleration(window_delta_v_kmh(track, window, horizon.dt), rules.accel_kmh),
         two_step=classify_two_step(track, horizon, rules),
     )

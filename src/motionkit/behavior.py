@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
+import numpy as np
+
 from .attributes import REFERENCE_WINDOW_S
 from .core import MPS_TO_KMH, AgentTrack, HorizonConfig
 from .errors import CapError, CoverageError, InsufficientPoints, SchemaError, UnknownScenarioType
@@ -79,40 +81,40 @@ def classify_behavior(
     """
     start, stop = horizon.future_window
     dt = horizon.dt
-    # (offset step, speed) of each valid future sample; offsets count from the
-    # first future step so dwell windows are stable integer comparisons.
-    samples = [(k, p.speed) for k, p in enumerate(track.points[start:stop]) if p.valid]
-    if len(samples) < 2:
+    # Offsets of the valid future steps, counted from the first future step so
+    # dwell windows are stable integer comparisons, and their speeds.
+    offsets = np.flatnonzero(track.valid_mask[start:stop])
+    speeds = track.speeds[start + offsets]
+    if speeds.size < 2:
         raise InsufficientPoints("behavior classification needs >= 2 valid future points")
-    speeds = [v for _, v in samples]
     v_stop = params.v_stop
     dwell_steps = max(1, round(params.dwell_s / dt))
     n_steps = stop - start
 
-    if all(v < v_stop for v in speeds):
+    if (speeds < v_stop).all():
         return BehaviorLabel.NOT_MOVING
-    head = [v for k, v in samples if k < dwell_steps]
-    if head and all(v < v_stop for v in head) and any(v >= v_stop for v in speeds):
+    head = speeds[offsets < dwell_steps]
+    if head.size and (head < v_stop).all():
         return BehaviorLabel.WAITING_THEN_MOVING
-    tail = [v for k, v in samples if k >= n_steps - dwell_steps]
-    if speeds[0] >= v_stop and tail and all(v < v_stop for v in tail):
+    tail = speeds[offsets >= n_steps - dwell_steps]
+    if speeds[0] >= v_stop and tail.size and (tail < v_stop).all():
         return BehaviorLabel.STOPPING
 
-    def delta_v(sub: list[tuple[int, float]], steps: int) -> float:
-        if len(sub) < 2 or steps <= 0:
+    def delta_v(sub: np.ndarray, steps: int) -> float:
+        if sub.size < 2 or steps <= 0:
             return 0.0
-        return (sub[-1][1] - sub[0][1]) * MPS_TO_KMH * (REFERENCE_WINDOW_S / (steps * dt))
+        return float(sub[-1] - sub[0]) * MPS_TO_KMH * (REFERENCE_WINDOW_S / (steps * dt))
 
     band = params.delta_v_const_kmh
     mid = n_steps // 2
-    dv1 = delta_v([(k, v) for k, v in samples if k < mid], mid)
-    dv2 = delta_v([(k, v) for k, v in samples if k >= mid], n_steps - mid)
+    dv1 = delta_v(speeds[offsets < mid], mid)
+    dv2 = delta_v(speeds[offsets >= mid], n_steps - mid)
     if dv1 < -band and dv2 > band:
         return BehaviorLabel.SLOWING_THEN_SPEEDING
     if dv1 > band and dv2 < -band:
         return BehaviorLabel.SPEEDING_THEN_SLOWING
 
-    dv_total = delta_v(samples, n_steps)
+    dv_total = delta_v(speeds, n_steps)
     if dv_total <= -band:
         return BehaviorLabel.SLOWING_DOWN
     if dv_total >= band:

@@ -254,9 +254,14 @@ def _parse_prediction(obj: dict, where: str) -> PredictionSet:
     if unknown:
         raise SchemaError(f"{where}: unexpected field(s) {sorted(unknown)}")
     try:
+        if not isinstance(obj["scenario_id"], str):
+            raise TypeError("scenario_id must be a string")
         traj = np.asarray(obj["trajectories"], dtype=float)
         scores = obj.get("scores")
         scores_arr = np.asarray(scores, dtype=float) if scores is not None else np.full(traj.shape[0], 1.0 / traj.shape[0])
+        for name, values in (("trajectories", traj), ("scores", scores_arr)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must hold finite numbers")
         return PredictionSet(
             scenario_id=obj["scenario_id"],
             trajectories=traj,

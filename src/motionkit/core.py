@@ -1,4 +1,4 @@
-"""Scenario data model, JSON(L) schemas, and validation.
+"""Columnar scenario model, JSON(L) schemas, and validation.
 
 One scenario is a single JSON document; corpora are JSON Lines (one scenario
 per line). Field names in the schema are normative and documented in the
@@ -10,34 +10,19 @@ README. Angles are radians wrapped to (-pi, pi], speeds are m/s except lane
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+import math
+import sys
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
 from .errors import GeometryError, ReferenceError, SchemaError
-from .geometry import normalize_heading
+from .geometry import wrap_angle
 
 MPS_TO_KMH = 3.6
 
 AGENT_KINDS = frozenset({"vehicle", "pedestrian", "cyclist", "other"})
-
-
-class TrajectoryPoint(NamedTuple):
-    """One trajectory sample. Invalid points have all numeric fields ignored downstream."""
-
-    t_index: int
-    x: float
-    y: float
-    heading: float
-    speed: float
-    valid: bool
-
-
-class CenterlinePoint(NamedTuple):
-    x: float
-    y: float
-    heading: float
 
 
 @dataclass(frozen=True)
@@ -59,8 +44,8 @@ class HorizonConfig:
             raise SchemaError("t_obs must be >= 2 (heading inference needs two points)")
         if self.t_pred < 1:
             raise SchemaError("t_pred must be >= 1")
-        if self.dt <= 0:
-            raise SchemaError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise SchemaError("dt must be positive and finite")
         for t in self.t_select:
             if not 0 <= t < self.t_pred:
                 raise SchemaError(f"t_select entry {t} outside [0, {self.t_pred})")
@@ -84,67 +69,73 @@ class HorizonConfig:
         return self.t_pred * self.dt
 
 
-@dataclass(frozen=True)
+def _freeze(obj, **dtypes) -> None:
+    """Store each named field as a private, C-ordered, read-only array."""
+    for name, dtype in dtypes.items():
+        array = np.array(getattr(obj, name), dtype=dtype, order="C")
+        array.flags.writeable = False
+        object.__setattr__(obj, name, array)
+
+
+def _equal_by_value(a, b) -> bool:
+    """Dataclass equality that compares array fields element by element."""
+    if type(a) is not type(b):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
+
+
+@dataclass(frozen=True, eq=False)
 class AgentTrack:
-    """An agent's full track (observed + future), ordered by t_index."""
+    """An agent's full track (observed + future) as per-step columns: step ``i`` has t_index
+    ``t0 + i``, ``xy`` is (n, 2) and the rest (n,); the numbers of invalid steps are ignored
+    downstream. The columns are read-only copies of what the constructor was given."""
 
     agent_id: str
     agent_kind: str
-    points: tuple[TrajectoryPoint, ...]
+    t0: int
+    xy: np.ndarray
+    headings: np.ndarray
+    speeds: np.ndarray
+    valid_mask: np.ndarray
+
+    __eq__ = _equal_by_value
 
     def __post_init__(self) -> None:
         if self.agent_kind not in AGENT_KINDS:
             raise SchemaError(f"unknown agent_kind {self.agent_kind!r}")
-        if len(self.points) < 2:
+        _freeze(self, xy=float, headings=float, speeds=float, valid_mask=bool)
+        n = len(self.xy)
+        if n < 2:
             raise GeometryError(f"agent {self.agent_id}: track needs >= 2 points")
-        t = [p.t_index for p in self.points]
-        if any(b - a != 1 for a, b in zip(t, t[1:])):
-            raise GeometryError(f"agent {self.agent_id}: t_index must increase by exactly 1")
-        object.__setattr__(self, "_xy", np.array([(p.x, p.y) for p in self.points], dtype=float))
-        object.__setattr__(self, "_speeds", np.array([p.speed for p in self.points], dtype=float))
-        object.__setattr__(self, "_headings", np.array([p.heading for p in self.points], dtype=float))
-        object.__setattr__(self, "_valid", np.array([p.valid for p in self.points], dtype=bool))
-
-    @property
-    def xy(self) -> np.ndarray:
-        return self._xy  # type: ignore[attr-defined]
-
-    @property
-    def speeds(self) -> np.ndarray:
-        return self._speeds  # type: ignore[attr-defined]
-
-    @property
-    def headings(self) -> np.ndarray:
-        return self._headings  # type: ignore[attr-defined]
-
-    @property
-    def valid_mask(self) -> np.ndarray:
-        return self._valid  # type: ignore[attr-defined]
+        if self.xy.shape != (n, 2) or {c.shape for c in (self.headings, self.speeds, self.valid_mask)} != {(n,)}:
+            raise SchemaError(f"agent {self.agent_id}: columns must be xy (n, 2) and (n,) for the rest")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lane:
-    """One lane centerline plus its graph wiring (successors, side neighbors)."""
+    """One lane: centerline columns ``xy`` (n, 2) and ``headings`` (n,), plus its graph wiring."""
 
     lane_id: str
-    centerline: tuple[CenterlinePoint, ...]
+    xy: np.ndarray
+    headings: np.ndarray
     speed_limit_kmh: Optional[float] = None
     successors: tuple[str, ...] = ()
     left_neighbor: Optional[str] = None
     right_neighbor: Optional[str] = None
 
+    __eq__ = _equal_by_value
+
     def __post_init__(self) -> None:
-        if len(self.centerline) < 2:
+        _freeze(self, xy=float, headings=float)
+        n = len(self.xy)
+        if n < 2:
             raise GeometryError(f"lane {self.lane_id}: centerline needs >= 2 points")
-        xy = np.array([(p.x, p.y) for p in self.centerline], dtype=float)
-        seg = np.linalg.norm(np.diff(xy, axis=0), axis=1)
+        if self.xy.shape != (n, 2) or self.headings.shape != (n,):
+            raise SchemaError(f"lane {self.lane_id}: columns must be xy (n, 2) and headings (n,)")
+        seg = np.linalg.norm(np.diff(self.xy, axis=0), axis=1)
         if np.any(seg <= 0.0):
             raise GeometryError(f"lane {self.lane_id}: consecutive centerline points must be distinct")
-        object.__setattr__(self, "_xy", xy)
-
-    @property
-    def xy(self) -> np.ndarray:
-        return self._xy  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -176,9 +167,9 @@ class Scenario:
                     )
         n = self.horizon.n_steps
         for a in self.agents:
-            if len(a.points) != n:
+            if len(a.xy) != n:
                 raise SchemaError(
-                    f"scenario {self.scenario_id}: agent {a.agent_id} has {len(a.points)} points, "
+                    f"scenario {self.scenario_id}: agent {a.agent_id} has {len(a.xy)} points, "
                     f"horizon requires {n}"
                 )
 
@@ -202,6 +193,8 @@ def _require(obj: dict, key: str, kind, where: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{where}: field {key!r} must be a number")
+        if not abs(value) <= sys.float_info.max:  # also false for NaN
+            raise SchemaError(f"{where}: field {key!r} must be a finite number")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -212,28 +205,47 @@ def _require(obj: dict, key: str, kind, where: str):
     return value
 
 
-def _reject_extra(obj: dict, allowed: set[str], where: str) -> None:
-    extra = set(obj) - allowed
+def _reject_extra(obj: dict, allowed, where: str) -> None:
+    extra = set(obj) - set(allowed)
     if extra:
         raise SchemaError(f"{where}: unexpected field(s) {sorted(extra)}")
 
 
-def _parse_point(obj: dict, where: str) -> TrajectoryPoint:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: point must be an object")
-    _reject_extra(obj, {"t", "x", "y", "heading", "speed", "valid"}, where)
-    speed = _require(obj, "speed", float, where)
-    if speed < 0:
-        raise SchemaError(f"{where}: speed must be >= 0")
-    valid = _require(obj, "valid", bool, where)
-    return TrajectoryPoint(
-        t_index=_require(obj, "t", int, where),
-        x=_require(obj, "x", float, where),
-        y=_require(obj, "y", float, where),
-        heading=normalize_heading(_require(obj, "heading", float, where)),
-        speed=speed,
-        valid=valid,
-    )
+_POINT_FIELDS = {"t": int, "valid": bool, "x": float, "y": float, "heading": float, "speed": float}
+_VERTEX_FIELDS = {"x": float, "y": float, "heading": float}
+_JSON_TYPES = {int: {int}, bool: {bool}, float: {int, float}}
+
+
+def _table(obj: dict, key: str, kinds: dict, where: str) -> tuple[dict, np.ndarray]:
+    """The rows of ``obj[key]`` as one list per field plus the float fields as one (k, n) array;
+    a row that is not an object with exactly these fields of these JSON types, finite and with
+    speed >= 0, raises its first problem as ``{where}.{key}[i]: ...``."""
+    rows = _require(obj, key, list, where)
+    # Rows that each hold every field and together hold len(kinds) * n keys hold no other key.
+    if set(map(type, rows)) <= {dict} and sum(map(len, rows)) == len(kinds) * len(rows):
+        try:
+            columns = {name: [row[name] for row in rows] for name in kinds}
+            if all(set(map(type, columns[name])) <= _JSON_TYPES[kind] for name, kind in kinds.items()):
+                floats = np.array([columns[name] for name, kind in kinds.items() if kind is float], dtype=float)
+                if np.isfinite(floats).all() and min(columns.get("speed") or [0]) >= 0:
+                    return columns, floats
+        except (KeyError, OverflowError):
+            pass
+    for i, row in enumerate(rows):
+        at = f"{where}.{key}[{i}]"
+        if not isinstance(row, dict):
+            raise SchemaError(f"{at}: must be an object")
+        _reject_extra(row, kinds, at)
+        for name, kind in kinds.items():
+            value = _require(row, name, kind, at)
+            if name == "speed" and value < 0:
+                raise SchemaError(f"{at}: speed must be >= 0")
+    raise AssertionError("unreachable: the row checks above mirror the column checks")
+
+
+def _normalize_headings(headings: np.ndarray) -> np.ndarray:
+    """``normalize_heading`` over an array: in-range values stay bit-identical, the rest are wrapped."""
+    return np.where((headings > -math.pi) & (headings <= math.pi), headings, wrap_angle(headings))
 
 
 def _parse_agent(obj: dict, where: str) -> AgentTrack:
@@ -241,9 +253,20 @@ def _parse_agent(obj: dict, where: str) -> AgentTrack:
         raise SchemaError(f"{where}: agent must be an object")
     _reject_extra(obj, {"agent_id", "agent_kind", "points"}, where)
     agent_id = _require(obj, "agent_id", str, where)
-    points_raw = _require(obj, "points", list, where)
-    points = tuple(_parse_point(p, f"{where}.points[{i}]") for i, p in enumerate(points_raw))
-    return AgentTrack(agent_id=agent_id, agent_kind=_require(obj, "agent_kind", str, where), points=points)
+    columns, (x, y, headings, speeds) = _table(obj, "points", _POINT_FIELDS, where)
+    t = columns["t"]
+    track = AgentTrack(
+        agent_id=agent_id,
+        agent_kind=_require(obj, "agent_kind", str, where),
+        t0=t[0] if t else 0,
+        xy=np.column_stack((x, y)),
+        headings=_normalize_headings(headings),
+        speeds=speeds,
+        valid_mask=columns["valid"],
+    )
+    if t != list(range(track.t0, track.t0 + len(t))):
+        raise GeometryError(f"agent {agent_id}: t_index must increase by exactly 1")
+    return track
 
 
 def _parse_lane(obj: dict, where: str) -> Lane:
@@ -255,24 +278,10 @@ def _parse_lane(obj: dict, where: str) -> Lane:
         where,
     )
     lane_id = _require(obj, "lane_id", str, where)
-    centerline = []
-    for i, p in enumerate(_require(obj, "centerline", list, where)):
-        pw = f"{where}.centerline[{i}]"
-        if not isinstance(p, dict):
-            raise SchemaError(f"{pw}: must be an object")
-        _reject_extra(p, {"x", "y", "heading"}, pw)
-        centerline.append(
-            CenterlinePoint(
-                x=_require(p, "x", float, pw),
-                y=_require(p, "y", float, pw),
-                heading=normalize_heading(_require(p, "heading", float, pw)),
-            )
-        )
-    limit = obj.get("speed_limit_kmh")
-    if limit is not None:
-        if isinstance(limit, bool) or not isinstance(limit, (int, float)):
-            raise SchemaError(f"{where}: speed_limit_kmh must be a number")
-        limit = float(limit)
+    _, (x, y, headings) = _table(obj, "centerline", _VERTEX_FIELDS, where)
+    limit = None
+    if obj.get("speed_limit_kmh") is not None:
+        limit = _require(obj, "speed_limit_kmh", float, where)
         if limit < 0:
             raise SchemaError(f"{where}: speed_limit_kmh must be >= 0")
     successors = obj.get("successors", [])
@@ -287,7 +296,8 @@ def _parse_lane(obj: dict, where: str) -> Lane:
 
     return Lane(
         lane_id=lane_id,
-        centerline=tuple(centerline),
+        xy=np.column_stack((x, y)),
+        headings=_normalize_headings(headings),
         speed_limit_kmh=limit,
         successors=tuple(successors),
         left_neighbor=_opt_str("left_neighbor"),
@@ -360,8 +370,10 @@ def scenario_to_obj(s: Scenario) -> dict:
                 "agent_id": a.agent_id,
                 "agent_kind": a.agent_kind,
                 "points": [
-                    {"t": p.t_index, "x": p.x, "y": p.y, "heading": p.heading, "speed": p.speed, "valid": p.valid}
-                    for p in a.points
+                    {"t": a.t0 + i, "x": x, "y": y, "heading": h, "speed": v, "valid": ok}
+                    for i, ((x, y), h, v, ok) in enumerate(
+                        zip(a.xy.tolist(), a.headings.tolist(), a.speeds.tolist(), a.valid_mask.tolist())
+                    )
                 ],
             }
             for a in s.agents
@@ -374,7 +386,9 @@ def scenario_to_obj(s: Scenario) -> dict:
         lane_obj: dict = {
             "lane_id": lane.lane_id,
             "successors": list(lane.successors),
-            "centerline": [{"x": p.x, "y": p.y, "heading": p.heading} for p in lane.centerline],
+            "centerline": [
+                {"x": x, "y": y, "heading": h} for (x, y), h in zip(lane.xy.tolist(), lane.headings.tolist())
+            ],
         }
         if lane.speed_limit_kmh is not None:
             lane_obj["speed_limit_kmh"] = lane.speed_limit_kmh

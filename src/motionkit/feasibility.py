@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .attributes import DirectionLabel, FineDirection, LabelRules, classify_direction_fine
-from .core import MPS_TO_KMH, Lane, Scenario, TrajectoryPoint
+from .core import MPS_TO_KMH, Lane, Scenario
 from .errors import InvalidAnchor, SchemaError
 from .geometry import point_along_polyline, polyline_arclength, rotate_into_frame, wrap_angle
 
@@ -84,11 +84,13 @@ class FeasibilityReport:
             raise ValueError("the three parts must cover all five labels")
 
 
-def _focal_pose(scenario: Scenario) -> TrajectoryPoint:
-    point = scenario.focal_track.points[scenario.horizon.current_index]
-    if not point.valid:
+def _focal_pose(scenario: Scenario) -> tuple[np.ndarray, float, float]:
+    """(xy, heading, speed) of the focal agent at the current step."""
+    track = scenario.focal_track
+    i = scenario.horizon.current_index
+    if not track.valid_mask[i]:
         raise InvalidAnchor("focal agent has no valid current pose")
-    return point
+    return track.xy[i], float(track.headings[i]), float(track.speeds[i])
 
 
 def associate_lanes(scenario: Scenario, params: FeasibilityParams = FeasibilityParams()) -> list[tuple[str, int]]:
@@ -97,15 +99,15 @@ def associate_lanes(scenario: Scenario, params: FeasibilityParams = FeasibilityP
     Returns (lane_id, index of the nearest centerline vertex) sorted by
     lane_id; empty when nothing is within ``lane_assoc_radius_m``.
     """
-    pose = _focal_pose(scenario)
+    pose_xy, pose_heading, _ = _focal_pose(scenario)
     tol = math.radians(params.lane_assoc_heading_tol_deg)
     out = []
     for lane in scenario.lanes:
-        d = np.linalg.norm(lane.xy - np.array([pose.x, pose.y]), axis=1)
+        d = np.linalg.norm(lane.xy - pose_xy, axis=1)
         idx = int(np.argmin(d))
         if d[idx] > params.lane_assoc_radius_m:
             continue
-        if abs(wrap_angle(lane.centerline[idx].heading - pose.heading)) <= tol:
+        if abs(wrap_angle(float(lane.headings[idx]) - pose_heading)) <= tol:
             out.append((lane.lane_id, idx))
     out.sort(key=lambda item: item[0])
     return out
@@ -146,8 +148,7 @@ def enumerate_candidates(
     assoc = associate_lanes(scenario, params)
     if not assoc:
         return []
-    pose = _focal_pose(scenario)
-    anchor_xy = (pose.x, pose.y)
+    pose_xy, pose_heading, pose_speed = _focal_pose(scenario)
     lanes = {lane.lane_id: lane for lane in scenario.lanes}
     spacing = params.sample_spacing_m
 
@@ -156,7 +157,7 @@ def enumerate_candidates(
     # Queue entries: (lane_id, entry vertex, arc distance already spent, hops used, branch range).
     queue: deque[tuple[str, int, float, int, float]] = deque()
     for lane_id, idx in assoc:
-        branch_range = reachable_range(pose.speed, lanes[lane_id].speed_limit_kmh, params)
+        branch_range = reachable_range(pose_speed, lanes[lane_id].speed_limit_kmh, params)
         if branch_range > 0:
             queue.append((lane_id, idx, 0.0, 0, branch_range))
 
@@ -167,14 +168,14 @@ def enumerate_candidates(
         while k * spacing <= dist0 + reach:
             local = k * spacing - dist0
             x, y, heading = point_along_polyline(lane.xy[entry_idx:], cum, local)
-            lon, lat = rotate_into_frame(np.array([[x, y]]), anchor_xy, pose.heading)[0]
+            lon, lat = rotate_into_frame(np.array([[x, y]]), pose_xy, pose_heading)[0]
             samples.append(
                 Candidate(
                     lane_id=lane.lane_id,
                     arc_dist=k * spacing,
                     lon=float(lon),
                     lat=float(lat),
-                    rel_heading=wrap_angle(heading - pose.heading),
+                    rel_heading=wrap_angle(heading - pose_heading),
                 )
             )
             k += 1
@@ -239,14 +240,14 @@ def feasibility_set(
     track = scenario.focal_track
     if track.agent_kind != "vehicle":
         raise SchemaError(f"focal agent {track.agent_id!r} must be a vehicle for direction feasibility")
-    pose = _focal_pose(scenario)
+    _, _, speed = _focal_pose(scenario)
 
     candidates = enumerate_candidates(scenario, params)
     labels = {classify_candidate(c, rules) for c in candidates}
-    if pose.speed * MPS_TO_KMH < params.stationary_speed_cap_kmh:
+    if speed * MPS_TO_KMH < params.stationary_speed_cap_kmh:
         labels.add(DirectionLabel.STATIONARY)
 
-    gt = rules.collapse[classify_direction_fine(track.points, scenario.horizon.future_window, rules.direction)]
+    gt = rules.collapse[classify_direction_fine(track, scenario.horizon.future_window, rules.direction)]
     feasible = frozenset(labels - {gt})
     return FeasibilityReport(
         gt_direction=gt,

@@ -9,8 +9,10 @@ repository's golden tests.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from .attributes import (
@@ -154,6 +156,11 @@ class InstructionRecord:
     @classmethod
     def from_obj(cls, obj: dict) -> "InstructionRecord":
         try:
+            if not isinstance(obj["scenario_id"], str):
+                raise TypeError("scenario_id must be a string")
+            gt_future_xy = tuple(map(tuple, obj["gt_future_xy"])) if "gt_future_xy" in obj else None
+            if gt_future_xy is not None and not all(map(math.isfinite, chain.from_iterable(gt_future_xy))):
+                raise ValueError("gt_future_xy must hold finite numbers")
             two_step = None
             if "two_step" in obj:
                 two_step = tuple(
@@ -172,7 +179,7 @@ class InstructionRecord:
                 behavior=BehaviorLabel(obj["behavior"]) if "behavior" in obj else None,
                 two_step=two_step,  # type: ignore[arg-type]
                 has_gt_trajectory=obj.get("has_gt_trajectory", False),
-                gt_future_xy=tuple(tuple(p) for p in obj["gt_future_xy"]) if "gt_future_xy" in obj else None,
+                gt_future_xy=gt_future_xy,
                 gt_future_valid=tuple(obj["gt_future_valid"]) if "gt_future_valid" in obj else None,
                 with_context=obj.get("with_context"),
             )
@@ -182,8 +189,8 @@ class InstructionRecord:
 
 def _gt_future(scenario: Scenario) -> tuple[tuple[tuple[float, float], ...], tuple[bool, ...]]:
     start, stop = scenario.horizon.future_window
-    pts = scenario.focal_track.points[start:stop]
-    return tuple((p.x, p.y) for p in pts), tuple(p.valid for p in pts)
+    track = scenario.focal_track
+    return tuple(map(tuple, track.xy[start:stop].tolist())), tuple(track.valid_mask[start:stop].tolist())
 
 
 def build_direction_row(

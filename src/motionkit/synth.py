@@ -30,7 +30,7 @@ from .attributes import (
     classify_speed,
 )
 from .behavior import BehaviorLabel, BehaviorParams
-from .core import MPS_TO_KMH, AgentTrack, CenterlinePoint, HorizonConfig, Lane, Scenario, TrajectoryPoint
+from .core import MPS_TO_KMH, AgentTrack, HorizonConfig, Lane, Scenario
 from .errors import InvalidSpec
 from .geometry import normalize_heading, wrap_angle
 
@@ -239,33 +239,20 @@ def gen_trajectory(
     """Closed-form sampled track plus its analytically expected labels."""
     plan = _PhasePlan(build_phases(spec, horizon))
     dt = horizon.dt
-    points = []
     x0, y0, h0, v0, _ = plan.at(0.0)
-    for i in range(horizon.t_obs):
-        back = (horizon.t_obs - i) * dt
-        points.append(
-            TrajectoryPoint(
-                t_index=i,
-                x=round(x0 - back * v0 * math.cos(h0), _ROUND),
-                y=round(y0 - back * v0 * math.sin(h0), _ROUND),
-                heading=normalize_heading(round(wrap_angle(h0), _ROUND)),
-                speed=round(v0, _ROUND),
-                valid=True,
-            )
-        )
-    for k in range(horizon.t_pred):
-        x, y, h, v, _ = plan.at(k * dt)
-        points.append(
-            TrajectoryPoint(
-                t_index=horizon.t_obs + k,
-                x=round(x, _ROUND),
-                y=round(y, _ROUND),
-                heading=normalize_heading(round(wrap_angle(h), _ROUND)),
-                speed=round(v, _ROUND),
-                valid=True,
-            )
-        )
-    track = AgentTrack(agent_id=agent_id, agent_kind="vehicle", points=tuple(points))
+    # The observed prefix runs straight back from the first future pose at v0.
+    backs = [(horizon.t_obs - i) * dt for i in range(horizon.t_obs)]
+    poses = [(x0 - b * v0 * math.cos(h0), y0 - b * v0 * math.sin(h0), h0, v0) for b in backs]
+    poses += [plan.at(k * dt)[:4] for k in range(horizon.t_pred)]
+    track = AgentTrack(
+        agent_id=agent_id,
+        agent_kind="vehicle",
+        t0=0,
+        xy=[(round(x, _ROUND), round(y, _ROUND)) for x, y, _, _ in poses],
+        headings=[normalize_heading(round(wrap_angle(h), _ROUND)) for _, _, h, _ in poses],
+        speeds=[round(v, _ROUND) for _, _, _, v in poses],
+        valid_mask=[True] * len(poses),
+    )
     return track, expected_labels(plan, horizon)
 
 
@@ -398,26 +385,15 @@ def _lane_from_phases(
     # Phases here are parameterized at 1 m/s so time equals arc length.
     total = plan.t_end
     n = max(2, int(math.floor(total / step_m)) + 1)
-    pts = []
-    for i in range(n):
-        s = min(i * step_m, total)
-        x, y, h, _, _ = plan.at(s)
-        pts.append((x, y, h))
+    arcs = [min(i * step_m, total) for i in range(n)]
     if total - (n - 1) * step_m > 1e-6:
-        x, y, h, _, _ = plan.at(total)
-        pts.append((x, y, h))
+        arcs.append(total)
+    pts = [plan.at(s)[:3] for s in arcs]
     c, s_ = math.cos(start[2]), math.sin(start[2])
-    centerline = tuple(
-        CenterlinePoint(
-            x=round(start[0] + c * x - s_ * y, _ROUND),
-            y=round(start[1] + s_ * x + c * y, _ROUND),
-            heading=normalize_heading(round(wrap_angle(h + start[2]), _ROUND)),
-        )
-        for x, y, h in pts
-    )
     return Lane(
         lane_id=lane_id,
-        centerline=centerline,
+        xy=[(round(start[0] + c * x - s_ * y, _ROUND), round(start[1] + s_ * x + c * y, _ROUND)) for x, y, _ in pts],
+        headings=[normalize_heading(round(wrap_angle(h + start[2]), _ROUND)) for _, _, h in pts],
         successors=successors,
         left_neighbor=left_neighbor,
         right_neighbor=right_neighbor,
@@ -540,10 +516,9 @@ def gen_prediction_set(
     redirect_track, _ = gen_trajectory(redirect_spec, horizon)
     base = redirect_track.xy[start:stop]
     # Anchor the redirected path at the GT start pose (labels are rigid-motion invariant).
-    p0 = gt_track.points[start]
-    c, s = math.cos(p0.heading), math.sin(p0.heading)
+    c, s = math.cos(gt_track.headings[start]), math.sin(gt_track.headings[start])
     rot = np.array([[c, -s], [s, c]])
-    redirect_xy = (base - base[0]) @ rot.T + np.array([p0.x, p0.y])
+    redirect_xy = (base - base[0]) @ rot.T + gt_track.xy[start]
 
     rng = np.random.default_rng(seed)
     modes = []

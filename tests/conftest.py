@@ -1,104 +1,12 @@
-"""Shared track/scenario builders for the test suite."""
+"""Shared fixtures for the test suite; track builders live in ``tracks.py``."""
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence
-
-import numpy as np
 import pytest
 
-from motionkit.core import AgentTrack, HorizonConfig, TrajectoryPoint
+from motionkit.core import HorizonConfig
 
 
 @pytest.fixture
 def horizon() -> HorizonConfig:
     return HorizonConfig()
-
-
-def make_track(
-    xy: Sequence[tuple[float, float]],
-    speeds: Optional[Sequence[float]] = None,
-    headings: Optional[Sequence[float]] = None,
-    valid: Optional[Sequence[bool]] = None,
-    agent_id: str = "ego",
-    agent_kind: str = "vehicle",
-) -> AgentTrack:
-    n = len(xy)
-    if speeds is None:
-        speeds = [0.0] * n
-    if headings is None:
-        headings = [0.0] * n
-    if valid is None:
-        valid = [True] * n
-    points = tuple(
-        TrajectoryPoint(t_index=i, x=float(x), y=float(y), heading=float(h), speed=float(s), valid=bool(v))
-        for i, ((x, y), s, h, v) in enumerate(zip(xy, speeds, headings, valid))
-    )
-    return AgentTrack(agent_id=agent_id, agent_kind=agent_kind, points=points)
-
-
-def future_speed_track(
-    future_speeds: Sequence[float], horizon: HorizonConfig = HorizonConfig()
-) -> AgentTrack:
-    """Straight-line track whose future window carries the given speed profile.
-
-    Positions integrate the speeds along +x so geometry stays consistent; the
-    observed prefix repeats the first future speed.
-    """
-    assert len(future_speeds) == horizon.t_pred
-    speeds = [future_speeds[0]] * horizon.t_obs + list(future_speeds)
-    xs = [0.0]
-    for v in speeds[:-1]:
-        xs.append(xs[-1] + v * horizon.dt)
-    return make_track([(x, 0.0) for x in xs], speeds=speeds)
-
-
-def circle_track(
-    radius: float,
-    angle_deg: float,
-    n: int,
-    speed: Optional[float] = None,
-    dt: float = 0.1,
-) -> AgentTrack:
-    """Points on a circular arc starting at the origin heading +x (CCW when
-    angle_deg > 0)."""
-    theta = math.radians(angle_deg)
-    ts = np.linspace(0.0, theta, n)
-    sign = 1.0 if theta >= 0 else -1.0
-    xs = radius * np.sin(np.abs(ts))
-    ys = sign * radius * (1.0 - np.cos(ts))
-    arc_speed = speed if speed is not None else abs(radius * theta) / ((n - 1) * dt)
-    return make_track(
-        list(zip(xs, ys)),
-        speeds=[arc_speed] * n,
-        headings=list(ts),
-    )
-
-
-def rigid_transform(track: AgentTrack, angle: float, tx: float, ty: float) -> AgentTrack:
-    """Rotate the whole track about the origin and translate it."""
-    c, s = math.cos(angle), math.sin(angle)
-    points = tuple(
-        TrajectoryPoint(
-            t_index=p.t_index,
-            x=c * p.x - s * p.y + tx,
-            y=s * p.x + c * p.y + ty,
-            heading=math.atan2(math.sin(p.heading + angle), math.cos(p.heading + angle)),
-            speed=p.speed,
-            valid=p.valid,
-        )
-        for p in track.points
-    )
-    return AgentTrack(agent_id=track.agent_id, agent_kind=track.agent_kind, points=points)
-
-
-def mirror_track(track: AgentTrack) -> AgentTrack:
-    """Reflect across the x axis (the initial-heading axis for origin-anchored tracks)."""
-    points = tuple(
-        TrajectoryPoint(
-            t_index=p.t_index, x=p.x, y=-p.y, heading=-p.heading, speed=p.speed, valid=p.valid
-        )
-        for p in track.points
-    )
-    return AgentTrack(agent_id=track.agent_id, agent_kind=track.agent_kind, points=points)

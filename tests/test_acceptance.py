@@ -59,7 +59,7 @@ from motionkit.synth import (
 )
 
 from test_behavior import PEDESTRIAN_TEMPLATE, canonical_profiles
-from conftest import future_speed_track
+from tracks import future_speed_track
 
 H = HorizonConfig()
 
@@ -325,8 +325,8 @@ def big_corpus(tmp_path_factory):
                 feas_tag=FeasTag.GT,
                 direction=expected.direction,
                 has_gt_trajectory=True,
-                gt_future_xy=tuple((p.x, p.y) for p in track.points[start:stop]),
-                gt_future_valid=tuple(p.valid for p in track.points[start:stop]),
+                gt_future_xy=tuple(map(tuple, track.xy[start:stop].tolist())),
+                gt_future_valid=tuple(track.valid_mask[start:stop].tolist()),
             )
             fr.write(json.dumps(row.to_obj(), sort_keys=True, separators=(",", ":")) + "\n")
             matches = i % 7

@@ -23,13 +23,13 @@ from motionkit.attributes import (
 )
 from motionkit.synth import Phase, SynthSpec, default_suite, gen_trajectory
 
-from conftest import circle_track, make_track, mirror_track, rigid_transform
+from tracks import circle_track, make_track, mirror_track, rigid_transform
 
 TH = DirectionThresholds()
 
 
 def classify_full(track, th=TH):
-    return classify_direction_fine(track.points, (0, len(track.points)), th)
+    return classify_direction_fine(track, (0, len(track.xy)), th)
 
 
 class TestDirectionRules:

@@ -1,5 +1,6 @@
 """Meta-behavior classification and guideline-book safety lookup."""
 
+import dataclasses
 import json
 
 import pytest
@@ -16,7 +17,7 @@ from motionkit.behavior import (
 )
 from motionkit.core import HorizonConfig
 
-from conftest import future_speed_track
+from tracks import future_speed_track
 
 H = HorizonConfig()
 
@@ -52,13 +53,10 @@ class TestClassifyBehavior:
 
     def test_insufficient_points(self):
         track = future_speed_track([5.0] * H.t_pred, H)
-        points = list(track.points)
+        valid = track.valid_mask.copy()
         start, stop = H.future_window
-        for i in range(start + 1, stop):
-            points[i] = points[i]._replace(valid=False)
-        from motionkit.core import AgentTrack
-
-        broken = AgentTrack(agent_id="ego", agent_kind="vehicle", points=tuple(points))
+        valid[start + 1 : stop] = False
+        broken = dataclasses.replace(track, valid_mask=valid)
         with pytest.raises(errors.InsufficientPoints):
             classify_behavior(broken, H)
 

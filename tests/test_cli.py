@@ -69,6 +69,34 @@ class TestSynthAndExtract:
         assert errs[0] == errs[1]
         assert errs[0].startswith(f"error: line {chunk}: ")
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "path,field,named",
+        [
+            (("agents", 0, "points", 12), "x", "points[12]: field 'x'"),
+            (("agents", 0, "points", 12), "y", "points[12]: field 'y'"),
+            (("agents", 0, "points", 12), "heading", "points[12]: field 'heading'"),
+            (("agents", 0, "points", 12), "speed", "points[12]: field 'speed'"),
+            (("lanes", 0, "centerline", 1), "x", "centerline[1]: field 'x'"),
+            (("lanes", 0, "centerline", 1), "heading", "centerline[1]: field 'heading'"),
+            (("lanes", 0), "speed_limit_kmh", "lanes[0]: field 'speed_limit_kmh'"),
+            (("horizon",), "dt", "horizon: field 'dt'"),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected(self, tmp_path, capsys, path, field, named, token):
+        good, _ = gen_scenario(SynthSpec(kind="straight", speed=10.0), "s", H)
+        doc = json.loads(serialize_scenario(good))
+        target = doc
+        for key in path:
+            target = target[key]
+        target[field] = "__bad__"
+        src = tmp_path / "bad.jsonl"
+        src.write_text(serialize_scenario(good) + "\n" + json.dumps(doc).replace('"__bad__"', token) + "\n")
+        assert run("extract", str(src), "--out", str(tmp_path / "o.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ")
+        assert named in err
+
     def test_jobs_do_not_change_bytes(self, tmp_path, corpus):
         corpus_path, _ = corpus
         a = tmp_path / "a.jsonl"
@@ -273,6 +301,45 @@ class TestEvaluateCmd:
         payload = json.loads(report_path.read_text())
         assert payload["config"]["direction"]["theta_s"] == 30.0
         assert len(payload["inputs"]["dataset"]["sha256"]) == 64
+
+    def _evaluate_fails_on_line_2(self, tmp_path, capsys, dataset, predictions) -> str:
+        report = tmp_path / "report.json"
+        assert run("evaluate", "--dataset", str(dataset), "--predictions", str(predictions), "--report", str(report)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset line 2: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_non_string_scenario_id_is_a_line_error(self, tmp_path, capsys):
+        dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
+        rows = dataset.read_text().splitlines()
+        rows[1] = json.dumps(dict(json.loads(rows[1]), scenario_id=7))
+        dataset.write_text("".join(l + "\n" for l in rows))
+        assert "scenario_id must be a string" in self._evaluate_fails_on_line_2(tmp_path, capsys, dataset, predictions)
+
+    def test_non_finite_gt_future_is_a_line_error(self, tmp_path, capsys):
+        dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
+        rows = dataset.read_text().splitlines()
+        row = json.loads(rows[1])
+        row["gt_future_xy"][3][0] = float("nan")
+        rows[1] = json.dumps(row)
+        dataset.write_text("".join(l + "\n" for l in rows))
+        assert "gt_future_xy" in self._evaluate_fails_on_line_2(tmp_path, capsys, dataset, predictions)
+
+    @pytest.mark.parametrize("field", ["trajectories", "scores"])
+    def test_non_finite_prediction_is_a_line_error(self, tmp_path, capsys, field):
+        dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
+        preds = predictions.read_text().splitlines()
+        pred = json.loads(preds[1])
+        if field == "trajectories":
+            pred["trajectories"][0][5][0] = float("nan")
+        else:
+            pred["scores"][2] = float("inf")
+        preds[1] = json.dumps(pred)
+        predictions.write_text("".join(l + "\n" for l in preds))
+        assert f"{field} must hold finite numbers" in self._evaluate_fails_on_line_2(
+            tmp_path, capsys, dataset, predictions
+        )
 
     def test_jobs_identical_report(self, tmp_path):
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 3, 2, 0])

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionkit import errors
 from motionkit.core import HorizonConfig, parse_scenario, serialize_scenario
-from motionkit.geometry import rotate_into_frame, wrap_angle
+from motionkit.geometry import normalize_heading, rotate_into_frame, wrap_angle
 from motionkit.synth import build_corpus
 
 
@@ -98,12 +100,87 @@ class TestParse:
         doc = minimal_doc()
         doc["agents"][0]["points"][0]["heading"] = 7.0
         s = parse_scenario(json.dumps(doc))
-        assert -math.pi < s.agents[0].points[0].heading <= math.pi
+        assert -math.pi < s.agents[0].headings[0] <= math.pi
+
+    @pytest.mark.parametrize("token", ["1e400", "1" + "0" * 400])
+    def test_out_of_range_numbers_rejected(self, token):
+        doc = minimal_doc()
+        doc["agents"][0]["points"][3]["y"] = "__big__"
+        with pytest.raises(errors.SchemaError, match=r"points\[3\]: field 'y' must be a finite number"):
+            parse_scenario(json.dumps(doc).replace('"__big__"', token))
 
     def test_roundtrip_over_generated_corpus(self):
         for scenario, _ in build_corpus(100, seed=3):
             again = parse_scenario(serialize_scenario(scenario))
             assert again == scenario
+
+
+_COORD = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.integers(min_value=-1000, max_value=1000),
+    st.just(-0.0),
+)
+_HEADING = st.one_of(
+    st.floats(min_value=-20.0, max_value=20.0), st.integers(-7, 7), st.sampled_from([-math.pi, math.pi])
+)
+_POINT = st.fixed_dictionaries(
+    {
+        "x": _COORD,
+        "y": _COORD,
+        "heading": _HEADING,
+        "speed": st.one_of(st.floats(min_value=0.0, max_value=100.0), st.integers(0, 50)),
+        "valid": st.booleans(),
+    }
+)
+
+
+@st.composite
+def scenario_docs(draw) -> dict:
+    """Valid scenario documents: random tracks (invalid points, out-of-range
+    headings, -0.0, integer coordinates) and a lane with distinct vertices."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    t0 = draw(st.integers(min_value=-5, max_value=5))
+    agents = []
+    for a in range(draw(st.integers(min_value=1, max_value=3))):
+        points = [dict(draw(_POINT), t=t0 + i) for i in range(n)]
+        kind = draw(st.sampled_from(["vehicle", "cyclist"]))
+        agents.append({"agent_id": f"a{a}", "agent_kind": kind, "points": points})
+    steps = draw(st.lists(st.floats(min_value=0.5, max_value=20.0), min_size=1, max_size=5))
+    xs = np.concatenate(([0.0], np.cumsum(steps))).tolist()
+    centerline = [{"x": x, "y": 0.0, "heading": draw(_HEADING)} for x in xs]
+    return {
+        "scenario_id": "h",
+        "focal_agent_id": "a0",
+        "horizon": {"t_obs": 2, "t_pred": n - 2, "t_select": [0], "dt": 0.1},
+        "agents": agents,
+        "lanes": [{"lane_id": "l0", "successors": [], "centerline": centerline, "speed_limit_kmh": 50}],
+    }
+
+
+class TestColumnarRoundTrip:
+    @given(scenario_docs())
+    @settings(max_examples=150, deadline=None)
+    def test_parse_serialize_parse(self, doc):
+        s = parse_scenario(json.dumps(doc))
+        text = serialize_scenario(s)
+        again = parse_scenario(text)
+        assert again == s
+        assert serialize_scenario(again) == text
+
+        for track, raw in zip(s.agents, doc["agents"]):
+            points = raw["points"]
+            assert track.t0 == points[0]["t"]
+            assert track.xy.tolist() == [[float(p["x"]), float(p["y"])] for p in points]
+            assert track.speeds.tolist() == [float(p["speed"]) for p in points]
+            assert track.valid_mask.tolist() == [p["valid"] for p in points]
+            # in-range headings are kept bit for bit, out-of-range ones wrapped
+            assert track.headings.tolist() == [normalize_heading(float(p["heading"])) for p in points]
+            for column in (track.xy, track.headings, track.speeds, track.valid_mask):
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = 0
+        lane = s.lanes[0]
+        assert not lane.xy.flags.writeable and not lane.headings.flags.writeable
 
 
 class TestHorizonConfig:
@@ -114,6 +191,11 @@ class TestHorizonConfig:
     def test_t_obs_minimum(self):
         with pytest.raises(errors.SchemaError):
             HorizonConfig(t_obs=1)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0])
+    def test_dt_positive_and_finite(self, dt):
+        with pytest.raises(errors.SchemaError):
+            HorizonConfig(dt=dt)
 
 
 class TestEgoFrame:

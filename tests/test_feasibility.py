@@ -40,14 +40,10 @@ class TestAssociation:
         scenario, _ = gen_scenario(SynthSpec(kind="straight", speed=10.0), "s", H, topology=None)
         single = gen_lane_graph("single").lanes
         # shift the map 10 m sideways
-        from motionkit.core import CenterlinePoint, Lane, Scenario
+        from motionkit.core import Lane, Scenario
 
         moved = tuple(
-            Lane(
-                lane_id=l.lane_id,
-                centerline=tuple(CenterlinePoint(p.x, p.y + 10.0, p.heading) for p in l.centerline),
-                successors=l.successors,
-            )
+            Lane(lane_id=l.lane_id, xy=l.xy + (0.0, 10.0), headings=l.headings, successors=l.successors)
             for l in single
         )
         s = Scenario(
@@ -68,14 +64,9 @@ class TestAssociation:
         tight = FeasibilityParams(lane_assoc_heading_tol_deg=60.0)
         assert associate_lanes(s, tight)
         # a lane running the other way is rejected
-        from motionkit.core import CenterlinePoint, Lane, Scenario
+        from motionkit.core import Lane, Scenario
 
-        reversed_lane = Lane(
-            lane_id="lane_r",
-            centerline=tuple(
-                CenterlinePoint(x, 0.0, math.pi) for x in (50.0, 25.0, 0.0)
-            ),
-        )
+        reversed_lane = Lane(lane_id="lane_r", xy=[(50.0, 0.0), (25.0, 0.0), (0.0, 0.0)], headings=[math.pi] * 3)
         s2 = Scenario(
             scenario_id="s2",
             focal_agent_id=s.focal_agent_id,

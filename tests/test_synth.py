@@ -99,7 +99,7 @@ class TestLaneFixtures:
     def test_lane_graphs_are_valid_model_objects(self):
         for topology in TOPOLOGIES:
             for lane in gen_lane_graph(topology).lanes:
-                assert len(lane.centerline) >= 2
+                assert len(lane.xy) >= 2
 
 
 class TestPredictionSets:
