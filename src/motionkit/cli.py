@@ -2,7 +2,8 @@
 
 All commands read/write JSONL (or JSON reports) on paths or stdin/stdout
 (``-``). Outputs are byte-identical across runs and across ``--jobs`` settings:
-work is sharded per scenario line and merged in ascending scenario_id order.
+the scenario commands shard work per line and merge it in ascending scenario_id
+order; evaluate, stats and synth run in one process.
 Exit codes: 0 success, 1 input error, 2 config error.
 """
 
@@ -77,6 +78,11 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _numbered_lines(path: str) -> list[tuple[int, str]]:
+    """The non-blank lines of ``path`` with their physical (1-based) line numbers."""
+    return [(i, line) for i, line in enumerate(_read_lines(path), start=1) if line.strip()]
+
+
 # -- the per-line map ------------------------------------------------------------
 
 
@@ -84,7 +90,7 @@ class _Skip(Exception):
     """A scenario with nothing to label; the message is the reason the skip summary prints."""
 
 
-def _apply(worker, where: str, item: tuple):
+def _apply(worker, item: tuple[int, str]):
     """One line's outcome as a value: ``("ok", (key, payload))``, ``("skip", reason)`` or ``("error", exc)``."""
     try:
         return "ok", worker(item)
@@ -95,11 +101,11 @@ def _apply(worker, where: str, item: tuple):
     except InvalidAnchor:
         return "skip", "no valid current pose"
     except MotionKitError as exc:
-        return "error", type(exc)(f"{where} {item[0]}: {exc}")
+        return "error", type(exc)(f"line {item[0]}: {exc}")
 
 
-def _map_lines(worker, items, jobs: int, where: str = "line") -> list:
-    """Run ``worker`` on every non-blank ``(line number, line, ...)`` item and merge the outcomes.
+def _map_lines(worker, items: list[tuple[int, str]], jobs: int) -> list:
+    """Run ``worker`` on every ``(line number, line)`` item and merge the outcomes.
 
     Runs in-process at one job and through ``Pool.map`` otherwise; ``worker``
     carries its settings (config, rules, guideline book) as a
@@ -107,8 +113,7 @@ def _map_lines(worker, items, jobs: int, where: str = "line") -> list:
     order. The input error with the lowest line number is raised, whatever the
     job count; skips are summarised on stderr, one line per reason.
     """
-    items = [item for item in items if item[1].strip()]
-    call = functools.partial(_apply, worker, where)
+    call = functools.partial(_apply, worker)
     if jobs <= 1 or len(items) < 2:
         outcomes = [call(item) for item in items]
     else:
@@ -159,7 +164,7 @@ def _extract_worker(rules: LabelRules, item: tuple[int, str]) -> tuple[str, str]
 
 def cmd_extract(args, cfg: Config) -> int:
     worker = functools.partial(_extract_worker, cfg.rules)
-    rows = _map_lines(worker, enumerate(_read_lines(args.input), start=1), args.jobs or cfg.jobs)
+    rows = _map_lines(worker, _numbered_lines(args.input), args.jobs or cfg.jobs)
     _write_text(args.out, "".join(row + "\n" for row in rows))
     return 0
 
@@ -183,7 +188,7 @@ def _feasibility_worker(cfg: Config, rules: LabelRules, item: tuple[int, str]) -
 
 def cmd_feasibility(args, cfg: Config) -> int:
     worker = functools.partial(_feasibility_worker, cfg, cfg.rules)
-    rows = _map_lines(worker, enumerate(_read_lines(args.input), start=1), args.jobs or cfg.jobs)
+    rows = _map_lines(worker, _numbered_lines(args.input), args.jobs or cfg.jobs)
     _write_text(args.out, "".join(row + "\n" for row in rows))
     return 0
 
@@ -218,7 +223,7 @@ def cmd_gen_instructions(args, cfg: Config) -> int:
         raise ConfigError("--mix applies to direction mode only")
     book = _load_book(cfg, args.guidelines) if args.mode == "behavior" else None
     worker = functools.partial(_gen_worker, cfg, cfg.rules, book)
-    per_scenario = _map_lines(worker, enumerate(_read_lines(args.input), start=1), args.jobs or cfg.jobs)
+    per_scenario = _map_lines(worker, _numbered_lines(args.input), args.jobs or cfg.jobs)
     rows: list[InstructionRecord] = [row for rs in per_scenario for row in rs]
 
     if args.mix is not None:
@@ -257,6 +262,8 @@ def _parse_prediction(obj: dict, where: str) -> PredictionSet:
         if not isinstance(obj["scenario_id"], str):
             raise TypeError("scenario_id must be a string")
         traj = np.asarray(obj["trajectories"], dtype=float)
+        if traj.ndim != 3 or len(traj) < 1:
+            raise ValueError(f"trajectories must be (M, T, 2) with M >= 1, got {traj.shape}")
         scores = obj.get("scores")
         scores_arr = np.asarray(scores, dtype=float) if scores is not None else np.full(traj.shape[0], 1.0 / traj.shape[0])
         for name, values in (("trajectories", traj), ("scores", scores_arr)):
@@ -271,49 +278,36 @@ def _parse_prediction(obj: dict, where: str) -> PredictionSet:
             decision=Decision(obj["decision"]) if "decision" in obj else None,
             with_context=obj.get("with_context"),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _evaluate_worker(cfg: Config, rules: LabelRules, item: tuple[int, str, Optional[str]]) -> tuple[tuple, dict]:
-    lineno, row_line, pred_line = item
-    row = InstructionRecord.from_obj(json.loads(row_line))
-    key = (row.scenario_id, row.direction.value if row.direction else "", lineno)
+def _evaluate_worker(cfg: Config, rules: LabelRules, row: InstructionRecord, preds: Optional[PredictionSet]) -> dict:
     result = {
         "scenario_id": row.scenario_id,
         "direction": row.direction.value if row.direction else None,
         "feas_tag": row.feas_tag.value if row.feas_tag else None,
         "safety_tag": row.safety_tag.value if row.safety_tag else None,
         "with_context": bool(row.with_context),
-        "has_pred": pred_line is not None,
+        "has_pred": preds is not None,
         "ifr": None,
         "unclassifiable": 0,
         "ade": None,
         "fde": None,
         "decision": None,
     }
-    if pred_line is None:
-        return key, result
-    preds = _parse_prediction(json.loads(pred_line), f"prediction for {row.scenario_id}")
+    if preds is None:
+        return result
     dt = cfg.horizon.dt
     instructed = row.direction
     if instructed is None and row.gt_future_xy is not None:
-        instructed = classify_prediction(
-            np.asarray(row.gt_future_xy, dtype=float),
-            np.asarray(row.gt_future_valid, dtype=bool) if row.gt_future_valid else None,
-            dt,
-            rules,
-        )
+        instructed = classify_prediction(row.gt_future_xy, row.gt_future_valid, dt, rules)
     if instructed is not None:
         result["direction"] = instructed.value
         result["ifr"], result["unclassifiable"] = ifr_scenario(instructed, preds, dt, rules)
-    if row.has_gt_trajectory and row.gt_future_xy is not None:
-        gt_xy = np.asarray(row.gt_future_xy, dtype=float)
-        gt_valid = (
-            np.asarray(row.gt_future_valid, dtype=bool)
-            if row.gt_future_valid is not None
-            else np.ones(len(gt_xy), dtype=bool)
-        )
+    if row.has_gt_trajectory:
+        gt_xy = row.gt_future_xy
+        gt_valid = row.gt_future_valid if row.gt_future_valid is not None else np.ones(len(gt_xy), dtype=bool)
         try:
             result["ade"] = min_ade(gt_xy, gt_valid, preds)
             result["fde"] = min_fde(gt_xy, gt_valid, preds)
@@ -323,33 +317,33 @@ def _evaluate_worker(cfg: Config, rules: LabelRules, item: tuple[int, str, Optio
         result["decision"] = preds.decision.value
     if preds.with_context is not None:
         result["with_context"] = bool(preds.with_context)
-    return key, result
+    return result
 
 
 def cmd_evaluate(args, cfg: Config) -> int:
-    pred_index: dict[tuple[str, Optional[str]], str] = {}
-    for i, line in enumerate((l for l in _read_lines(args.predictions) if l.strip()), start=1):
+    """Score every dataset row in one in-process pass; each line is decoded once."""
+    predictions: dict[tuple[str, Optional[str]], PredictionSet] = {}
+    for i, line in _numbered_lines(args.predictions):
         try:
-            obj = json.loads(line)
-            key = (obj["scenario_id"], obj.get("direction"))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            preds = _parse_prediction(json.loads(line), f"predictions line {i}")
+        except json.JSONDecodeError as exc:
             raise SchemaError(f"predictions line {i}: {exc}") from exc
-        if key in pred_index:
+        key = (preds.scenario_id, preds.direction.value if preds.direction else None)
+        if key in predictions:
             raise SchemaError(f"predictions line {i}: duplicate key {key}")
-        pred_index[key] = line
+        predictions[key] = preds
 
-    items = []
-    for i, line in enumerate((l for l in _read_lines(args.dataset) if l.strip()), start=1):
+    keyed = []
+    for i, line in _numbered_lines(args.dataset):
         try:
-            obj = json.loads(line)
-            sid = obj["scenario_id"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            row = InstructionRecord.from_obj(json.loads(line))
+            direction = row.direction.value if row.direction else None
+            preds = predictions.get((row.scenario_id, direction)) or predictions.get((row.scenario_id, None))
+            keyed.append(((row.scenario_id, direction or "", i), _evaluate_worker(cfg, cfg.rules, row, preds)))
+        except (json.JSONDecodeError, MotionKitError) as exc:
             raise SchemaError(f"dataset line {i}: {exc}") from exc
-        items.append((i, line, pred_index.get((sid, obj.get("direction"))) or pred_index.get((sid, None))))
-
-    worker = functools.partial(_evaluate_worker, cfg, cfg.rules)
-    results = _map_lines(worker, items, args.jobs or cfg.jobs, where="dataset line")
-    report = _aggregate(results)
+    keyed.sort(key=lambda kv: kv[0])
+    report = _aggregate([result for _, result in keyed])
     payload = {
         "config": cfg.to_obj(),
         "inputs": {
@@ -414,12 +408,12 @@ def _aggregate(results: list[dict]) -> EvalReport:
 
 
 def cmd_stats(args, cfg: Config) -> int:
-    lines = [l for l in _read_lines(args.input) if l.strip()]
+    lines = _numbered_lines(args.input)
     counts_direction: dict[str, int] = {}
     counts_tag: dict[str, int] = {}
     counts_behavior: dict[str, int] = {}
     counts_decision: dict[str, int] = {}
-    for i, line in enumerate(lines, start=1):
+    for i, line in lines:
         try:
             row = InstructionRecord.from_obj(json.loads(line))
         except (json.JSONDecodeError, SchemaError) as exc:

@@ -82,7 +82,9 @@ def _equal_by_value(a, b) -> bool:
     if type(a) is not type(b):
         return NotImplemented
     pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else x == y for x, y in pairs
+    )
 
 
 @dataclass(frozen=True, eq=False)

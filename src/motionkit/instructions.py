@@ -9,11 +9,11 @@ repository's golden tests.
 from __future__ import annotations
 
 import enum
-import math
 import random
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .attributes import (
     AccelCategory,
@@ -31,7 +31,7 @@ from .behavior import (
     classify_behavior,
     label_safety,
 )
-from .core import Scenario
+from .core import Scenario, _equal_by_value, _freeze
 from .errors import EmptyClass, SchemaError
 from .feasibility import FeasibilityParams, FeasibilityReport, FeasTag, feasibility_set, tag_instruction
 
@@ -93,9 +93,10 @@ def render_behavior_caption(safety: Safety, template: str) -> str:
     return f"{token} {template}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstructionRecord:
-    """One dataset row; exactly one of feas_tag / safety_tag is present."""
+    """One dataset row; exactly one of feas_tag / safety_tag is present. The GT future is a
+    read-only (T, 2) float array of finite numbers with an optional (T,) bool validity mask."""
 
     scenario_id: str
     focal_agent_id: str
@@ -108,9 +109,11 @@ class InstructionRecord:
     behavior: Optional[BehaviorLabel] = None
     two_step: Optional[tuple[StepAttributes, StepAttributes]] = None
     has_gt_trajectory: bool = False
-    gt_future_xy: Optional[tuple[tuple[float, float], ...]] = None
-    gt_future_valid: Optional[tuple[bool, ...]] = None
+    gt_future_xy: Optional[np.ndarray] = None
+    gt_future_valid: Optional[np.ndarray] = None
     with_context: Optional[bool] = None
+
+    __eq__ = _equal_by_value
 
     def __post_init__(self) -> None:
         if (self.feas_tag is None) == (self.safety_tag is None):
@@ -123,6 +126,18 @@ class InstructionRecord:
             raise SchemaError(f"decision {self.decision.value} inconsistent with tag")
         if self.has_gt_trajectory and self.gt_future_xy is None:
             raise SchemaError("has_gt_trajectory rows must carry gt_future_xy")
+        if self.gt_future_xy is not None:
+            xy = np.asarray(self.gt_future_xy)
+            if xy.dtype.kind not in "biuf" or not np.isfinite(xy).all():
+                raise SchemaError("gt_future_xy must hold finite numbers")
+            if xy.ndim != 2 or xy.shape[1] != 2:
+                raise SchemaError(f"gt_future_xy must be (T, 2), got {xy.shape}")
+            object.__setattr__(self, "gt_future_xy", xy)
+            _freeze(self, gt_future_xy=float)
+        if self.gt_future_valid is not None:
+            _freeze(self, gt_future_valid=bool)
+            if self.gt_future_xy is None or self.gt_future_valid.shape != (len(self.gt_future_xy),):
+                raise SchemaError("gt_future_valid must be (T,), one flag per gt_future_xy point")
 
     def to_obj(self) -> dict:
         obj: dict = {
@@ -146,9 +161,9 @@ class InstructionRecord:
                 {"direction": d.value, "speed": s.value, "acceleration": a.value} for d, s, a in self.two_step
             ]
         if self.gt_future_xy is not None:
-            obj["gt_future_xy"] = [list(p) for p in self.gt_future_xy]
+            obj["gt_future_xy"] = self.gt_future_xy.tolist()
         if self.gt_future_valid is not None:
-            obj["gt_future_valid"] = list(self.gt_future_valid)
+            obj["gt_future_valid"] = self.gt_future_valid.tolist()
         if self.with_context is not None:
             obj["with_context"] = self.with_context
         return obj
@@ -158,9 +173,6 @@ class InstructionRecord:
         try:
             if not isinstance(obj["scenario_id"], str):
                 raise TypeError("scenario_id must be a string")
-            gt_future_xy = tuple(map(tuple, obj["gt_future_xy"])) if "gt_future_xy" in obj else None
-            if gt_future_xy is not None and not all(map(math.isfinite, chain.from_iterable(gt_future_xy))):
-                raise ValueError("gt_future_xy must hold finite numbers")
             two_step = None
             if "two_step" in obj:
                 two_step = tuple(
@@ -179,18 +191,18 @@ class InstructionRecord:
                 behavior=BehaviorLabel(obj["behavior"]) if "behavior" in obj else None,
                 two_step=two_step,  # type: ignore[arg-type]
                 has_gt_trajectory=obj.get("has_gt_trajectory", False),
-                gt_future_xy=gt_future_xy,
-                gt_future_valid=tuple(obj["gt_future_valid"]) if "gt_future_valid" in obj else None,
+                gt_future_xy=obj.get("gt_future_xy"),
+                gt_future_valid=obj.get("gt_future_valid"),
                 with_context=obj.get("with_context"),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise SchemaError(f"bad instruction record: {exc}") from exc
 
 
-def _gt_future(scenario: Scenario) -> tuple[tuple[tuple[float, float], ...], tuple[bool, ...]]:
+def _gt_future(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     start, stop = scenario.horizon.future_window
     track = scenario.focal_track
-    return tuple(map(tuple, track.xy[start:stop].tolist())), tuple(track.valid_mask[start:stop].tolist())
+    return track.xy[start:stop], track.valid_mask[start:stop]
 
 
 def build_direction_row(

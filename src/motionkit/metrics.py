@@ -128,47 +128,33 @@ def ifr_macro(
     return macro, per_class
 
 
-def _joint_valid(gt_valid: np.ndarray, pred_valid: np.ndarray) -> np.ndarray:
-    if gt_valid.shape != pred_valid.shape:
+def _joint_offsets(gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, T) jointly valid steps and the (M, T, 2) prediction-minus-GT offsets."""
+    gt_xy = np.asarray(gt_xy, dtype=float)
+    gt_valid = np.asarray(gt_valid, dtype=bool)
+    if gt_xy.shape != preds.trajectories.shape[1:] or gt_valid.shape != preds.valid.shape[1:]:
         raise SchemaError("ground truth and prediction must share t_pred")
-    return gt_valid & pred_valid
+    mask = preds.valid & gt_valid
+    if not mask.any():
+        raise NoValidOverlap("no mode shares a valid step with the ground truth")
+    return mask, preds.trajectories - gt_xy
 
 
 def min_ade(gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet) -> float:
     """Minimum over modes of the mean displacement over jointly valid steps."""
-    gt_xy = np.asarray(gt_xy, dtype=float)
-    gt_valid = np.asarray(gt_valid, dtype=bool)
-    best = None
-    for j in range(preds.n_modes):
-        mask = _joint_valid(gt_valid, preds.valid[j])
-        if not mask.any():
-            continue
-        d = np.linalg.norm(preds.trajectories[j][mask] - gt_xy[mask], axis=1)
-        ade = float(np.mean(d))
-        if best is None or ade < best:
-            best = ade
-    if best is None:
-        raise NoValidOverlap("no mode shares a valid step with the ground truth")
-    return best
+    mask, offsets = _joint_offsets(gt_xy, gt_valid, preds)
+    dist = np.linalg.norm(offsets, axis=2)
+    return min(float(np.mean(d[m])) for d, m in zip(dist, mask) if m.any())
 
 
 def min_fde(gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet) -> float:
-    """Minimum over modes of the displacement at the last jointly valid step."""
-    gt_xy = np.asarray(gt_xy, dtype=float)
-    gt_valid = np.asarray(gt_valid, dtype=bool)
-    best = None
-    for j in range(preds.n_modes):
-        mask = _joint_valid(gt_valid, preds.valid[j])
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            continue
-        last = idx[-1]
-        fde = float(np.linalg.norm(preds.trajectories[j][last] - gt_xy[last]))
-        if best is None or fde < best:
-            best = fde
-    if best is None:
-        raise NoValidOverlap("no mode shares a valid step with the ground truth")
-    return best
+    """Minimum over modes of the displacement at the last jointly valid step.
+
+    The step's norm is taken on its own (a dot product), not read off min_ade's
+    (M, T) axis norm: the two can differ in the last bit.
+    """
+    mask, offsets = _joint_offsets(gt_xy, gt_valid, preds)
+    return min(float(np.linalg.norm(o[np.flatnonzero(m)[-1]])) for o, m in zip(offsets, mask) if m.any())
 
 
 def detection_accuracy(decisions: Sequence[tuple[Decision, FeasTag]]) -> dict[FeasTag, float]:

@@ -1,10 +1,13 @@
 """End-to-end command tests: pipelines, determinism, exit codes."""
 
+import collections
 import json
+import types
 
 import numpy as np
 import pytest
 
+from motionkit import cli
 from motionkit.cli import main
 from motionkit.config import load_config
 from motionkit.core import HorizonConfig, serialize_scenario
@@ -302,13 +305,20 @@ class TestEvaluateCmd:
         assert payload["config"]["direction"]["theta_s"] == 30.0
         assert len(payload["inputs"]["dataset"]["sha256"]) == 64
 
-    def _evaluate_fails_on_line_2(self, tmp_path, capsys, dataset, predictions) -> str:
+    def _evaluate_fails_on_line_2(self, tmp_path, capsys, dataset, predictions, where="dataset") -> str:
+        """Exit 1 naming line 2 of ``where``, and its physical line 3 once a blank line precedes it."""
         report = tmp_path / "report.json"
-        assert run("evaluate", "--dataset", str(dataset), "--predictions", str(predictions), "--report", str(report)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: dataset line 2: ")
-        assert "Traceback" not in err
-        return err
+        bad_file = dataset if where == "dataset" else predictions
+        errs = []
+        for lineno in (2, 3):
+            argv = ("evaluate", "--dataset", str(dataset), "--predictions", str(predictions), "--report", str(report))
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {where} line {lineno}: ")
+            assert "Traceback" not in err
+            errs.append(err)
+            bad_file.write_text("\n" + bad_file.read_text())
+        return errs[0]
 
     def test_non_string_scenario_id_is_a_line_error(self, tmp_path, capsys):
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
@@ -338,8 +348,56 @@ class TestEvaluateCmd:
         preds[1] = json.dumps(pred)
         predictions.write_text("".join(l + "\n" for l in preds))
         assert f"{field} must hold finite numbers" in self._evaluate_fails_on_line_2(
-            tmp_path, capsys, dataset, predictions
+            tmp_path, capsys, dataset, predictions, where="predictions"
         )
+        # a prediction that pairs with no dataset row is validated all the same
+        preds[1] = json.dumps(dict(pred, scenario_id="no-such-row"))
+        predictions.write_text("".join(l + "\n" for l in preds))
+        assert f"{field} must hold finite numbers" in self._evaluate_fails_on_line_2(
+            tmp_path, capsys, dataset, predictions, where="predictions"
+        )
+
+    @pytest.mark.parametrize("case", ["no_modes", "integer_too_large", "short_gt_future", "three_number_points"])
+    def test_bad_shape_or_number_is_a_line_error(self, tmp_path, capsys, case):
+        message = {
+            "no_modes": "trajectories must be (M, T, 2) with M >= 1",
+            "integer_too_large": "int too large to convert to float",
+            "short_gt_future": "gt_future_valid must be (T,)",
+            "three_number_points": "gt_future_xy must be (T, 2)",
+        }[case]
+        dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
+        where = "predictions" if case in ("no_modes", "integer_too_large") else "dataset"
+        bad_file = predictions if where == "predictions" else dataset
+        lines = bad_file.read_text().splitlines()
+        obj = json.loads(lines[1])
+        if case == "no_modes":
+            obj["trajectories"] = []
+            del obj["scores"]
+        elif case == "integer_too_large":
+            obj["trajectories"][0][5][0] = 10**400
+        elif case == "short_gt_future":
+            obj["gt_future_xy"] = obj["gt_future_xy"][:-1]
+        else:
+            obj["gt_future_xy"] = [p + [0.0] for p in obj["gt_future_xy"]]
+        lines[1] = json.dumps(obj)
+        bad_file.write_text("".join(l + "\n" for l in lines))
+        assert message in self._evaluate_fails_on_line_2(tmp_path, capsys, dataset, predictions, where=where)
+
+    def test_each_line_is_decoded_once(self, tmp_path, monkeypatch):
+        dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
+        dataset.write_text(dataset.read_text() + "\n")
+        decoded = collections.Counter()
+
+        def counting_loads(text, *args, **kwargs):
+            decoded[text] += 1
+            return json.loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "json", types.SimpleNamespace(**dict(vars(json), loads=counting_loads)))
+        report = tmp_path / "report.json"
+        assert run("evaluate", "--dataset", str(dataset), "--predictions", str(predictions), "--report", str(report)) == 0
+        lines = [l for path in (dataset, predictions) for l in path.read_text().splitlines() if l.strip()]
+        assert decoded == collections.Counter(lines)
+        assert sum(decoded.values()) == 6
 
     def test_jobs_identical_report(self, tmp_path):
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 3, 2, 0])
@@ -360,6 +418,15 @@ class TestStatsCmd:
         payload = json.loads(out.read_text())
         assert sum(payload["direction_counts"].values()) == payload["total_rows"]
         assert sum(payload["feas_tag_counts"].values()) == payload["total_rows"]
+
+    def test_bad_row_names_its_physical_line(self, tmp_path, capsys, corpus):
+        corpus_path, _ = corpus
+        rows = tmp_path / "rows.jsonl"
+        assert run("gen-instructions", str(corpus_path), "--out", str(rows)) == 0
+        good = rows.read_text().splitlines()[0]
+        rows.write_text(good + "\n\n" + json.dumps(dict(json.loads(good), decision="Maybe")) + "\n")
+        assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: ")
 
     def test_empty_dataset_all_zero(self, tmp_path):
         rows = tmp_path / "rows.jsonl"

@@ -1,8 +1,10 @@
 """Templates, dataset rows, and the training-mixture sampler."""
 
+import dataclasses
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from motionkit import errors
@@ -99,9 +101,20 @@ class TestRecordInvariants:
 
     def test_roundtrip(self):
         scenario, _ = gen_scenario(SynthSpec(kind="straight", speed=10.0), "s1", H, topology="t_junction")
-        for row in build_direction_rows(scenario):
+        rows = build_direction_rows(scenario)
+        for row in rows:
             again = InstructionRecord.from_obj(json.loads(json.dumps(row.to_obj())))
             assert again == row
+            if again.has_gt_trajectory:
+                columns = ((again.gt_future_xy, float, (H.t_pred, 2)), (again.gt_future_valid, bool, (H.t_pred,)))
+                for column, dtype, shape in columns:
+                    assert isinstance(column, np.ndarray) and column.dtype == dtype and column.shape == shape
+                    assert not column.flags.writeable
+        assert rows[0].has_gt_trajectory
+        # a record without a GT future never equals one with it, whichever side is compared
+        bare = dataclasses.replace(rows[0], has_gt_trajectory=False, gt_future_xy=None, gt_future_valid=None)
+        with_gt = dataclasses.replace(rows[0], has_gt_trajectory=False)
+        assert bare != with_gt and with_gt != bare
 
 
 class TestBuildRows:

@@ -167,6 +167,17 @@ class TestDisplacement:
             assert abs(min_ade(gt, gt_valid, preds) - best_ade) < 1e-9
             assert abs(min_fde(gt, gt_valid, preds) - best_fde) < 1e-9
 
+            # old path: the per-mode numpy expressions used before the modes shared one
+            # offset array; the values must stay bit-identical to them
+            old_ade, old_fde = [], []
+            for j in range(m):
+                mask = gt_valid & mode_valid[j]
+                last = np.flatnonzero(mask)[-1]
+                old_ade.append(float(np.mean(np.linalg.norm(traj[j][mask] - gt[mask], axis=1))))
+                old_fde.append(float(np.linalg.norm(traj[j][last] - gt[last])))
+            assert min_ade(gt, gt_valid, preds) == min(old_ade)
+            assert min_fde(gt, gt_valid, preds) == min(old_fde)
+
     def test_adding_a_mode_never_increases(self):
         rng = np.random.default_rng(3)
         gt = rng.normal(size=(15, 2))
