@@ -107,14 +107,15 @@ def _apply(worker, item: tuple[int, str]):
 def _map_lines(worker, items: list[tuple[int, str]], jobs: int) -> list:
     """Run ``worker`` on every ``(line number, line)`` item and merge the outcomes.
 
-    Runs in-process at one job and through ``Pool.map`` otherwise; ``worker``
-    carries its settings (config, rules, guideline book) as a
-    ``functools.partial``. Returns the kept payloads in key (``scenario_id``)
-    order. The input error with the lowest line number is raised, whatever the
+    Runs in-process at one job and otherwise through ``Pool.map``, with no more
+    workers than items; ``worker`` carries its settings (config, rules,
+    guideline book) as a ``functools.partial``. Returns the kept payloads in
+    key (``scenario_id``) order. The input error with the lowest line number is raised, whatever the
     job count; skips are summarised on stderr, one line per reason.
     """
     call = functools.partial(_apply, worker)
-    if jobs <= 1 or len(items) < 2:
+    jobs = min(jobs, len(items))
+    if jobs <= 1:
         outcomes = [call(item) for item in items]
     else:
         with multiprocessing.Pool(processes=jobs) as pool:
@@ -221,19 +222,26 @@ def _load_book(cfg: Config, flag_path: Optional[str]) -> GuidelineBook:
 def cmd_gen_instructions(args, cfg: Config) -> int:
     if args.mode == "behavior" and args.mix is not None:
         raise ConfigError("--mix applies to direction mode only")
+    if args.draws is not None and args.draws < 0:
+        raise ConfigError("--draws must be >= 0")
+    sampler = None
+    if args.mix is not None:
+        gt_frac, if_frac = _parse_mix(args.mix)
+        try:
+            sampler = SamplerConfig(
+                gt_fraction=gt_frac,
+                if_fraction=if_frac,
+                class_balanced=args.balanced if args.balanced is not None else cfg.sampler.class_balanced,
+                seed=args.seed if args.seed is not None else cfg.sampler.seed,
+            )
+        except SchemaError as exc:
+            raise ConfigError(f"--mix {args.mix}: {exc}") from exc
     book = _load_book(cfg, args.guidelines) if args.mode == "behavior" else None
     worker = functools.partial(_gen_worker, cfg, cfg.rules, book)
     per_scenario = _map_lines(worker, _numbered_lines(args.input), args.jobs or cfg.jobs)
     rows: list[InstructionRecord] = [row for rs in per_scenario for row in rs]
 
-    if args.mix is not None:
-        gt_frac, if_frac = _parse_mix(args.mix)
-        sampler = SamplerConfig(
-            gt_fraction=gt_frac,
-            if_fraction=if_frac,
-            class_balanced=args.balanced if args.balanced is not None else cfg.sampler.class_balanced,
-            seed=args.seed if args.seed is not None else cfg.sampler.seed,
-        )
+    if sampler is not None:
         n_draws = args.draws if args.draws is not None else len(per_scenario)
         rows = list(sample_training_mix(rows, sampler, n_draws))
 
@@ -261,24 +269,16 @@ def _parse_prediction(obj: dict, where: str) -> PredictionSet:
     try:
         if not isinstance(obj["scenario_id"], str):
             raise TypeError("scenario_id must be a string")
-        traj = np.asarray(obj["trajectories"], dtype=float)
-        if traj.ndim != 3 or len(traj) < 1:
-            raise ValueError(f"trajectories must be (M, T, 2) with M >= 1, got {traj.shape}")
-        scores = obj.get("scores")
-        scores_arr = np.asarray(scores, dtype=float) if scores is not None else np.full(traj.shape[0], 1.0 / traj.shape[0])
-        for name, values in (("trajectories", traj), ("scores", scores_arr)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} must hold finite numbers")
         return PredictionSet(
             scenario_id=obj["scenario_id"],
-            trajectories=traj,
-            scores=scores_arr,
-            valid=np.asarray(obj["valid"], dtype=bool) if "valid" in obj else None,
+            trajectories=obj["trajectories"],
+            scores=obj.get("scores"),
+            valid=obj.get("valid"),
             direction=DirectionLabel(obj["direction"]) if "direction" in obj else None,
             decision=Decision(obj["decision"]) if "decision" in obj else None,
             with_context=obj.get("with_context"),
         )
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, SchemaError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
@@ -444,6 +444,8 @@ def cmd_stats(args, cfg: Config) -> int:
 def cmd_synth(args, cfg: Config) -> int:
     if args.suite != "default":
         raise ConfigError(f"unknown suite {args.suite!r}")
+    if args.n < 0:
+        raise ConfigError("--n must be >= 0")
     pairs = build_corpus(args.n, seed=args.seed if args.seed is not None else 7, horizon=cfg.horizon)
     _write_text(args.out, "".join(serialize_scenario(s) + "\n" for s, _ in pairs))
     if args.expected:

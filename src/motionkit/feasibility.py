@@ -162,23 +162,19 @@ def enumerate_candidates(
             queue.append((lane_id, idx, 0.0, 0, branch_range))
 
     def _walk(lane: Lane, entry_idx: int, dist0: float, limit: float) -> float:
-        cum = polyline_arclength(lane.xy[entry_idx:])
-        reach = min(limit - dist0, float(cum[-1]))
-        k = math.floor(dist0 / spacing) + 1
-        while k * spacing <= dist0 + reach:
-            local = k * spacing - dist0
-            x, y, heading = point_along_polyline(lane.xy[entry_idx:], cum, local)
-            lon, lat = rotate_into_frame(np.array([[x, y]]), pose_xy, pose_heading)[0]
-            samples.append(
-                Candidate(
-                    lane_id=lane.lane_id,
-                    arc_dist=k * spacing,
-                    lon=float(lon),
-                    lat=float(lat),
-                    rel_heading=wrap_angle(heading - pose_heading),
-                )
-            )
-            k += 1
+        tail = lane.xy[entry_idx:]
+        cum = polyline_arclength(tail)
+        end = dist0 + min(limit - dist0, float(cum[-1]))
+        # k runs from floor(dist0 / spacing) + 1; the range overshoots by one so that the
+        # mask, not the division, decides which rounded products k * spacing stay <= end.
+        arc = np.arange(math.floor(dist0 / spacing) + 1, math.floor(end / spacing) + 2) * spacing
+        arc = arc[arc <= end]
+        x, y, heading = point_along_polyline(tail, cum, arc - dist0)
+        lon, lat = rotate_into_frame(np.stack([x, y], axis=1), pose_xy, pose_heading).T
+        rel_heading = wrap_angle(heading - pose_heading)
+        samples.extend(
+            map(Candidate, [lane.lane_id] * len(arc), arc.tolist(), lon.tolist(), lat.tolist(), rel_heading.tolist())
+        )
         return dist0 + float(cum[-1])
 
     while queue:

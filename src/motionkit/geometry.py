@@ -59,20 +59,21 @@ def polyline_arclength(xy: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def point_along_polyline(xy: np.ndarray, cum: np.ndarray, s: float) -> tuple[float, float, float]:
-    """Interpolate (x, y, chord heading) at arc distance ``s`` along a polyline.
+def point_along_polyline(xy: np.ndarray, cum: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interpolate (x, y, chord heading) arrays at the arc distances ``s`` along a polyline.
 
-    ``cum`` is the cumulative arc length from :func:`polyline_arclength`; ``s``
-    is clamped to the polyline extent. The heading is the direction of the
-    segment containing ``s``.
+    ``cum`` is the cumulative arc length from :func:`polyline_arclength`; each
+    distance is clamped to the polyline extent. The heading is the direction of
+    the segment containing the distance, from ``math.atan2`` so it matches the
+    scalar libm value bit for bit (``np.arctan2`` can differ in the last bit).
+    A one-vertex polyline yields its vertex with heading 0.
     """
-    s = min(max(s, 0.0), float(cum[-1]))
-    i = int(np.searchsorted(cum, s, side="right")) - 1
-    i = min(max(i, 0), len(cum) - 2)
+    s = np.clip(np.asarray(s, dtype=float), 0.0, cum[-1])
+    i = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(cum) - 2)
     seg_len = cum[i + 1] - cum[i]
-    t = 0.0 if seg_len <= 0 else (s - cum[i]) / seg_len
+    t = np.divide(s - cum[i], seg_len, out=np.zeros_like(s), where=seg_len > 0)
     p0, p1 = xy[i], xy[i + 1]
-    x = p0[0] + t * (p1[0] - p0[0])
-    y = p0[1] + t * (p1[1] - p0[1])
-    heading = math.atan2(p1[1] - p0[1], p1[0] - p0[0])
-    return float(x), float(y), heading
+    x = p0[:, 0] + t * (p1[:, 0] - p0[:, 0])
+    y = p0[:, 1] + t * (p1[:, 1] - p0[:, 1])
+    heading = np.array([math.atan2(dy, dx) for dx, dy in (p1 - p0).tolist()], dtype=float)
+    return x, y, heading

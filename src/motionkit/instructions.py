@@ -135,7 +135,9 @@ class InstructionRecord:
             object.__setattr__(self, "gt_future_xy", xy)
             _freeze(self, gt_future_xy=float)
         if self.gt_future_valid is not None:
-            _freeze(self, gt_future_valid=bool)
+            _freeze(self, gt_future_valid=None)  # no cast: "false" or 0 must not pass as a flag
+            if self.gt_future_valid.dtype != bool:
+                raise SchemaError("gt_future_valid must hold booleans")
             if self.gt_future_xy is None or self.gt_future_valid.shape != (len(self.gt_future_xy),):
                 raise SchemaError("gt_future_valid must be (T,), one flag per gt_future_xy point")
 

@@ -17,40 +17,47 @@ import numpy as np
 
 from .attributes import DirectionLabel, LabelRules, classify_direction_arrays
 from .behavior import Safety
+from .core import _equal_by_value, _freeze
 from .errors import NoValidOverlap, NonPositiveSigma, SchemaError
 from .feasibility import FeasTag
 from .instructions import Decision
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """M candidate future trajectories for one scenario plus mode scores."""
+    """M candidate future trajectories for one scenario plus mode scores. The arrays are
+    read-only copies; trajectories and scores hold finite numbers, the mask booleans."""
 
     scenario_id: str
     trajectories: np.ndarray  # (M, T, 2)
-    scores: np.ndarray  # (M,)
+    scores: Optional[np.ndarray] = None  # (M,); default uniform
     valid: Optional[np.ndarray] = None  # (M, T) bool; default all valid
     direction: Optional[DirectionLabel] = None  # disambiguates multi-row scenarios
     decision: Optional[Decision] = None
     with_context: Optional[bool] = None
 
+    __eq__ = _equal_by_value
+
     def __post_init__(self) -> None:
-        traj = np.asarray(self.trajectories, dtype=float)
+        _freeze(self, trajectories=float)
+        traj = self.trajectories
         if traj.ndim != 3 or traj.shape[0] < 1 or traj.shape[2] != 2:
-            raise SchemaError(f"trajectories must be (M, T, 2), got {traj.shape}")
-        scores = np.asarray(self.scores, dtype=float)
-        if scores.shape != (traj.shape[0],):
+            raise SchemaError(f"trajectories must be (M, T, 2) with M >= 1, got {traj.shape}")
+        if self.scores is None:
+            object.__setattr__(self, "scores", np.full(traj.shape[0], 1.0 / traj.shape[0]))
+        _freeze(self, scores=float)
+        if self.scores.shape != (traj.shape[0],):
             raise SchemaError("scores must have one entry per mode")
-        valid = self.valid
-        if valid is None:
-            valid = np.ones(traj.shape[:2], dtype=bool)
-        else:
-            valid = np.asarray(valid, dtype=bool)
-            if valid.shape != traj.shape[:2]:
-                raise SchemaError("valid mask must be (M, T)")
-        object.__setattr__(self, "trajectories", traj)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "valid", valid)
+        for name in ("trajectories", "scores"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise SchemaError(f"{name} must hold finite numbers")
+        if self.valid is None:
+            object.__setattr__(self, "valid", np.ones(traj.shape[:2], dtype=bool))
+        _freeze(self, valid=None)  # no cast: "no" or 0 must not pass as a flag
+        if self.valid.dtype != bool:
+            raise SchemaError("valid mask must hold booleans")
+        if self.valid.shape != traj.shape[:2]:
+            raise SchemaError("valid mask must be (M, T)")
 
     @property
     def n_modes(self) -> int:

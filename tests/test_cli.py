@@ -108,6 +108,23 @@ class TestSynthAndExtract:
         assert run("extract", str(corpus_path), "--out", str(b), "--jobs", "8") == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pool_has_no_more_workers_than_lines(self, tmp_path, monkeypatch):
+        src = tmp_path / "corpus.jsonl"
+        assert run("synth", "--n", "3", "--seed", "5", "--out", str(src)) == 0
+        started = []
+        pool = cli.multiprocessing.Pool
+
+        def recording_pool(processes):
+            started.append(processes)
+            return pool(processes)
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", recording_pool)
+        outs = {jobs: tmp_path / f"o{jobs}.jsonl" for jobs in (1, 4)}
+        for jobs, out in outs.items():
+            assert run("feasibility", str(src), "--out", str(out), "--jobs", str(jobs)) == 0
+        assert started == [3]
+        assert outs[1].read_bytes() == outs[4].read_bytes()
+
 
 class TestFeasibilityCmd:
     def test_reports_on_topologies(self, tmp_path):
@@ -357,16 +374,21 @@ class TestEvaluateCmd:
             tmp_path, capsys, dataset, predictions, where="predictions"
         )
 
-    @pytest.mark.parametrize("case", ["no_modes", "integer_too_large", "short_gt_future", "three_number_points"])
+    BAD_LINES = {
+        "no_modes": "trajectories must be (M, T, 2) with M >= 1",
+        "integer_too_large": "int too large to convert to float",
+        "short_scores": "scores must have one entry per mode",
+        "short_valid": "valid mask must be (M, T)",
+        "string_valid": "valid mask must hold booleans",
+        "short_gt_future": "gt_future_valid must be (T,)",
+        "three_number_points": "gt_future_xy must be (T, 2)",
+        "string_gt_future_valid": "gt_future_valid must hold booleans",
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINES))
     def test_bad_shape_or_number_is_a_line_error(self, tmp_path, capsys, case):
-        message = {
-            "no_modes": "trajectories must be (M, T, 2) with M >= 1",
-            "integer_too_large": "int too large to convert to float",
-            "short_gt_future": "gt_future_valid must be (T,)",
-            "three_number_points": "gt_future_xy must be (T, 2)",
-        }[case]
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
-        where = "predictions" if case in ("no_modes", "integer_too_large") else "dataset"
+        where = "dataset" if "gt_future" in case or case == "three_number_points" else "predictions"
         bad_file = predictions if where == "predictions" else dataset
         lines = bad_file.read_text().splitlines()
         obj = json.loads(lines[1])
@@ -375,13 +397,22 @@ class TestEvaluateCmd:
             del obj["scores"]
         elif case == "integer_too_large":
             obj["trajectories"][0][5][0] = 10**400
+        elif case == "short_scores":
+            obj["scores"] = obj["scores"][:-1]
+        elif case == "short_valid":
+            obj["valid"] = [[True] * (len(obj["trajectories"][0]) - 1)] * len(obj["trajectories"])
+        elif case == "string_valid":
+            obj["valid"] = [["no"] * len(mode) for mode in obj["trajectories"]]
         elif case == "short_gt_future":
             obj["gt_future_xy"] = obj["gt_future_xy"][:-1]
+        elif case == "string_gt_future_valid":
+            obj["gt_future_valid"] = ["false"] * len(obj["gt_future_xy"])
         else:
             obj["gt_future_xy"] = [p + [0.0] for p in obj["gt_future_xy"]]
         lines[1] = json.dumps(obj)
         bad_file.write_text("".join(l + "\n" for l in lines))
-        assert message in self._evaluate_fails_on_line_2(tmp_path, capsys, dataset, predictions, where=where)
+        err = self._evaluate_fails_on_line_2(tmp_path, capsys, dataset, predictions, where=where)
+        assert self.BAD_LINES[case] in err
 
     def test_each_line_is_decoded_once(self, tmp_path, monkeypatch):
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
@@ -428,6 +459,16 @@ class TestStatsCmd:
         assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
         assert capsys.readouterr().err.startswith("error: line 3: ")
 
+    def test_string_validity_flags_are_a_line_error(self, tmp_path, capsys, corpus):
+        corpus_path, _ = corpus
+        rows = tmp_path / "rows.jsonl"
+        assert run("gen-instructions", str(corpus_path), "--out", str(rows)) == 0
+        good = next(json.loads(l) for l in rows.read_text().splitlines() if "gt_future_valid" in l)
+        bad = dict(good, gt_future_valid=["false"] * len(good["gt_future_xy"]))
+        rows.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: gt_future_valid must hold booleans")
+
     def test_empty_dataset_all_zero(self, tmp_path):
         rows = tmp_path / "rows.jsonl"
         rows.write_text("")
@@ -470,6 +511,28 @@ class TestConfigHandling:
     def test_bad_mix_flag(self, corpus):
         corpus_path, _ = corpus
         assert run("gen-instructions", str(corpus_path), "--mix", "nonsense") == 2
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--mix", "1.5:-0.5"), "mixture fractions must lie in [0, 1]"),
+            (("--mix", "0.6:0.6"), "gt_fraction + if_fraction must equal 1"),
+            (("--mix", "0.7:0.3", "--draws", "-4"), "--draws must be >= 0"),
+        ],
+    )
+    def test_out_of_range_sampling_flags(self, tmp_path, capsys, corpus, flags, message):
+        corpus_path, _ = corpus
+        out = tmp_path / "rows.jsonl"
+        assert run("gen-instructions", str(corpus_path), "--out", str(out), *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    def test_negative_synth_count(self, tmp_path, capsys):
+        out = tmp_path / "corpus.jsonl"
+        assert run("synth", "--n", "-3", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "config error: --n must be >= 0\n"
+        assert not out.exists()
 
 
 # Veers fold onto Left/Right, and the speed and acceleration bands move.

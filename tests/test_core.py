@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from motionkit import errors
 from motionkit.core import HorizonConfig, parse_scenario, serialize_scenario
-from motionkit.geometry import normalize_heading, rotate_into_frame, wrap_angle
+from motionkit.geometry import (
+    normalize_heading,
+    point_along_polyline,
+    polyline_arclength,
+    rotate_into_frame,
+    wrap_angle,
+)
 from motionkit.synth import build_corpus
 
 
@@ -221,6 +227,42 @@ class TestEgoFrame:
             orig = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2)
             new = np.linalg.norm(out[:, None, :] - out[None, :, :], axis=2)
             assert np.max(np.abs(orig - new)) < 1e-9
+
+
+class TestPointAlongPolyline:
+    XY = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 10.0], [-1.0, 10.0]])
+
+    def test_vertices_and_segment_headings(self):
+        cum = polyline_arclength(self.XY)
+        assert cum.tolist() == [0.0, 5.0, 11.0, 15.0]
+        x, y, heading = point_along_polyline(self.XY, cum, cum[:-1])
+        assert np.stack([x, y], axis=1).tolist() == self.XY[:-1].tolist()
+        assert heading.tolist() == [math.atan2(4.0, 3.0), math.atan2(6.0, 0.0), math.atan2(0.0, -4.0)]
+
+    def test_interpolates_within_a_segment(self):
+        x, y, heading = point_along_polyline(self.XY, polyline_arclength(self.XY), np.array([2.5, 8.0, 14.0]))
+        assert x.tolist() == pytest.approx([1.5, 3.0, 0.0])
+        assert y.tolist() == pytest.approx([2.0, 7.0, 10.0])
+        assert heading.tolist() == [math.atan2(4.0, 3.0), math.pi / 2, math.pi]
+
+    def test_clamps_at_both_ends(self):
+        x, y, heading = point_along_polyline(self.XY, polyline_arclength(self.XY), np.array([-3.0, 15.0, 99.0]))
+        assert x.tolist() == [0.0, -1.0, -1.0]
+        assert y.tolist() == [0.0, 10.0, 10.0]
+        assert heading.tolist() == [math.atan2(4.0, 3.0), math.pi, math.pi]
+
+    def test_one_segment_and_one_vertex_lines(self):
+        xy = np.array([[1.0, 1.0], [1.0, -1.0]])
+        x, y, heading = point_along_polyline(xy, polyline_arclength(xy), np.array([0.0, 0.5, 2.0, 5.0]))
+        assert x.tolist() == [1.0] * 4
+        assert y.tolist() == [1.0, 0.5, -1.0, -1.0]
+        assert heading.tolist() == [-math.pi / 2] * 4
+        x, y, heading = point_along_polyline(xy[:1], np.array([0.0]), np.array([0.0]))
+        assert (x.tolist(), y.tolist(), heading.tolist()) == ([1.0], [1.0], [0.0])
+
+    def test_empty_grid(self):
+        x, y, heading = point_along_polyline(self.XY, polyline_arclength(self.XY), np.array([]))
+        assert x.shape == y.shape == heading.shape == (0,)
 
 
 class TestWrapAngle:

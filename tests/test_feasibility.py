@@ -1,11 +1,15 @@
 """Lane association, reachable range, candidate enumeration, feasibility sets."""
 
 import math
+from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionkit.attributes import DirectionLabel, LabelRules
-from motionkit.core import HorizonConfig
+from motionkit.core import HorizonConfig, Lane, Scenario
 from motionkit.feasibility import (
     ALL_DIRECTIONS,
     Candidate,
@@ -19,7 +23,9 @@ from motionkit.feasibility import (
     reachable_range,
     tag_instruction,
 )
-from motionkit.synth import SynthSpec, TOPOLOGIES, gen_lane_graph, gen_scenario
+from motionkit.geometry import polyline_arclength, rotate_into_frame, wrap_angle
+from motionkit.synth import SynthSpec, TOPOLOGIES, build_corpus, gen_lane_graph, gen_scenario
+from tracks import make_track
 
 H = HorizonConfig()
 KMH = 3.6
@@ -137,6 +143,162 @@ class TestCandidates:
         without = enumerate_candidates(s, FeasibilityParams(allow_neighbor_transitions=False))
         assert {c.lane_id for c in without} == {"lane_p1", "lane_p2"}
         assert len(with_hops) >= len(without) - 1
+
+
+# -- test oracle: the per-sample scalar walk the array grid replaced -------------
+
+
+def _scalar_point_along_polyline(xy, cum, s):
+    s = min(max(s, 0.0), float(cum[-1]))
+    i = int(np.searchsorted(cum, s, side="right")) - 1
+    i = min(max(i, 0), len(cum) - 2)
+    seg_len = cum[i + 1] - cum[i]
+    t = 0.0 if seg_len <= 0 else (s - cum[i]) / seg_len
+    p0, p1 = xy[i], xy[i + 1]
+    x = p0[0] + t * (p1[0] - p0[0])
+    y = p0[1] + t * (p1[1] - p0[1])
+    return float(x), float(y), math.atan2(p1[1] - p0[1], p1[0] - p0[0])
+
+
+def scalar_enumerate_candidates(scenario, params=FeasibilityParams()):
+    """Test oracle: ``enumerate_candidates`` as a scalar walk, one interpolation and one rotation per sample."""
+    assoc = associate_lanes(scenario, params)
+    if not assoc:
+        return []
+    i = scenario.horizon.current_index
+    track = scenario.focal_track
+    pose_xy, pose_heading, pose_speed = track.xy[i], float(track.headings[i]), float(track.speeds[i])
+    lanes = {lane.lane_id: lane for lane in scenario.lanes}
+    spacing = params.sample_spacing_m
+    samples = []
+    visited = {lane_id for lane_id, _ in assoc}
+    queue = deque()
+    for lane_id, idx in assoc:
+        branch_range = reachable_range(pose_speed, lanes[lane_id].speed_limit_kmh, params)
+        if branch_range > 0:
+            queue.append((lane_id, idx, 0.0, 0, branch_range))
+
+    def walk(lane, entry_idx, dist0, limit):
+        cum = polyline_arclength(lane.xy[entry_idx:])
+        reach = min(limit - dist0, float(cum[-1]))
+        k = math.floor(dist0 / spacing) + 1
+        while k * spacing <= dist0 + reach:
+            x, y, heading = _scalar_point_along_polyline(lane.xy[entry_idx:], cum, k * spacing - dist0)
+            lon, lat = rotate_into_frame(np.array([[x, y]]), pose_xy, pose_heading)[0]
+            rel_heading = wrap_angle(heading - pose_heading)
+            samples.append(Candidate(lane.lane_id, k * spacing, float(lon), float(lat), rel_heading))
+            k += 1
+        return dist0 + float(cum[-1])
+
+    while queue:
+        lane_id, entry_idx, dist0, hops, branch_range = queue.popleft()
+        lane = lanes[lane_id]
+        if params.allow_neighbor_transitions and hops == 0:
+            for neighbor_id in (lane.left_neighbor, lane.right_neighbor):
+                if neighbor_id is None or neighbor_id in visited:
+                    continue
+                neighbor = lanes[neighbor_id]
+                entry_xy = lane.xy[entry_idx]
+                nb_idx = int(np.argmin(np.linalg.norm(neighbor.xy - entry_xy, axis=1)))
+                hop_cost = float(np.linalg.norm(neighbor.xy[nb_idx] - entry_xy))
+                if dist0 + hop_cost < branch_range:
+                    visited.add(neighbor_id)
+                    queue.append((neighbor_id, nb_idx, dist0 + hop_cost, 1, branch_range))
+        end_dist = walk(lane, entry_idx, dist0, branch_range)
+        if end_dist < branch_range:
+            for successor_id in sorted(lane.successors):
+                if successor_id not in visited:
+                    visited.add(successor_id)
+                    queue.append((successor_id, 0, end_dist, hops, branch_range))
+    samples.sort(key=lambda c: (c.lane_id, c.arc_dist))
+    return samples
+
+
+ORACLE_PARAMS = (
+    FeasibilityParams(),
+    FeasibilityParams(sample_spacing_m=0.7, max_range_m=80.0),
+    FeasibilityParams(sample_spacing_m=3.3, allow_neighbor_transitions=False),
+)
+
+
+def _polyline(start, steps):
+    """Vertices from ``start`` by (length, turn) steps; every step is at least 0.5 m long."""
+    x, y, heading = start
+    out = [(x, y)]
+    for length, turn in steps:
+        heading += turn
+        x, y = x + length * math.cos(heading), y + length * math.sin(heading)
+        out.append((x, y))
+    return out
+
+
+def _lane(lane_id, xy, **wiring):
+    seg = np.diff(np.asarray(xy), axis=0)
+    headings = np.arctan2(seg[:, 1], seg[:, 0])
+    return Lane(lane_id=lane_id, xy=xy, headings=np.append(headings, headings[-1]), **wiring)
+
+
+_steps = st.lists(st.tuples(st.floats(0.5, 15.0), st.floats(-1.0, 1.0)), min_size=1, max_size=7)
+
+
+@st.composite
+def lane_maps(draw):
+    """A lane with a successor and a left neighbour, and a focal pose on or near one of its
+    vertices; the pose may sit on the lane's last vertex, and the neighbour may end beside it."""
+    main = _polyline((0.0, 0.0, draw(st.floats(-math.pi, math.pi))), draw(_steps))
+    successor = _polyline((*main[-1], draw(st.floats(-math.pi, math.pi))), draw(_steps))
+    cut = draw(st.integers(2, len(main)))
+    dx, dy = draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))
+    neighbor = [(x + dx, y + dy) for x, y in main[:cut]]
+    entry = draw(st.integers(0, len(main) - 1))
+    lanes = (
+        _lane("a", main, successors=("b",), left_neighbor="n", speed_limit_kmh=draw(st.none() | st.floats(5.0, 120.0))),
+        _lane("b", successor),
+        _lane("n", neighbor),
+    )
+    heading = float(lanes[0].headings[entry]) + draw(st.floats(-0.5, 0.5))
+    pose = (main[entry][0] + draw(st.floats(-1.0, 1.0)), main[entry][1] + draw(st.floats(-1.0, 1.0)))
+    n = H.n_steps
+    track = make_track([pose] * n, speeds=[draw(st.floats(0.0, 30.0))] * n, headings=[wrap_angle(heading)] * n)
+    return Scenario(scenario_id="s", focal_agent_id="ego", agents=(track,), lanes=lanes, horizon=H)
+
+
+class TestCandidateGridOracle:
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_synth_topologies_match_the_scalar_walk(self, topology):
+        for scenario, _ in build_corpus(40, seed=11, topology=topology):
+            for params in ORACLE_PARAMS:
+                assert enumerate_candidates(scenario, params) == scalar_enumerate_candidates(scenario, params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lane_maps(),
+        st.floats(0.3, 5.0),
+        st.floats(5.0, 80.0),
+        st.booleans(),
+    )
+    def test_drawn_maps_match_the_scalar_walk(self, scenario, spacing, max_range, hops):
+        params = FeasibilityParams(
+            sample_spacing_m=spacing, max_range_m=max_range, allow_neighbor_transitions=hops
+        )
+        assert enumerate_candidates(scenario, params) == scalar_enumerate_candidates(scenario, params)
+
+    def test_grid_point_at_a_neighbors_last_vertex(self):
+        # 3 * 0.7 rounds below the product it stands for, so floor(dist0 / 0.7) + 1 == 3 and the
+        # hop onto lane n's last vertex (2.0999999999999996 m away) emits a sample at local
+        # distance 0 on a one-vertex tail: it keeps the vertex and a 0 heading.
+        hop = 3 * 0.7
+        lanes = (
+            _lane("a", [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)], left_neighbor="n"),
+            _lane("n", [(-10.0, hop), (0.0, hop)]),
+        )
+        n = H.n_steps
+        track = make_track([(0.0, 0.0)] * n, speeds=[10.0] * n)
+        scenario = Scenario(scenario_id="s", focal_agent_id="ego", agents=(track,), lanes=lanes, horizon=H)
+        params = FeasibilityParams(sample_spacing_m=0.7, lane_assoc_radius_m=2.0)
+        cands = enumerate_candidates(scenario, params)
+        assert [c for c in cands if c.lane_id == "n"] == [Candidate("n", hop, 0.0, hop, 0.0)]
+        assert cands == scalar_enumerate_candidates(scenario, params)
 
 
 class TestClassifyCandidate:

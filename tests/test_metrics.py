@@ -1,6 +1,7 @@
 """IFR, displacement errors, detection accuracies, and GMM loss arithmetic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,33 @@ class TestIfrScenario:
             scores=preds.scores,
         )
         assert ifr_scenario(label, moved, DT)[0] == ifr_scenario(label, preds, DT)[0]
+
+
+class TestPredictionSet:
+    def test_value_semantics_and_read_only_arrays(self):
+        track, label = straight_gt()
+        a = gen_prediction_set(track, label, match_count=2, n_modes=3, horizon=H)
+        b = PredictionSet(scenario_id=a.scenario_id, trajectories=a.trajectories.tolist(), scores=None)
+        assert a == b and not a != b
+        assert a != PredictionSet(scenario_id=a.scenario_id, trajectories=a.trajectories + 1.0)
+        for array in (b.trajectories, b.scores, b.valid):
+            assert not array.flags.writeable
+        assert b.scores.tolist() == [1.0 / 3] * 3
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"trajectories": np.zeros((0, 5, 2))}, "with M >= 1"),
+            ({"scores": np.ones(2)}, "one entry per mode"),
+            ({"scores": np.array([1.0, np.nan, 1.0])}, "scores must hold finite numbers"),
+            ({"valid": np.ones((3, 5), dtype=int)}, "valid mask must hold booleans"),
+            ({"valid": np.ones((3, 4), dtype=bool)}, "valid mask must be (M, T)"),
+        ],
+    )
+    def test_rejects_bad_arrays(self, change, message):
+        fields = dict(scenario_id="s", trajectories=np.zeros((3, 5, 2)), scores=np.ones(3)) | change
+        with pytest.raises(errors.SchemaError, match=re.escape(message)):
+            PredictionSet(**fields)
 
 
 class TestIfrAggregation:
