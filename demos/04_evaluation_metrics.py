@@ -11,7 +11,6 @@ import numpy as np
 from motionkit import (
     HorizonConfig,
     best_mode,
-    combined_loss,
     gmm_nll,
     ifr_macro,
     ifr_micro,
@@ -61,4 +60,4 @@ nll = gmm_nll(mu, sigma, gt, valid, best, horizon.t_select)
 ce_uniform = score_loss(np.full(2, 0.5), best)
 print(f"  best mode = {best} (the exact one), NLL over 3 steps = {nll:.3f}")
 print(f"  uniform-score cross-entropy = ln 2 = {ce_uniform:.4f} (ln 6 = {math.log(6):.4f} for six modes)")
-print(f"  combined loss: NLL + CE = {combined_loss(nll, ce_uniform):.4f}")
+print(f"  combined loss: NLL + CE = {nll + ce_uniform:.4f}")

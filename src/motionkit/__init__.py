@@ -67,7 +67,6 @@ from .metrics import (
     EvalReport,
     PredictionSet,
     best_mode,
-    combined_loss,
     detection_accuracy,
     gmm_nll,
     ifr_macro,

@@ -109,6 +109,16 @@ class LabelRules:
     speed_kmh: tuple[float, ...] = SPEED_THRESHOLDS_KMH
     accel_kmh: tuple[float, ...] = ACCEL_THRESHOLDS_KMH
 
+    def __post_init__(self) -> None:
+        for name, what in (("speed_kmh", "speed"), ("accel_kmh", "acceleration")):
+            bands = getattr(self, name)
+            numbers = isinstance(bands, (list, tuple)) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in bands
+            )
+            if not numbers or len(bands) != 4 or any(a >= b for a, b in zip(bands, bands[1:])):
+                raise ValueError(f"{what} thresholds must be 4 finite, strictly increasing numbers, got {bands!r}")
+            object.__setattr__(self, name, tuple(bands))
+
 
 def classify_direction_arrays(
     xy: np.ndarray,

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 input error, 2 config error.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import hashlib
 import json
@@ -18,39 +19,20 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from .attributes import DirectionLabel, LabelRules, extract_motion_attributes
-from .behavior import GuidelineBook, Safety, load_default_guidelines, load_guidelines
+from .attributes import extract_motion_attributes
+from .behavior import GuidelineBook, load_default_guidelines, load_guidelines
 from .config import Config, load_config
 from .core import Scenario, parse_scenario, serialize_scenario
-from .errors import (
-    ConfigError,
-    InsufficientPoints,
-    InvalidAnchor,
-    MotionKitError,
-    NoValidOverlap,
-    SchemaError,
-)
-from .feasibility import FeasTag, feasibility_set
+from .errors import ConfigError, InsufficientPoints, InvalidAnchor, MotionKitError, SchemaError
+from .feasibility import feasibility_set
 from .instructions import (
-    Decision,
     InstructionRecord,
     SamplerConfig,
     build_behavior_row,
     build_direction_rows,
     sample_training_mix,
 )
-from .metrics import (
-    EvalReport,
-    PredictionSet,
-    classify_prediction,
-    ifr_macro,
-    ifr_micro,
-    ifr_scenario,
-    min_ade,
-    min_fde,
-)
+from .metrics import PredictionSet, aggregate, score_row
 from .synth import build_corpus, expectation_to_obj
 
 _JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
@@ -70,12 +52,6 @@ def _write_text(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-
-
-def _sha256(path: str) -> str:
-    if path == "-":
-        return "stdin"
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _numbered_lines(path: str) -> list[tuple[int, str]]:
@@ -108,8 +84,8 @@ def _map_lines(worker, items: list[tuple[int, str]], jobs: int) -> list:
     """Run ``worker`` on every ``(line number, line)`` item and merge the outcomes.
 
     Runs in-process at one job and otherwise through ``Pool.map``, with no more
-    workers than items; ``worker`` carries its settings (config, rules,
-    guideline book) as a ``functools.partial``. Returns the kept payloads in
+    workers than items; ``worker`` carries its settings (config, guideline
+    book) as a ``functools.partial``. Returns the kept payloads in
     key (``scenario_id``) order. The input error with the lowest line number is raised, whatever the
     job count; skips are summarised on stderr, one line per reason.
     """
@@ -143,12 +119,19 @@ def _vehicle_scenario(line: str) -> Scenario:
     return scenario
 
 
-# -- extract -------------------------------------------------------------------
+def _map_scenarios(args, cfg: Config, *settings) -> list:
+    """The command's worker (``args.worker``, from the parser table) with ``cfg`` and
+    ``settings`` over every line of ``args.input``; the kept payloads in scenario order."""
+    worker = functools.partial(args.worker, cfg, *settings)
+    return _map_lines(worker, _numbered_lines(args.input), args.jobs or cfg.jobs)
 
 
-def _extract_worker(rules: LabelRules, item: tuple[int, str]) -> tuple[str, str]:
+# -- extract and feasibility -------------------------------------------------------
+
+
+def _extract_worker(cfg: Config, item: tuple[int, str]) -> tuple[str, str]:
     scenario = _vehicle_scenario(item[1])
-    attrs = extract_motion_attributes(scenario.focal_track, scenario.horizon, rules)
+    attrs = extract_motion_attributes(scenario.focal_track, scenario.horizon, cfg.rules)
     obj = {
         "scenario_id": scenario.scenario_id,
         "focal_agent_id": scenario.focal_agent_id,
@@ -163,19 +146,9 @@ def _extract_worker(rules: LabelRules, item: tuple[int, str]) -> tuple[str, str]
     return scenario.scenario_id, json.dumps(obj, **_JSON_COMPACT)
 
 
-def cmd_extract(args, cfg: Config) -> int:
-    worker = functools.partial(_extract_worker, cfg.rules)
-    rows = _map_lines(worker, _numbered_lines(args.input), args.jobs or cfg.jobs)
-    _write_text(args.out, "".join(row + "\n" for row in rows))
-    return 0
-
-
-# -- feasibility ---------------------------------------------------------------
-
-
-def _feasibility_worker(cfg: Config, rules: LabelRules, item: tuple[int, str]) -> tuple[str, str]:
+def _feasibility_worker(cfg: Config, item: tuple[int, str]) -> tuple[str, str]:
     scenario = _vehicle_scenario(item[1])
-    report = feasibility_set(scenario, cfg.feasibility, rules)
+    report = feasibility_set(scenario, cfg.feasibility, cfg.rules)
     obj = {
         "scenario_id": scenario.scenario_id,
         "focal_agent_id": scenario.focal_agent_id,
@@ -187,10 +160,9 @@ def _feasibility_worker(cfg: Config, rules: LabelRules, item: tuple[int, str]) -
     return scenario.scenario_id, json.dumps(obj, **_JSON_COMPACT)
 
 
-def cmd_feasibility(args, cfg: Config) -> int:
-    worker = functools.partial(_feasibility_worker, cfg, cfg.rules)
-    rows = _map_lines(worker, _numbered_lines(args.input), args.jobs or cfg.jobs)
-    _write_text(args.out, "".join(row + "\n" for row in rows))
+def cmd_per_scenario(args, cfg: Config) -> int:
+    """extract and feasibility: the worker's JSON line for every kept scenario."""
+    _write_text(args.out, "".join(row + "\n" for row in _map_scenarios(args, cfg)))
     return 0
 
 
@@ -198,12 +170,12 @@ def cmd_feasibility(args, cfg: Config) -> int:
 
 
 def _gen_worker(
-    cfg: Config, rules: LabelRules, book: Optional[GuidelineBook], item: tuple[int, str]
+    cfg: Config, book: Optional[GuidelineBook], item: tuple[int, str]
 ) -> tuple[str, list[InstructionRecord]]:
     """Direction-mode rows, or the behavior-mode row when a guideline book is given."""
     scenario = _vehicle_scenario(item[1])
     if book is None:
-        return scenario.scenario_id, build_direction_rows(scenario, cfg.feasibility, rules)
+        return scenario.scenario_id, build_direction_rows(scenario, cfg.feasibility, cfg.rules)
     if scenario.scenario_type is None:
         raise _Skip("no scenario_type")
     return scenario.scenario_id, [build_behavior_row(scenario, book, cfg.behavior)]
@@ -226,7 +198,11 @@ def cmd_gen_instructions(args, cfg: Config) -> int:
         raise ConfigError("--draws must be >= 0")
     sampler = None
     if args.mix is not None:
-        gt_frac, if_frac = _parse_mix(args.mix)
+        try:
+            gt_s, if_s = args.mix.split(":")
+            gt_frac, if_frac = float(gt_s), float(if_s)
+        except ValueError as exc:
+            raise ConfigError(f"--mix must look like 0.7:0.3, got {args.mix!r}") from exc
         try:
             sampler = SamplerConfig(
                 gt_fraction=gt_frac,
@@ -237,8 +213,7 @@ def cmd_gen_instructions(args, cfg: Config) -> int:
         except SchemaError as exc:
             raise ConfigError(f"--mix {args.mix}: {exc}") from exc
     book = _load_book(cfg, args.guidelines) if args.mode == "behavior" else None
-    worker = functools.partial(_gen_worker, cfg, cfg.rules, book)
-    per_scenario = _map_lines(worker, _numbered_lines(args.input), args.jobs or cfg.jobs)
+    per_scenario = _map_scenarios(args, cfg, book)
     rows: list[InstructionRecord] = [row for rs in per_scenario for row in rs]
 
     if sampler is not None:
@@ -249,75 +224,23 @@ def cmd_gen_instructions(args, cfg: Config) -> int:
     return 0
 
 
-def _parse_mix(text: str) -> tuple[float, float]:
-    try:
-        gt_s, if_s = text.split(":")
-        return float(gt_s), float(if_s)
-    except ValueError as exc:
-        raise ConfigError(f"--mix must look like 0.7:0.3, got {text!r}") from exc
+# -- evaluate and stats ------------------------------------------------------------
+
+# Module-level names for the prediction decode, the row scorer and the report build:
+# perfbench/tracing.py wraps them by these names.
+_parse_prediction = PredictionSet.from_obj
+_evaluate_worker = score_row
+_aggregate = aggregate
 
 
-# -- evaluate --------------------------------------------------------------------
-
-
-def _parse_prediction(obj: dict, where: str) -> PredictionSet:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: prediction line must be an object")
-    unknown = set(obj) - {"scenario_id", "trajectories", "scores", "valid", "direction", "decision", "with_context"}
-    if unknown:
-        raise SchemaError(f"{where}: unexpected field(s) {sorted(unknown)}")
-    try:
-        if not isinstance(obj["scenario_id"], str):
-            raise TypeError("scenario_id must be a string")
-        return PredictionSet(
-            scenario_id=obj["scenario_id"],
-            trajectories=obj["trajectories"],
-            scores=obj.get("scores"),
-            valid=obj.get("valid"),
-            direction=DirectionLabel(obj["direction"]) if "direction" in obj else None,
-            decision=Decision(obj["decision"]) if "decision" in obj else None,
-            with_context=obj.get("with_context"),
-        )
-    except (KeyError, ValueError, TypeError, OverflowError, SchemaError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-def _evaluate_worker(cfg: Config, rules: LabelRules, row: InstructionRecord, preds: Optional[PredictionSet]) -> dict:
-    result = {
-        "scenario_id": row.scenario_id,
-        "direction": row.direction.value if row.direction else None,
-        "feas_tag": row.feas_tag.value if row.feas_tag else None,
-        "safety_tag": row.safety_tag.value if row.safety_tag else None,
-        "with_context": bool(row.with_context),
-        "has_pred": preds is not None,
-        "ifr": None,
-        "unclassifiable": 0,
-        "ade": None,
-        "fde": None,
-        "decision": None,
+def _write_report(path: Optional[str], cfg: Config, inputs: dict[str, str], body: dict) -> None:
+    """A JSON report: the resolved config, the path and sha256 of each input, and ``body``."""
+    hashes = {
+        name: {"path": p, "sha256": "stdin" if p == "-" else hashlib.sha256(Path(p).read_bytes()).hexdigest()}
+        for name, p in inputs.items()
     }
-    if preds is None:
-        return result
-    dt = cfg.horizon.dt
-    instructed = row.direction
-    if instructed is None and row.gt_future_xy is not None:
-        instructed = classify_prediction(row.gt_future_xy, row.gt_future_valid, dt, rules)
-    if instructed is not None:
-        result["direction"] = instructed.value
-        result["ifr"], result["unclassifiable"] = ifr_scenario(instructed, preds, dt, rules)
-    if row.has_gt_trajectory:
-        gt_xy = row.gt_future_xy
-        gt_valid = row.gt_future_valid if row.gt_future_valid is not None else np.ones(len(gt_xy), dtype=bool)
-        try:
-            result["ade"] = min_ade(gt_xy, gt_valid, preds)
-            result["fde"] = min_fde(gt_xy, gt_valid, preds)
-        except NoValidOverlap:
-            pass
-    if preds.decision is not None:
-        result["decision"] = preds.decision.value
-    if preds.with_context is not None:
-        result["with_context"] = bool(preds.with_context)
-    return result
+    payload = {"config": cfg.to_obj(), "inputs": hashes, **body}
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_evaluate(args, cfg: Config) -> int:
@@ -325,8 +248,8 @@ def cmd_evaluate(args, cfg: Config) -> int:
     predictions: dict[tuple[str, Optional[str]], PredictionSet] = {}
     for i, line in _numbered_lines(args.predictions):
         try:
-            preds = _parse_prediction(json.loads(line), f"predictions line {i}")
-        except json.JSONDecodeError as exc:
+            preds = _parse_prediction(json.loads(line))
+        except (json.JSONDecodeError, MotionKitError) as exc:
             raise SchemaError(f"predictions line {i}: {exc}") from exc
         key = (preds.scenario_id, preds.direction.value if preds.direction else None)
         if key in predictions:
@@ -339,102 +262,42 @@ def cmd_evaluate(args, cfg: Config) -> int:
             row = InstructionRecord.from_obj(json.loads(line))
             direction = row.direction.value if row.direction else None
             preds = predictions.get((row.scenario_id, direction)) or predictions.get((row.scenario_id, None))
-            keyed.append(((row.scenario_id, direction or "", i), _evaluate_worker(cfg, cfg.rules, row, preds)))
+            result = _evaluate_worker(row, preds, cfg.horizon.dt, cfg.rules)
         except (json.JSONDecodeError, MotionKitError) as exc:
             raise SchemaError(f"dataset line {i}: {exc}") from exc
+        keyed.append(((row.scenario_id, direction or "", i), result))
     keyed.sort(key=lambda kv: kv[0])
     report = _aggregate([result for _, result in keyed])
-    payload = {
-        "config": cfg.to_obj(),
-        "inputs": {
-            "dataset": {"path": args.dataset, "sha256": _sha256(args.dataset)},
-            "predictions": {"path": args.predictions, "sha256": _sha256(args.predictions)},
-        },
-        "metrics": report.to_obj(),
-    }
-    _write_text(args.report, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    inputs = {"dataset": args.dataset, "predictions": args.predictions}
+    _write_report(args.report, cfg, inputs, {"metrics": report.to_obj()})
     return 0
 
 
-def _aggregate(results: list[dict]) -> EvalReport:
-    report = EvalReport(n_rows=len(results))
-    ifr_rows = [(DirectionLabel(r["direction"]), r["ifr"]) for r in results if r["ifr"] is not None]
-    report.n_scored = len(ifr_rows)
-    report.n_missing_predictions = sum(1 for r in results if not r["has_pred"])
-    report.n_unclassifiable = sum(r["unclassifiable"] for r in results)
-    if ifr_rows:
-        report.ifr_micro = ifr_micro([v for _, v in ifr_rows])
-        macro, per_class = ifr_macro(ifr_rows)
-        report.ifr_macro = macro
-        report.per_class_ifr = {label.value: value for label, value in per_class.items()}
-        report.classes_absent = sorted(d.value for d in DirectionLabel if d not in per_class)
-    by_tag: dict[str, list[float]] = {}
-    for r in results:
-        if r["ifr"] is not None and r["feas_tag"]:
-            by_tag.setdefault(r["feas_tag"], []).append(r["ifr"])
-    report.ifr_by_tag = {tag: ifr_micro(vals) for tag, vals in by_tag.items()}
-
-    ades = [r["ade"] for r in results if r["ade"] is not None]
-    fdes = [r["fde"] for r in results if r["fde"] is not None]
-    if ades:
-        report.min_ade = float(np.sum(np.asarray(ades)) / len(ades))
-        report.min_fde = float(np.sum(np.asarray(fdes)) / len(fdes))
-
-    feas_pairs = [
-        (Decision(r["decision"]), FeasTag(r["feas_tag"]))
-        for r in results
-        if r["decision"] and r["feas_tag"]
-    ]
-    if feas_pairs:
-        from .metrics import detection_accuracy
-
-        report.feas_accuracy = {t.value: a for t, a in detection_accuracy(feas_pairs).items()}
-    safety_triples = [
-        (Decision(r["decision"]), Safety(r["safety_tag"]), r["with_context"])
-        for r in results
-        if r["decision"] and r["safety_tag"]
-    ]
-    if safety_triples:
-        from .metrics import safety_accuracy
-
-        report.safety_accuracy = {
-            f"{safety.value.lower()}_{'with' if ctx else 'without'}_context": acc
-            for (safety, ctx), acc in safety_accuracy(safety_triples).items()
-        }
-    return report
-
-
-# -- stats -----------------------------------------------------------------------
+def _by_value(counts: collections.Counter) -> dict[str, int]:
+    """Label counts keyed by label value, in sorted order; rows without the label (None) are left out."""
+    return dict(sorted((label.value, n) for label, n in counts.items() if label is not None))
 
 
 def cmd_stats(args, cfg: Config) -> int:
     lines = _numbered_lines(args.input)
-    counts_direction: dict[str, int] = {}
-    counts_tag: dict[str, int] = {}
-    counts_behavior: dict[str, int] = {}
-    counts_decision: dict[str, int] = {}
+    direction, feas_tag, behavior, decision = (collections.Counter() for _ in range(4))
     for i, line in lines:
         try:
             row = InstructionRecord.from_obj(json.loads(line))
         except (json.JSONDecodeError, SchemaError) as exc:
             raise SchemaError(f"line {i}: {exc}") from exc
-        if row.direction:
-            counts_direction[row.direction.value] = counts_direction.get(row.direction.value, 0) + 1
-        if row.feas_tag:
-            counts_tag[row.feas_tag.value] = counts_tag.get(row.feas_tag.value, 0) + 1
-        if row.behavior:
-            counts_behavior[row.behavior.value] = counts_behavior.get(row.behavior.value, 0) + 1
-        counts_decision[row.decision.value] = counts_decision.get(row.decision.value, 0) + 1
-    payload = {
-        "config": cfg.to_obj(),
-        "inputs": {"dataset": {"path": args.input, "sha256": _sha256(args.input)}},
+        direction[row.direction] += 1
+        feas_tag[row.feas_tag] += 1
+        behavior[row.behavior] += 1
+        decision[row.decision] += 1
+    body = {
         "total_rows": len(lines),
-        "direction_counts": dict(sorted(counts_direction.items())),
-        "feas_tag_counts": dict(sorted(counts_tag.items())),
-        "behavior_counts": dict(sorted(counts_behavior.items())),
-        "decision_counts": dict(sorted(counts_decision.items())),
+        "direction_counts": _by_value(direction),
+        "feas_tag_counts": _by_value(feas_tag),
+        "behavior_counts": _by_value(behavior),
+        "decision_counts": _by_value(decision),
     }
-    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_report(args.out, cfg, {"dataset": args.input}, body)
     return 0
 
 
@@ -462,59 +325,60 @@ def cmd_synth(args, cfg: Config) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    arguments = {
+        "input": dict(nargs="?", default="-"),
+        "--out": {},
+        "--mode": dict(choices=("direction", "behavior"), default="direction"),
+        "--mix": dict(help="GT:IF mixture, e.g. 0.7:0.3 (enables sampling)"),
+        "--balanced": dict(action=argparse.BooleanOptionalAction),
+        "--seed": dict(type=int),
+        "--draws": dict(type=int, help="rows to sample (default: one per scenario)"),
+        "--guidelines": dict(help="guideline book JSON (behavior mode)"),
+        "--dataset": dict(required=True),
+        "--predictions": dict(required=True),
+        "--report": dict(required=True),
+        "--suite": dict(default="default"),
+        "--n": dict(type=int, default=500),
+        "--expected": {},
+        "--config": dict(help="JSON config file"),
+        "--jobs": dict(type=int, help="parallel worker count"),
+    }
+    # (name, help, command, per-scenario worker, arguments before --config and --jobs). The
+    # workers are looked up here, when main runs, so that a wrapper bound to a worker's
+    # module-level name (as perfbench/tracing.py binds one) is the one that runs.
+    commands = (
+        ("extract", "motion attributes per focal agent", cmd_per_scenario, _extract_worker, "input --out"),
+        (
+            "feasibility",
+            "GT/feasible/infeasible direction reports",
+            cmd_per_scenario,
+            _feasibility_worker,
+            "input --out",
+        ),
+        (
+            "gen-instructions",
+            "instruction/caption dataset rows",
+            cmd_gen_instructions,
+            _gen_worker,
+            "input --out --mode --mix --balanced --seed --draws --guidelines",
+        ),
+        ("evaluate", "score predictions against a dataset", cmd_evaluate, None, "--dataset --predictions --report"),
+        ("stats", "per-class dataset counts", cmd_stats, None, "input --out"),
+        (
+            "synth",
+            "generate a synthetic corpus with expected labels",
+            cmd_synth,
+            None,
+            "--suite --n --seed --out --expected",
+        ),
+    )
     parser = argparse.ArgumentParser(prog="motionkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--jobs", type=int, default=None, help="parallel worker count")
-
-    p = sub.add_parser("extract", help="motion attributes per focal agent")
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("feasibility", help="GT/feasible/infeasible direction reports")
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_feasibility)
-
-    p = sub.add_parser("gen-instructions", help="instruction/caption dataset rows")
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--out", default=None)
-    p.add_argument("--mode", choices=("direction", "behavior"), default="direction")
-    p.add_argument("--mix", default=None, help="GT:IF mixture, e.g. 0.7:0.3 (enables sampling)")
-    p.add_argument("--balanced", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--draws", type=int, default=None, help="rows to sample (default: one per scenario)")
-    p.add_argument("--guidelines", default=None, help="guideline book JSON (behavior mode)")
-    common(p)
-    p.set_defaults(func=cmd_gen_instructions)
-
-    p = sub.add_parser("evaluate", help="score predictions against a dataset")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--report", required=True)
-    common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("stats", help="per-class dataset counts")
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus with expected labels")
-    p.add_argument("--suite", default="default")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--expected", default=None)
-    common(p)
-    p.set_defaults(func=cmd_synth)
-
+    for name, help_text, func, worker, flags in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags.split(), "--config", "--jobs"):
+            p.add_argument(flag, **arguments[flag])
+        p.set_defaults(func=func, worker=worker)
     return parser
 
 
@@ -524,10 +388,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = load_config(args.config)
         if args.jobs is not None and args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,11 +15,11 @@ from typing import Optional
 
 from .attributes import (
     ACCEL_THRESHOLDS_KMH,
+    DEFAULT_COLLAPSE,
     SPEED_THRESHOLDS_KMH,
     DirectionLabel,
     DirectionThresholds,
     FineDirection,
-    DEFAULT_COLLAPSE,
     LabelRules,
 )
 from .behavior import BehaviorParams
@@ -32,37 +32,21 @@ from .instructions import SamplerConfig
 @dataclass(frozen=True)
 class Config:
     horizon: HorizonConfig = field(default_factory=HorizonConfig)
-    direction: DirectionThresholds = field(default_factory=DirectionThresholds)
-    speed_thresholds_kmh: tuple[float, ...] = SPEED_THRESHOLDS_KMH
-    accel_thresholds_kmh: tuple[float, ...] = ACCEL_THRESHOLDS_KMH
-    direction_collapse: dict[FineDirection, DirectionLabel] = field(
-        default_factory=lambda: dict(DEFAULT_COLLAPSE)
-    )
+    rules: LabelRules = field(default_factory=LabelRules)
     feasibility: FeasibilityParams = field(default_factory=FeasibilityParams)
     behavior: BehaviorParams = field(default_factory=BehaviorParams)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     jobs: int = 1
     guidelines: Optional[str] = None
 
-    @property
-    def rules(self) -> LabelRules:
-        """The labelling rules every command applies."""
-        return LabelRules(
-            self.direction, self.direction_collapse, self.speed_thresholds_kmh, self.accel_thresholds_kmh
-        )
-
     def to_obj(self) -> dict:
+        """The resolved config in the config-file format."""
         return {
-            "horizon": {
-                "t_obs": self.horizon.t_obs,
-                "t_pred": self.horizon.t_pred,
-                "t_select": list(self.horizon.t_select),
-                "dt": self.horizon.dt,
-            },
-            "direction": dataclasses.asdict(self.direction),
-            "speed_thresholds_kmh": list(self.speed_thresholds_kmh),
-            "accel_thresholds_kmh": list(self.accel_thresholds_kmh),
-            "direction_collapse": {k.value: v.value for k, v in self.direction_collapse.items()},
+            "horizon": dataclasses.asdict(self.horizon),
+            "direction": dataclasses.asdict(self.rules.direction),
+            "speed_thresholds_kmh": list(self.rules.speed_kmh),
+            "accel_thresholds_kmh": list(self.rules.accel_kmh),
+            "direction_collapse": {k.value: v.value for k, v in self.rules.collapse.items()},
             "feasibility": dataclasses.asdict(self.feasibility),
             "behavior": dataclasses.asdict(self.behavior),
             "sampler": dataclasses.asdict(self.sampler),
@@ -71,22 +55,41 @@ class Config:
         }
 
 
-def _build(cls, obj: dict, where: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(obj) - fields
+_KEYS = {
+    "horizon",
+    "direction",
+    "speed_thresholds_kmh",
+    "accel_thresholds_kmh",
+    "direction_collapse",
+    "feasibility",
+    "behavior",
+    "sampler",
+    "jobs",
+    "guidelines",
+}
+
+
+def _section(obj: dict, key: str) -> dict:
+    """The object under ``key`` (empty when absent)."""
+    section = obj.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: must be an object")
+    return section
+
+
+def _build(cls, obj: dict, key: str):
+    section = _section(obj, key)
+    unknown = set(section) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"{key}: unknown key(s) {sorted(unknown)}")
     try:
-        return cls(**obj)
+        return cls(**section)
     except (MotionKitError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
-def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> Config:
-    """Build a config from an optional JSON file plus flag overrides.
-
-    ``overrides`` uses the same top-level keys as the file and wins over it.
-    """
+def load_config(path: Optional[str] = None) -> Config:
+    """Build a config from an optional JSON config file; absent keys keep their defaults."""
     obj: dict = {}
     if path is not None:
         try:
@@ -97,38 +100,20 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-    if overrides:
-        obj = {**obj, **{k: v for k, v in overrides.items() if v is not None}}
-
-    known = {
-        "horizon",
-        "direction",
-        "speed_thresholds_kmh",
-        "accel_thresholds_kmh",
-        "direction_collapse",
-        "feasibility",
-        "behavior",
-        "sampler",
-        "jobs",
-        "guidelines",
-    }
-    unknown = set(obj) - known
+    unknown = set(obj) - _KEYS
     if unknown:
         raise ConfigError(f"config: unknown key(s) {sorted(unknown)}")
 
     collapse = dict(DEFAULT_COLLAPSE)
     if "direction_collapse" in obj:
         try:
-            collapse = {FineDirection(k): DirectionLabel(v) for k, v in obj["direction_collapse"].items()}
-        except (ValueError, AttributeError) as exc:
+            collapse = {FineDirection(k): DirectionLabel(v) for k, v in _section(obj, "direction_collapse").items()}
+        except ValueError as exc:
             raise ConfigError(f"direction_collapse: {exc}") from exc
         missing = set(FineDirection) - set(collapse)
         if missing:
             raise ConfigError(f"direction_collapse must map all fine classes; missing {sorted(m.value for m in missing)}")
 
-    horizon_obj = dict(obj.get("horizon", {}))
-    if "t_select" in horizon_obj:
-        horizon_obj["t_select"] = tuple(horizon_obj["t_select"])
     jobs = obj.get("jobs", 1)
     if not isinstance(jobs, int) or jobs < 1:
         raise ConfigError("jobs must be a positive integer")
@@ -136,15 +121,23 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     if guidelines is not None and not isinstance(guidelines, str):
         raise ConfigError("guidelines must be a path string")
 
+    horizon = _build(HorizonConfig, obj, "horizon")
+    direction = _build(DirectionThresholds, obj, "direction")
+    try:
+        rules = LabelRules(
+            direction,
+            collapse,
+            obj.get("speed_thresholds_kmh", SPEED_THRESHOLDS_KMH),
+            obj.get("accel_thresholds_kmh", ACCEL_THRESHOLDS_KMH),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return Config(
-        horizon=_build(HorizonConfig, horizon_obj, "horizon"),
-        direction=_build(DirectionThresholds, dict(obj.get("direction", {})), "direction"),
-        speed_thresholds_kmh=tuple(obj.get("speed_thresholds_kmh", SPEED_THRESHOLDS_KMH)),
-        accel_thresholds_kmh=tuple(obj.get("accel_thresholds_kmh", ACCEL_THRESHOLDS_KMH)),
-        direction_collapse=collapse,
-        feasibility=_build(FeasibilityParams, dict(obj.get("feasibility", {})), "feasibility"),
-        behavior=_build(BehaviorParams, dict(obj.get("behavior", {})), "behavior"),
-        sampler=_build(SamplerConfig, dict(obj.get("sampler", {})), "sampler"),
+        horizon=horizon,
+        rules=rules,
+        feasibility=_build(FeasibilityParams, obj, "feasibility"),
+        behavior=_build(BehaviorParams, obj, "behavior"),
+        sampler=_build(SamplerConfig, obj, "sampler"),
         jobs=jobs,
         guidelines=guidelines,
     )

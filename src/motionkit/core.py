@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -218,6 +219,26 @@ _VERTEX_FIELDS = {"x": float, "y": float, "heading": float}
 _JSON_TYPES = {int: {int}, bool: {bool}, float: {int, float}}
 
 
+def _json_array(value, ndim: int, name: str):
+    """``value`` as an array, built in one flat pass, when it nests ``ndim`` levels of equal-length
+    lists. Its leaves must be JSON numbers: an int or a float, not a bool or a string such as
+    "1.5", which ``np.array`` would cast. Any other ``value`` is returned as it is, for the
+    caller's own conversion and shape check to reject."""
+    leaves, shape = [value], []
+    for _ in range(ndim):
+        lengths = set(map(len, leaves)) if set(map(type, leaves)) == {list} else set()
+        if len(lengths) != 1:
+            return value
+        shape.append(lengths.pop())
+        leaves = list(chain.from_iterable(leaves))
+    types = set(map(type, leaves))
+    if list in types:  # nested deeper than ndim
+        return value
+    if not types <= _JSON_TYPES[float]:
+        raise SchemaError(f"{name} must hold finite numbers")
+    return np.array(leaves).reshape(shape)
+
+
 def _table(obj: dict, key: str, kinds: dict, where: str) -> tuple[dict, np.ndarray]:
     """The rows of ``obj[key]`` as one list per field plus the float fields as one (k, n) array;
     a row that is not an object with exactly these fields of these JSON types, finite and with
@@ -246,7 +267,9 @@ def _table(obj: dict, key: str, kinds: dict, where: str) -> tuple[dict, np.ndarr
 
 
 def _normalize_headings(headings: np.ndarray) -> np.ndarray:
-    """``normalize_heading`` over an array: in-range values stay bit-identical, the rest are wrapped."""
+    """Headings wrapped to (-pi, pi], with in-range values kept bit for bit: ``wrap_angle`` loses
+    low-order bits even in range (pi - (pi - theta) is not exactly theta), which would break
+    parse/serialize round trips."""
     return np.where((headings > -math.pi) & (headings <= math.pi), headings, wrap_angle(headings))
 
 

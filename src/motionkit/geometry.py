@@ -28,16 +28,6 @@ def wrap_angle(theta: float) -> float:
     return math.pi - (math.pi - theta) % TWO_PI
 
 
-def normalize_heading(theta: float) -> float:
-    """Wrap only when out of (-pi, pi]; exact identity on in-range values.
-
-    ``wrap_angle`` loses low-order bits even for in-range inputs (pi - (pi -
-    theta) is not exactly theta in floating point), which would break
-    parse/serialize round-trips.
-    """
-    return theta if -math.pi < theta <= math.pi else wrap_angle(theta)
-
-
 def rotate_into_frame(xy: np.ndarray, anchor_xy: Sequence[float], anchor_heading: float) -> np.ndarray:
     """Express map-frame points in the frame anchored at ``anchor_xy``/``anchor_heading``.
 

@@ -31,7 +31,7 @@ from .behavior import (
     classify_behavior,
     label_safety,
 )
-from .core import Scenario, _equal_by_value, _freeze
+from .core import Scenario, _equal_by_value, _freeze, _json_array
 from .errors import EmptyClass, SchemaError
 from .feasibility import FeasibilityParams, FeasibilityReport, FeasTag, feasibility_set, tag_instruction
 
@@ -128,7 +128,7 @@ class InstructionRecord:
             raise SchemaError("has_gt_trajectory rows must carry gt_future_xy")
         if self.gt_future_xy is not None:
             xy = np.asarray(self.gt_future_xy)
-            if xy.dtype.kind not in "biuf" or not np.isfinite(xy).all():
+            if xy.dtype.kind not in "iuf" or not np.isfinite(xy).all():
                 raise SchemaError("gt_future_xy must hold finite numbers")
             if xy.ndim != 2 or xy.shape[1] != 2:
                 raise SchemaError(f"gt_future_xy must be (T, 2), got {xy.shape}")
@@ -172,6 +172,7 @@ class InstructionRecord:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "InstructionRecord":
+        """One decoded dataset line; every number in it must be a JSON int or float."""
         try:
             if not isinstance(obj["scenario_id"], str):
                 raise TypeError("scenario_id must be a string")
@@ -193,7 +194,7 @@ class InstructionRecord:
                 behavior=BehaviorLabel(obj["behavior"]) if "behavior" in obj else None,
                 two_step=two_step,  # type: ignore[arg-type]
                 has_gt_trajectory=obj.get("has_gt_trajectory", False),
-                gt_future_xy=obj.get("gt_future_xy"),
+                gt_future_xy=_json_array(obj.get("gt_future_xy"), 2, "gt_future_xy"),
                 gt_future_valid=obj.get("gt_future_valid"),
                 with_context=obj.get("with_context"),
             )

@@ -10,17 +10,21 @@ with the same classifier used for ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .attributes import DirectionLabel, LabelRules, classify_direction_arrays
 from .behavior import Safety
-from .core import _equal_by_value, _freeze
+from .core import _equal_by_value, _freeze, _json_array
 from .errors import NoValidOverlap, NonPositiveSigma, SchemaError
 from .feasibility import FeasTag
-from .instructions import Decision
+from .instructions import Decision, InstructionRecord
+
+_PREDICTION_FIELDS = frozenset(
+    {"scenario_id", "trajectories", "scores", "valid", "direction", "decision", "with_context"}
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +66,29 @@ class PredictionSet:
     @property
     def n_modes(self) -> int:
         return int(self.trajectories.shape[0])
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "PredictionSet":
+        """One decoded prediction line; every number in it must be a JSON int or float."""
+        if not isinstance(obj, dict):
+            raise SchemaError("prediction line must be an object")
+        unknown = obj.keys() - _PREDICTION_FIELDS
+        if unknown:
+            raise SchemaError(f"unexpected field(s) {sorted(unknown)}")
+        try:
+            if not isinstance(obj["scenario_id"], str):
+                raise TypeError("scenario_id must be a string")
+            return cls(
+                scenario_id=obj["scenario_id"],
+                trajectories=_json_array(obj["trajectories"], 3, "trajectories"),
+                scores=_json_array(obj.get("scores"), 1, "scores"),
+                valid=obj.get("valid"),
+                direction=DirectionLabel(obj["direction"]) if "direction" in obj else None,
+                decision=Decision(obj["decision"]) if "decision" in obj else None,
+                with_context=obj.get("with_context"),
+            )
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            raise SchemaError(str(exc)) from exc
 
 
 def classify_prediction(
@@ -247,11 +274,6 @@ def score_loss(scores: np.ndarray, best: int) -> float:
     return float(-np.log(p))
 
 
-def combined_loss(nll: float, cross_entropy: float) -> float:
-    """Trajectory loss: the additive composite NLL + score cross-entropy."""
-    return nll + cross_entropy
-
-
 @dataclass
 class EvalReport:
     """Corpus-level evaluation summary; rates are in [0, 1]."""
@@ -271,18 +293,82 @@ class EvalReport:
     n_unclassifiable: int = 0
 
     def to_obj(self) -> dict:
-        return {
-            "ifr_micro": self.ifr_micro,
-            "ifr_macro": self.ifr_macro,
-            "per_class_ifr": dict(sorted(self.per_class_ifr.items())),
-            "ifr_by_tag": dict(sorted(self.ifr_by_tag.items())),
-            "classes_absent": sorted(self.classes_absent),
-            "min_ade": self.min_ade,
-            "min_fde": self.min_fde,
-            "feas_accuracy": dict(sorted(self.feas_accuracy.items())),
-            "safety_accuracy": dict(sorted(self.safety_accuracy.items())),
-            "n_rows": self.n_rows,
-            "n_scored": self.n_scored,
-            "n_missing_predictions": self.n_missing_predictions,
-            "n_unclassifiable": self.n_unclassifiable,
-        }
+        return asdict(self)
+
+
+def score_row(row: InstructionRecord, preds: Optional[PredictionSet], dt: float, rules: LabelRules) -> dict:
+    """One dataset row's part of the report: its instructed direction and tags, IFR and
+    unclassifiable-mode count, minADE/minFDE, and the prediction's decision and context.
+
+    A row without a direction is instructed with the direction of its GT future. A
+    prediction's ``with_context`` overrides the row's.
+    """
+    result = {
+        "direction": row.direction,
+        "feas_tag": row.feas_tag,
+        "safety_tag": row.safety_tag,
+        "with_context": bool(row.with_context),
+        "has_pred": preds is not None,
+        "ifr": None,
+        "unclassifiable": 0,
+        "ade": None,
+        "fde": None,
+        "decision": None,
+    }
+    if preds is None:
+        return result
+    instructed = row.direction
+    if instructed is None and row.gt_future_xy is not None:
+        instructed = classify_prediction(row.gt_future_xy, row.gt_future_valid, dt, rules)
+    if instructed is not None:
+        result["direction"] = instructed
+        result["ifr"], result["unclassifiable"] = ifr_scenario(instructed, preds, dt, rules)
+    if row.has_gt_trajectory:
+        gt_xy = row.gt_future_xy
+        gt_valid = row.gt_future_valid if row.gt_future_valid is not None else np.ones(len(gt_xy), dtype=bool)
+        try:
+            result["ade"] = min_ade(gt_xy, gt_valid, preds)
+            result["fde"] = min_fde(gt_xy, gt_valid, preds)
+        except NoValidOverlap:
+            pass
+    result["decision"] = preds.decision
+    if preds.with_context is not None:
+        result["with_context"] = bool(preds.with_context)
+    return result
+
+
+def aggregate(results: Sequence[dict]) -> EvalReport:
+    """The corpus report from the :func:`score_row` results, in dataset order."""
+    report = EvalReport(n_rows=len(results))
+    ifr_rows = [(r["direction"], r["ifr"]) for r in results if r["ifr"] is not None]
+    report.n_scored = len(ifr_rows)
+    report.n_missing_predictions = sum(1 for r in results if not r["has_pred"])
+    report.n_unclassifiable = sum(r["unclassifiable"] for r in results)
+    if ifr_rows:
+        report.ifr_micro = ifr_micro([v for _, v in ifr_rows])
+        report.ifr_macro, per_class = ifr_macro(ifr_rows)
+        report.per_class_ifr = {label.value: value for label, value in per_class.items()}
+        report.classes_absent = sorted(d.value for d in DirectionLabel if d not in per_class)
+    by_tag: dict[FeasTag, list[float]] = {}
+    for r in results:
+        if r["ifr"] is not None and r["feas_tag"] is not None:
+            by_tag.setdefault(r["feas_tag"], []).append(r["ifr"])
+    report.ifr_by_tag = {tag.value: ifr_micro(vals) for tag, vals in by_tag.items()}
+
+    ades = [r["ade"] for r in results if r["ade"] is not None]
+    fdes = [r["fde"] for r in results if r["fde"] is not None]
+    if ades:
+        report.min_ade = float(np.sum(np.asarray(ades)) / len(ades))
+        report.min_fde = float(np.sum(np.asarray(fdes)) / len(fdes))
+
+    decided = [r for r in results if r["decision"] is not None]
+    feas_pairs = [(r["decision"], r["feas_tag"]) for r in decided if r["feas_tag"] is not None]
+    report.feas_accuracy = {tag.value: acc for tag, acc in detection_accuracy(feas_pairs).items()}
+    safety_triples = [
+        (r["decision"], r["safety_tag"], r["with_context"]) for r in decided if r["safety_tag"] is not None
+    ]
+    report.safety_accuracy = {
+        f"{safety.value.lower()}_{'with' if ctx else 'without'}_context": acc
+        for (safety, ctx), acc in safety_accuracy(safety_triples).items()
+    }
+    return report

@@ -30,9 +30,9 @@ from .attributes import (
     classify_speed,
 )
 from .behavior import BehaviorLabel, BehaviorParams
-from .core import MPS_TO_KMH, AgentTrack, HorizonConfig, Lane, Scenario
+from .core import MPS_TO_KMH, AgentTrack, HorizonConfig, Lane, Scenario, _normalize_headings
 from .errors import InvalidSpec
-from .geometry import normalize_heading, wrap_angle
+from .geometry import wrap_angle
 
 KINDS = frozenset({"straight", "arc", "stop", "dwell_then_go", "piecewise", "u_turn"})
 
@@ -249,7 +249,7 @@ def gen_trajectory(
         agent_kind="vehicle",
         t0=0,
         xy=[(round(x, _ROUND), round(y, _ROUND)) for x, y, _, _ in poses],
-        headings=[normalize_heading(round(wrap_angle(h), _ROUND)) for _, _, h, _ in poses],
+        headings=_normalize_headings(np.array([round(wrap_angle(h), _ROUND) for _, _, h, _ in poses])),
         speeds=[round(v, _ROUND) for _, _, _, v in poses],
         valid_mask=[True] * len(poses),
     )
@@ -393,7 +393,7 @@ def _lane_from_phases(
     return Lane(
         lane_id=lane_id,
         xy=[(round(start[0] + c * x - s_ * y, _ROUND), round(start[1] + s_ * x + c * y, _ROUND)) for x, y, _ in pts],
-        headings=[normalize_heading(round(wrap_angle(h + start[2]), _ROUND)) for _, _, h in pts],
+        headings=_normalize_headings(np.array([round(wrap_angle(h + start[2]), _ROUND) for _, _, h in pts])),
         successors=successors,
         left_neighbor=left_neighbor,
         right_neighbor=right_neighbor,

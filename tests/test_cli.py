@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from motionkit import cli
+from motionkit.attributes import DirectionLabel
 from motionkit.cli import main
 from motionkit.config import load_config
 from motionkit.core import HorizonConfig, serialize_scenario
@@ -383,6 +384,10 @@ class TestEvaluateCmd:
         "short_gt_future": "gt_future_valid must be (T,)",
         "three_number_points": "gt_future_xy must be (T, 2)",
         "string_gt_future_valid": "gt_future_valid must hold booleans",
+        "string_trajectory_number": "trajectories must hold finite numbers",
+        "boolean_trajectory_number": "trajectories must hold finite numbers",
+        "string_score": "scores must hold finite numbers",
+        "boolean_gt_future_point": "gt_future_xy must hold finite numbers",
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_LINES))
@@ -407,6 +412,14 @@ class TestEvaluateCmd:
             obj["gt_future_xy"] = obj["gt_future_xy"][:-1]
         elif case == "string_gt_future_valid":
             obj["gt_future_valid"] = ["false"] * len(obj["gt_future_xy"])
+        elif case == "string_trajectory_number":
+            obj["trajectories"][0][5][0] = "1.5"
+        elif case == "boolean_trajectory_number":
+            obj["trajectories"][0][5][0] = True
+        elif case == "string_score":
+            obj["scores"][0] = "1"
+        elif case == "boolean_gt_future_point":
+            obj["gt_future_xy"][3] = [True, False]
         else:
             obj["gt_future_xy"] = [p + [0.0] for p in obj["gt_future_xy"]]
         lines[1] = json.dumps(obj)
@@ -429,6 +442,93 @@ class TestEvaluateCmd:
         lines = [l for path in (dataset, predictions) for l in path.read_text().splitlines() if l.strip()]
         assert decoded == collections.Counter(lines)
         assert sum(decoded.values()) == 6
+
+    def test_whole_report_is_pinned(self, tmp_path):
+        """Every metrics field on a mixed dataset: direction rows of each tag, safe and unsafe
+        behavior rows with and without context, a row with no prediction, rows instructed
+        from their GT future, a prediction with no valid step in common with its GT, and a
+        mode with one valid step."""
+        from motionkit.behavior import load_default_guidelines
+        from motionkit.instructions import build_behavior_row, build_direction_rows
+
+        straight = SynthSpec(kind="straight", speed=10.0)
+        scenario, _ = gen_scenario(straight, "d0", H, topology="single")
+        rows = {r.direction.value: r.to_obj() for r in build_direction_rows(scenario)}
+        assert {d: r["feas_tag"] for d, r in rows.items()} == {
+            "Straight": "GT", "Stationary": "F", "Left": "IF", "LeftUTurn": "IF", "Right": "IF"
+        }
+        gt = scenario.focal_track.xy[H.t_obs :]
+        redirect = gen_prediction_set(scenario.focal_track, DirectionLabel.STRAIGHT, 0, 1, H).trajectories[0]
+        one_step = np.zeros((4, H.t_pred), dtype=bool)
+        one_step[:3] = True
+        one_step[3, -1] = True  # where the redirected mode is far from the GT
+        preds = [
+            # 3 of 4 modes follow Straight, 1.25 m off the GT; the 4th has one valid step
+            dict(
+                direction="Straight", trajectories=[gt + [0.75, 1.0]] * 3 + [redirect], valid=one_step, decision="Accept"
+            ),
+            dict(direction="Stationary", trajectories=[gt], decision="Accept"),
+            dict(direction="Left", trajectories=[gt], decision="Reject"),
+            dict(direction="Right", trajectories=[gt, redirect], decision="Accept"),
+            # LeftUTurn has no prediction
+        ]
+        preds = [dict(p, scenario_id="d0") for p in preds]
+
+        book = load_default_guidelines()
+        for sid, speed, scenario_type in (
+            ("b-safe", 10.0, "traversing_intersection"),
+            ("b-safe2", 10.0, "traversing_intersection"),
+            ("b-unsafe", 0.0, "accelerating_at_crosswalk"),
+            ("b-unsafe2", 0.0, "accelerating_at_crosswalk"),
+        ):
+            s, _ = gen_scenario(SynthSpec(kind="straight", speed=speed), sid, H, scenario_type=scenario_type)
+            rows[sid] = build_behavior_row(s, book).to_obj()
+        assert [rows[s]["safety_tag"] for s in ("b-safe", "b-unsafe")] == ["Safe", "Unsafe"]
+        assert "direction" not in rows["b-safe"] and "gt_future_xy" not in rows["b-unsafe"]
+        # the GT is valid only in its second half and the prediction only in its first
+        half = H.t_pred // 2
+        rows["b-safe"]["gt_future_valid"] = [False] * half + [True] * (H.t_pred - half)
+        first_half = [[True] * half + [False] * (H.t_pred - half)] * 2
+        safe_gt = rows["b-safe"]["gt_future_xy"]
+        preds += [
+            dict(
+                scenario_id="b-safe", trajectories=[safe_gt] * 2, valid=first_half, decision="Accept", with_context=True
+            ),
+            dict(scenario_id="b-safe2", trajectories=[rows["b-safe2"]["gt_future_xy"]], decision="Reject"),
+            dict(scenario_id="b-unsafe", trajectories=[safe_gt], decision="Reject", with_context=False),
+            dict(scenario_id="b-unsafe2", trajectories=[safe_gt], decision="Accept", with_context=True),
+        ]
+
+        dataset, predictions, report = tmp_path / "rows.jsonl", tmp_path / "preds.jsonl", tmp_path / "report.json"
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in rows.values()))
+        predictions.write_text("".join(json.dumps(p, default=np.ndarray.tolist) + "\n" for p in preds))
+        argv = ("evaluate", "--dataset", str(dataset), "--predictions", str(predictions), "--report", str(report))
+        assert run(*argv) == 0
+        metrics = json.loads(report.read_text())["metrics"]
+        approx = {"ifr_micro", "ifr_macro", "per_class_ifr", "ifr_by_tag", "min_ade", "min_fde"}
+        assert {k: v for k, v in metrics.items() if k not in approx} == {
+            "classes_absent": ["LeftUTurn"],
+            "feas_accuracy": {"F": 1.0, "GT": 1.0, "IF": 0.5},
+            "safety_accuracy": {
+                "safe_with_context": 1.0,
+                "safe_without_context": 0.0,
+                "unsafe_with_context": 0.0,
+                "unsafe_without_context": 1.0,
+            },
+            "n_rows": 9,
+            "n_scored": 6,  # five d0 rows but LeftUTurn, and the two safe rows
+            "n_missing_predictions": 1,
+            "n_unclassifiable": 1,
+        }
+        # Straight: d0 (3/4) and both safe rows, instructed from their GT futures (1 each)
+        per_class = {"Left": 0.0, "Right": 0.0, "Stationary": 0.0, "Straight": (0.75 + 1 + 1) / 3}
+        assert metrics["per_class_ifr"] == pytest.approx(per_class, abs=1e-12)
+        assert metrics["ifr_by_tag"] == {"F": 0.0, "GT": 0.75, "IF": 0.0}
+        assert metrics["ifr_micro"] == pytest.approx(2.75 / 6, abs=1e-12)
+        assert metrics["ifr_macro"] == pytest.approx(sum(per_class.values()) / 4, abs=1e-12)
+        # d0's best mode is 1.25 m off and b-safe2 replays its GT; b-safe shares no valid step
+        assert metrics["min_ade"] == pytest.approx(0.625, abs=1e-9)
+        assert metrics["min_fde"] == pytest.approx(0.625, abs=1e-9)
 
     def test_jobs_identical_report(self, tmp_path):
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 3, 2, 0])
@@ -468,6 +568,16 @@ class TestStatsCmd:
         rows.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
         assert capsys.readouterr().err.startswith("error: line 2: gt_future_valid must hold booleans")
+
+    def test_boolean_gt_future_point_is_a_line_error(self, tmp_path, capsys, corpus):
+        corpus_path, _ = corpus
+        rows = tmp_path / "rows.jsonl"
+        assert run("gen-instructions", str(corpus_path), "--out", str(rows)) == 0
+        good = next(json.loads(l) for l in rows.read_text().splitlines() if "gt_future_xy" in l)
+        bad = dict(good, gt_future_xy=[[True, False]] + good["gt_future_xy"][1:])
+        rows.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
+        assert capsys.readouterr().err == "error: line 2: gt_future_xy must hold finite numbers\n"
 
     def test_empty_dataset_all_zero(self, tmp_path):
         rows = tmp_path / "rows.jsonl"
@@ -526,6 +636,47 @@ class TestConfigHandling:
         assert run("gen-instructions", str(corpus_path), "--out", str(out), *flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    BANDS = "thresholds must be 4 finite, strictly increasing numbers, got"
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ({"horizon": 5}, "horizon: must be an object"),
+            ({"feasibility": 3}, "feasibility: must be an object"),
+            ({"direction": "x"}, "direction: must be an object"),
+            ({"direction_collapse": ["Straight"]}, "direction_collapse: must be an object"),
+            ({"horizon": {"t_select": 5}}, "horizon: 'int' object is not iterable"),
+            ({"speed_thresholds_kmh": 5}, f"speed {BANDS} 5"),
+            ({"speed_thresholds_kmh": ["a", "b", "c", "d"]}, f"speed {BANDS} ['a', 'b', 'c', 'd']"),
+            ({"speed_thresholds_kmh": [120, 90, 40, 20]}, f"speed {BANDS} [120, 90, 40, 20]"),
+            ({"speed_thresholds_kmh": [20, 40, 90]}, f"speed {BANDS} [20, 40, 90]"),
+            ({"accel_thresholds_kmh": [6, 25, 25, 65]}, f"acceleration {BANDS} [6, 25, 25, 65]"),
+            ({"accel_thresholds_kmh": [6, 25, 46, True]}, f"acceleration {BANDS} [6, 25, 46, True]"),
+            ({"accel_thresholds_kmh": [6, 25, 46, float("inf")]}, f"acceleration {BANDS} [6, 25, 46, inf]"),
+        ],
+        ids=[
+            "horizon_number",
+            "feasibility_number",
+            "direction_string",
+            "collapse_list",
+            "t_select_number",
+            "speed_number",
+            "speed_strings",
+            "speed_decreasing",
+            "speed_three",
+            "accel_repeated",
+            "accel_boolean",
+            "accel_infinite",
+        ],
+    )
+    def test_config_of_the_wrong_type_is_exit_2(self, tmp_path, capsys, obj, message):
+        cfg, src, out = tmp_path / "cfg.json", tmp_path / "empty.jsonl", tmp_path / "attrs.jsonl"
+        cfg.write_text(json.dumps(obj))
+        src.write_text("")
+        assert run("extract", str(src), "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_negative_synth_count(self, tmp_path, capsys):

@@ -11,13 +11,17 @@ from hypothesis import strategies as st
 from motionkit import errors
 from motionkit.core import HorizonConfig, parse_scenario, serialize_scenario
 from motionkit.geometry import (
-    normalize_heading,
     point_along_polyline,
     polyline_arclength,
     rotate_into_frame,
     wrap_angle,
 )
 from motionkit.synth import build_corpus
+
+
+def normalize_heading(theta: float) -> float:
+    """Test oracle: the scalar form of ``core._normalize_headings``, which parse applies."""
+    return theta if -math.pi < theta <= math.pi else wrap_angle(theta)
 
 
 def minimal_doc(**overrides) -> dict:

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionkit import errors
 from motionkit.attributes import DirectionLabel
@@ -15,7 +17,6 @@ from motionkit.instructions import Decision
 from motionkit.metrics import (
     PredictionSet,
     best_mode,
-    combined_loss,
     detection_accuracy,
     gmm_nll,
     ifr_macro,
@@ -104,6 +105,34 @@ class TestPredictionSet:
         fields = dict(scenario_id="s", trajectories=np.zeros((3, 5, 2)), scores=np.ones(3)) | change
         with pytest.raises(errors.SchemaError, match=re.escape(message)):
             PredictionSet(**fields)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda m: st.integers(1, 4).flatmap(
+                lambda t: st.lists(
+                    st.lists(
+                        st.lists(
+                            st.one_of(st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False)),
+                            min_size=2,
+                            max_size=2,
+                        ),
+                        min_size=t,
+                        max_size=t,
+                    ),
+                    min_size=m,
+                    max_size=m,
+                )
+            )
+        )
+    )
+    def test_from_obj_builds_the_arrays_np_array_builds(self, trajectories):
+        """The flat decode of a JSON line gives the nested conversion's arrays bit for bit."""
+        scores = [leaf for point in trajectories[0] for leaf in point][: len(trajectories)]
+        scores += [1] * (len(trajectories) - len(scores))
+        preds = PredictionSet.from_obj({"scenario_id": "s", "trajectories": trajectories, "scores": scores})
+        assert preds.trajectories.tobytes() == np.array(trajectories, dtype=float).tobytes()
+        assert preds.scores.tobytes() == np.array(scores, dtype=float).tobytes()
 
 
 class TestIfrAggregation:
@@ -329,9 +358,6 @@ class TestBestModeAndScore:
 
     def test_one_hot_scores_zero(self):
         assert score_loss(np.array([1.0, 0, 0, 0, 0, 0]), 0) == 0.0
-
-    def test_combined_is_nll_plus_ce(self):
-        assert combined_loss(2.0, 0.5) == 2.5
 
     def test_negative_scores_rejected(self):
         with pytest.raises(errors.SchemaError):
