@@ -77,11 +77,30 @@ def _section(obj: dict, key: str) -> dict:
     return section
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The JSON values a field accepts, by the type of its default: flags take only
+# booleans and numbers never do. The one tuple is t_select (HorizonConfig rejects a non-list).
+_ACCEPTS = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    tuple: (lambda v: not isinstance(v, list) or all(map(_is_int, v)), "a list of integers"),
+}
+
+
 def _build(cls, obj: dict, key: str):
     section = _section(obj, key)
-    unknown = set(section) - {f.name for f in dataclasses.fields(cls)}
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(section) - set(fields)
     if unknown:
         raise ConfigError(f"{key}: unknown key(s) {sorted(unknown)}")
+    for name, value in section.items():
+        accepts, expected = _ACCEPTS[type(fields[name])]
+        if not accepts(value):
+            raise ConfigError(f"{key}: {name} must be {expected}, got {json.dumps(value)}")
     try:
         return cls(**section)
     except (MotionKitError, TypeError, ValueError) as exc:
@@ -115,7 +134,7 @@ def load_config(path: Optional[str] = None) -> Config:
             raise ConfigError(f"direction_collapse must map all fine classes; missing {sorted(m.value for m in missing)}")
 
     jobs = obj.get("jobs", 1)
-    if not isinstance(jobs, int) or jobs < 1:
+    if not _is_int(jobs) or jobs < 1:
         raise ConfigError("jobs must be a positive integer")
     guidelines = obj.get("guidelines")
     if guidelines is not None and not isinstance(guidelines, str):

@@ -65,10 +65,6 @@ class HorizonConfig:
         """Half-open [start, stop) index range of the future steps."""
         return self.t_obs, self.t_obs + self.t_pred
 
-    @property
-    def future_duration_s(self) -> float:
-        return self.t_pred * self.dt
-
 
 def _freeze(obj, **dtypes) -> None:
     """Store each named field as a private, C-ordered, read-only array."""

@@ -140,6 +140,8 @@ class InstructionRecord:
                 raise SchemaError("gt_future_valid must hold booleans")
             if self.gt_future_xy is None or self.gt_future_valid.shape != (len(self.gt_future_xy),):
                 raise SchemaError("gt_future_valid must be (T,), one flag per gt_future_xy point")
+        if self.with_context is not None and not isinstance(self.with_context, bool):
+            raise SchemaError("with_context must be true, false or null")
 
     def to_obj(self) -> dict:
         obj: dict = {

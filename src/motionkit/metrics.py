@@ -62,6 +62,8 @@ class PredictionSet:
             raise SchemaError("valid mask must hold booleans")
         if self.valid.shape != traj.shape[:2]:
             raise SchemaError("valid mask must be (M, T)")
+        if self.with_context is not None and not isinstance(self.with_context, bool):
+            raise SchemaError("with_context must be true, false or null")
 
     @property
     def n_modes(self) -> int:

@@ -2,9 +2,12 @@
 
 Trajectories are built from piecewise phases (constant-curvature arcs or
 straights with linearly ramping speed), so every sampled point, the endpoint
-pose, and the speed profile have closed forms. Expected labels are computed by
-applying the threshold rules to those closed-form quantities, never by running
-the classifiers under test; the test suites assert classifier/oracle agreement.
+pose, and the speed profile have closed forms. Each plan is sampled once at the
+horizon's future steps; expected labels are computed by applying the threshold
+rules to those closed-form quantities, never by running the classifiers under
+test; the test suites assert classifier/oracle agreement. A run's configuration
+reaches the generator only through its horizon: expected labels always follow
+the default rules, whatever thresholds, collapse or bands a run is given.
 
 All tracks start at the origin heading +x; rigid-motion invariance of the
 classifiers makes that anchoring lossless.
@@ -20,12 +23,14 @@ from typing import Optional
 import numpy as np
 
 from .attributes import (
+    ACCEL_THRESHOLDS_KMH,
+    DEFAULT_COLLAPSE,
+    SPEED_THRESHOLDS_KMH,
+    AccelCategory,
     DirectionLabel,
     DirectionThresholds,
     FineDirection,
     SpeedCategory,
-    AccelCategory,
-    DEFAULT_COLLAPSE,
     classify_acceleration,
     classify_speed,
 )
@@ -45,6 +50,11 @@ _S_CURVE_DEG = 22.0
 # Steeper S-curve for the pre-U-turn shift (only the endpoint heading matters
 # to the classifier, so this may approach the straight threshold).
 _U_SHIFT_DEG = 28.0
+
+# The oracle applies the default rules: expectation sidecars are always labelled
+# on them, whatever thresholds a run is configured with.
+_TH = DirectionThresholds()
+_BP = BehaviorParams()
 
 
 @dataclass(frozen=True)
@@ -231,19 +241,42 @@ class SynthExpectation:
 _ROUND = 7
 
 
+class _Profile:
+    """A plan sampled once at the horizon's future steps, with the closed-form
+    quantities the direction, speed, acceleration and behavior rules read."""
+
+    def __init__(self, plan: _PhasePlan, horizon: HorizonConfig):
+        dt, n = horizon.dt, horizon.t_pred
+        self.dt = dt
+        self.samples = [plan.at(k * dt) for k in range(n)]  # (x, y, heading, speed, distance)
+        self.speeds = [v for _, _, _, v, _ in self.samples]
+        x0, y0, h0, _, s0 = self.samples[0]
+        x1, y1, h1, _, s1 = self.samples[-1]
+        self.path = s1 - s0
+        self.dtheta = wrap_angle(h1 - h0)
+        self.lat = -math.sin(h0) * (x1 - x0) + math.cos(h0) * (y1 - y0)
+        self.mean_kmh = (sum(self.speeds) / n) * MPS_TO_KMH
+        mid = n // 2
+        # 8 s-normalized speed change over the whole window, its first half and its second half.
+        self.dv = tuple(
+            (sub[-1] - sub[0]) * MPS_TO_KMH * (8.0 / (len(sub) * dt)) if len(sub) >= 2 else 0.0
+            for sub in (self.speeds, self.speeds[:mid], self.speeds[mid:])
+        )
+
+
 def gen_trajectory(
     spec: SynthSpec,
     horizon: HorizonConfig = HorizonConfig(),
     agent_id: str = "ego",
 ) -> tuple[AgentTrack, SynthExpectation]:
     """Closed-form sampled track plus its analytically expected labels."""
-    plan = _PhasePlan(build_phases(spec, horizon))
+    profile = _Profile(_PhasePlan(build_phases(spec, horizon)), horizon)
     dt = horizon.dt
-    x0, y0, h0, v0, _ = plan.at(0.0)
+    x0, y0, h0, v0, _ = profile.samples[0]
     # The observed prefix runs straight back from the first future pose at v0.
     backs = [(horizon.t_obs - i) * dt for i in range(horizon.t_obs)]
     poses = [(x0 - b * v0 * math.cos(h0), y0 - b * v0 * math.sin(h0), h0, v0) for b in backs]
-    poses += [plan.at(k * dt)[:4] for k in range(horizon.t_pred)]
+    poses += [sample[:4] for sample in profile.samples]
     track = AgentTrack(
         agent_id=agent_id,
         agent_kind="vehicle",
@@ -253,74 +286,47 @@ def gen_trajectory(
         speeds=[round(v, _ROUND) for _, _, _, v in poses],
         valid_mask=[True] * len(poses),
     )
-    return track, expected_labels(plan, horizon)
+    return track, expected_labels(profile)
 
 
-def expected_labels(
-    plan: _PhasePlan,
-    horizon: HorizonConfig,
-    th: DirectionThresholds = DirectionThresholds(),
-    bp: BehaviorParams = BehaviorParams(),
-) -> SynthExpectation:
+def expected_labels(profile: _Profile) -> SynthExpectation:
     """Threshold rules applied to the closed-form geometry and speed profile."""
-    dt = horizon.dt
-    n = horizon.t_pred
-    t_last = (n - 1) * dt
-    speeds = [plan.at(k * dt)[3] for k in range(n)]
-    x0, y0, h0, _, s0 = plan.at(0.0)
-    x1, y1, h1, _, s1 = plan.at(t_last)
-    path = s1 - s0
-
-    if max(speeds) < th.v_stationary and path < th.d_stationary:
+    if max(profile.speeds) < _TH.v_stationary and profile.path < _TH.d_stationary:
         fine = FineDirection.STATIONARY
-    else:
-        dtheta = wrap_angle(h1 - h0)
-        dx, dy = x1 - x0, y1 - y0
-        lat = -math.sin(h0) * dx + math.cos(h0) * dy
-        if abs(dtheta) <= math.radians(th.theta_s):
-            if abs(lat) > th.d_v:
-                fine = FineDirection.STRAIGHT_VEER_LEFT if lat > 0 else FineDirection.STRAIGHT_VEER_RIGHT
-            else:
-                fine = FineDirection.STRAIGHT
-        elif dtheta > 0:
-            fine = FineDirection.LEFT_U_TURN if lat < -th.d_u else FineDirection.LEFT_TURN
+    elif abs(profile.dtheta) <= math.radians(_TH.theta_s):
+        if abs(profile.lat) > _TH.d_v:
+            fine = FineDirection.STRAIGHT_VEER_LEFT if profile.lat > 0 else FineDirection.STRAIGHT_VEER_RIGHT
         else:
-            fine = FineDirection.RIGHT_U_TURN if lat > th.d_u else FineDirection.RIGHT_TURN
-
-    mean_kmh = (sum(speeds) / n) * MPS_TO_KMH
-    window_s = n * dt
-    dv_kmh = (speeds[-1] - speeds[0]) * MPS_TO_KMH * (8.0 / window_s)
+            fine = FineDirection.STRAIGHT
+    elif profile.dtheta > 0:
+        fine = FineDirection.LEFT_U_TURN if profile.lat < -_TH.d_u else FineDirection.LEFT_TURN
+    else:
+        fine = FineDirection.RIGHT_U_TURN if profile.lat > _TH.d_u else FineDirection.RIGHT_TURN
     return SynthExpectation(
         fine=fine,
         direction=DEFAULT_COLLAPSE[fine],
-        speed=classify_speed(mean_kmh),
-        acceleration=classify_acceleration(dv_kmh),
-        behavior=_expected_behavior(speeds, dt, bp),
+        speed=classify_speed(profile.mean_kmh),
+        acceleration=classify_acceleration(profile.dv[0]),
+        behavior=_expected_behavior(profile),
     )
 
 
-def _expected_behavior(speeds: list[float], dt: float, bp: BehaviorParams) -> BehaviorLabel:
+def _expected_behavior(profile: _Profile) -> BehaviorLabel:
     """Behavior rules on the closed-form speed grid (decision order as documented)."""
-    n = len(speeds)
-    dwell = max(1, round(bp.dwell_s / dt))
-    if all(v < bp.v_stop for v in speeds):
+    speeds = profile.speeds
+    dwell = max(1, round(_BP.dwell_s / profile.dt))
+    if all(v < _BP.v_stop for v in speeds):
         return BehaviorLabel.NOT_MOVING
-    if all(v < bp.v_stop for v in speeds[:dwell]) and any(v >= bp.v_stop for v in speeds):
+    if all(v < _BP.v_stop for v in speeds[:dwell]) and any(v >= _BP.v_stop for v in speeds):
         return BehaviorLabel.WAITING_THEN_MOVING
-    if speeds[0] >= bp.v_stop and all(v < bp.v_stop for v in speeds[n - dwell:]):
+    if speeds[0] >= _BP.v_stop and all(v < _BP.v_stop for v in speeds[len(speeds) - dwell:]):
         return BehaviorLabel.STOPPING
-    mid = n // 2
-
-    def dv(sub: list[float], steps: int) -> float:
-        return (sub[-1] - sub[0]) * MPS_TO_KMH * (8.0 / (steps * dt)) if len(sub) >= 2 else 0.0
-
-    band = bp.delta_v_const_kmh
-    dv1, dv2 = dv(speeds[:mid], mid), dv(speeds[mid:], n - mid)
+    band = _BP.delta_v_const_kmh
+    total, dv1, dv2 = profile.dv
     if dv1 < -band and dv2 > band:
         return BehaviorLabel.SLOWING_THEN_SPEEDING
     if dv1 > band and dv2 < -band:
         return BehaviorLabel.SPEEDING_THEN_SLOWING
-    total = dv(speeds, n)
     if total <= -band:
         return BehaviorLabel.SLOWING_DOWN
     if total >= band:
@@ -509,24 +515,19 @@ def gen_prediction_set(
         raise InvalidSpec(f"unknown perturbation {perturbation!r}")
     start, stop = horizon.future_window
     gt_xy = gt_track.xy[start:stop]
-    redirect_spec = _redirect_spec(gt_label)
-    redirect_expected = expected_labels(_PhasePlan(build_phases(redirect_spec, horizon)), horizon)
+    redirect_track, redirect_expected = gen_trajectory(_redirect_spec(gt_label), horizon)
     if redirect_expected.direction == gt_label:
         raise InvalidSpec("redirect transform failed to change the label")
-    redirect_track, _ = gen_trajectory(redirect_spec, horizon)
     base = redirect_track.xy[start:stop]
     # Anchor the redirected path at the GT start pose (labels are rigid-motion invariant).
     c, s = math.cos(gt_track.headings[start]), math.sin(gt_track.headings[start])
     rot = np.array([[c, -s], [s, c]])
     redirect_xy = (base - base[0]) @ rot.T + gt_track.xy[start]
 
-    rng = np.random.default_rng(seed)
-    modes = []
-    for j in range(n_modes):
-        xy = gt_xy.copy() if j < match_count else redirect_xy.copy()
-        if perturbation == "jitter":
-            xy = xy + rng.normal(scale=0.02, size=xy.shape)
-        modes.append(xy)
+    modes = [gt_xy if j < match_count else redirect_xy for j in range(n_modes)]
+    if perturbation == "jitter":
+        rng = np.random.default_rng(seed)
+        modes = [xy + rng.normal(scale=0.02, size=xy.shape) for xy in modes]
     return PredictionSet(
         scenario_id="synthetic",
         trajectories=np.stack(modes),
@@ -537,47 +538,24 @@ def gen_prediction_set(
 # -- suites ----------------------------------------------------------------------
 
 
-def _comfortably_off_thresholds(
-    plan: _PhasePlan,
-    horizon: HorizonConfig,
-    th: DirectionThresholds = DirectionThresholds(),
-    bp: BehaviorParams = BehaviorParams(),
-) -> bool:
+def _comfortably_off_thresholds(profile: _Profile) -> bool:
     """True when every rule quantity sits clearly away from its boundary.
 
     Used by the default suite's rejection sampling so sampled-point
     discretization (sub-degree heading shifts, chord-vs-arc path length) can
     never flip a label relative to the closed-form oracle.
     """
-    dt = horizon.dt
-    n = horizon.t_pred
-    speeds = [plan.at(k * dt)[3] for k in range(n)]
-    x0, y0, h0, _, s0 = plan.at(0.0)
-    x1, y1, h1, _, s1 = plan.at((n - 1) * dt)
-    path = s1 - s0
-    if abs(max(speeds) - th.v_stationary) < 0.3 or abs(path - th.d_stationary) < 0.75:
+    if abs(max(profile.speeds) - _TH.v_stationary) < 0.3 or abs(profile.path - _TH.d_stationary) < 0.75:
         return False
-    dtheta_deg = abs(math.degrees(wrap_angle(h1 - h0)))
-    if abs(dtheta_deg - th.theta_s) < 3.0 or dtheta_deg > 177.0:
+    dtheta_deg = abs(math.degrees(profile.dtheta))
+    if abs(dtheta_deg - _TH.theta_s) < 3.0 or dtheta_deg > 177.0:
         return False
-    lat = -math.sin(h0) * (x1 - x0) + math.cos(h0) * (y1 - y0)
-    if abs(abs(lat) - th.d_v) < 1.0 or abs(abs(lat) - th.d_u) < 1.0:
+    if abs(abs(profile.lat) - _TH.d_v) < 1.0 or abs(abs(profile.lat) - _TH.d_u) < 1.0:
         return False
-    mean_kmh = sum(speeds) / n * MPS_TO_KMH
-    from .attributes import SPEED_THRESHOLDS_KMH, ACCEL_THRESHOLDS_KMH
-
-    if any(abs(mean_kmh - t) < 0.75 for t in SPEED_THRESHOLDS_KMH):
+    if any(abs(profile.mean_kmh - t) < 0.75 for t in SPEED_THRESHOLDS_KMH):
         return False
-    window_s = n * dt
-    mid = n // 2
-
-    def dv(sub: list[float], steps: int) -> float:
-        return (sub[-1] - sub[0]) * MPS_TO_KMH * (8.0 / (steps * dt))
-
-    for value in (dv(speeds, n), dv(speeds[:mid], mid), dv(speeds[mid:], n - mid)):
-        if any(abs(abs(value) - t) < 0.75 for t in (*ACCEL_THRESHOLDS_KMH, bp.delta_v_const_kmh)):
-            return False
-    return True
+    bands = (*ACCEL_THRESHOLDS_KMH, _BP.delta_v_const_kmh)
+    return not any(abs(abs(dv) - t) < 0.75 for dv in profile.dv for t in bands)
 
 
 def default_suite(n: int = 500, seed: int = 7, horizon: HorizonConfig = HorizonConfig()) -> list[SynthSpec]:
@@ -588,10 +566,8 @@ def default_suite(n: int = 500, seed: int = 7, horizon: HorizonConfig = HorizonC
     given seed.
     """
     rng = random.Random(seed)
+    u = rng.uniform
     span = (horizon.t_pred - 1) * horizon.dt
-
-    def u(a: float, b: float) -> float:
-        return rng.uniform(a, b)
 
     def arc(sign: float) -> SynthSpec:
         speed = u(6.0, 14.0)
@@ -617,10 +593,10 @@ def default_suite(n: int = 500, seed: int = 7, horizon: HorizonConfig = HorizonC
         for _ in range(200):
             spec = maker()
             try:
-                plan = _PhasePlan(build_phases(spec, horizon))
+                profile = _Profile(_PhasePlan(build_phases(spec, horizon)), horizon)
             except InvalidSpec:
                 continue
-            if _comfortably_off_thresholds(plan, horizon):
+            if _comfortably_off_thresholds(profile):
                 specs.append(replace(spec, seed=i))
                 break
         else:  # pragma: no cover - parameter ranges are chosen to converge fast
@@ -634,10 +610,14 @@ def build_corpus(
     horizon: HorizonConfig = HorizonConfig(),
     topology: Optional[str] = "single",
 ) -> list[tuple[Scenario, SynthExpectation]]:
-    """Materialize ``n`` suite scenarios with sidecar expectations."""
+    """Materialize ``n`` suite scenarios with sidecar expectations; they share one lane map."""
+    lanes = gen_lane_graph(topology).lanes if topology is not None else ()
     out = []
-    for i, spec in enumerate(default_suite(n, seed)):
-        scenario, expected = gen_scenario(spec, scenario_id=f"synth-{i:06d}", horizon=horizon, topology=topology)
+    for i, spec in enumerate(default_suite(n, seed, horizon)):
+        track, expected = gen_trajectory(spec, horizon)
+        scenario = Scenario(
+            f"synth-{i:06d}", focal_agent_id=track.agent_id, agents=(track,), lanes=lanes, horizon=horizon
+        )
         out.append((scenario, expected))
     return out
 

@@ -30,17 +30,32 @@ def corpus(tmp_path):
     return path, expected
 
 
+def assert_matches_sidecar(attrs_path, expected_path):
+    got = {json.loads(l)["scenario_id"]: json.loads(l) for l in attrs_path.read_text().splitlines()}
+    want = {json.loads(l)["scenario_id"]: json.loads(l) for l in expected_path.read_text().splitlines()}
+    assert set(got) == set(want)
+    for sid, exp in want.items():
+        for key in ("fine_direction", "direction", "speed", "acceleration"):
+            assert got[sid][key] == exp[key], (sid, key)
+
+
 class TestSynthAndExtract:
     def test_extract_matches_expected_sidecar(self, tmp_path, corpus):
         corpus_path, expected_path = corpus
         out = tmp_path / "attrs.jsonl"
         assert run("extract", str(corpus_path), "--out", str(out)) == 0
-        got = {json.loads(l)["scenario_id"]: json.loads(l) for l in out.read_text().splitlines()}
-        want = {json.loads(l)["scenario_id"]: json.loads(l) for l in expected_path.read_text().splitlines()}
-        assert set(got) == set(want)
-        for sid, exp in want.items():
-            for key in ("fine_direction", "direction", "speed", "acceleration"):
-                assert got[sid][key] == exp[key], (sid, key)
+        assert_matches_sidecar(out, expected_path)
+
+    @pytest.mark.parametrize("t_pred", [50, 60])
+    def test_synth_draws_its_suite_on_the_config_horizon(self, tmp_path, t_pred):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"horizon": {"t_pred": t_pred, "t_select": [t_pred - 1]}}))
+        corpus, expected, out = tmp_path / "corpus.jsonl", tmp_path / "expected.jsonl", tmp_path / "attrs.jsonl"
+        argv = ("synth", "--n", "40", "--config", str(cfg), "--out", str(corpus), "--expected", str(expected))
+        assert run(*argv) == 0
+        assert run("extract", str(corpus), "--config", str(cfg), "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 40
+        assert_matches_sidecar(out, expected)
 
     def test_empty_input_empty_output(self, tmp_path):
         src = tmp_path / "empty.jsonl"
@@ -388,12 +403,14 @@ class TestEvaluateCmd:
         "boolean_trajectory_number": "trajectories must hold finite numbers",
         "string_score": "scores must hold finite numbers",
         "boolean_gt_future_point": "gt_future_xy must hold finite numbers",
+        "string_with_context": "with_context must be true, false or null",
+        "string_gt_with_context": "with_context must be true, false or null",
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_LINES))
     def test_bad_shape_or_number_is_a_line_error(self, tmp_path, capsys, case):
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
-        where = "dataset" if "gt_future" in case or case == "three_number_points" else "predictions"
+        where = "dataset" if "gt_" in case or case == "three_number_points" else "predictions"
         bad_file = predictions if where == "predictions" else dataset
         lines = bad_file.read_text().splitlines()
         obj = json.loads(lines[1])
@@ -420,6 +437,8 @@ class TestEvaluateCmd:
             obj["scores"][0] = "1"
         elif case == "boolean_gt_future_point":
             obj["gt_future_xy"][3] = [True, False]
+        elif case in ("string_with_context", "string_gt_with_context"):
+            obj["with_context"] = "no"
         else:
             obj["gt_future_xy"] = [p + [0.0] for p in obj["gt_future_xy"]]
         lines[1] = json.dumps(obj)
@@ -569,6 +588,15 @@ class TestStatsCmd:
         assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
         assert capsys.readouterr().err.startswith("error: line 2: gt_future_valid must hold booleans")
 
+    def test_string_with_context_is_a_line_error(self, tmp_path, capsys, corpus):
+        corpus_path, _ = corpus
+        rows = tmp_path / "rows.jsonl"
+        assert run("gen-instructions", str(corpus_path), "--out", str(rows)) == 0
+        good = json.loads(rows.read_text().splitlines()[0])
+        rows.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, with_context="yes")) + "\n")
+        assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
+        assert capsys.readouterr().err == "error: line 2: with_context must be true, false or null\n"
+
     def test_boolean_gt_future_point_is_a_line_error(self, tmp_path, capsys, corpus):
         corpus_path, _ = corpus
         rows = tmp_path / "rows.jsonl"
@@ -678,6 +706,50 @@ class TestConfigHandling:
         assert run("extract", str(src), "--config", str(cfg), "--out", str(out)) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,obj,message",
+        [
+            ("extract", {"direction": {"theta_s": True}}, "direction: theta_s must be a number, got true"),
+            ("feasibility", {"feasibility": {"max_range_m": True}}, "feasibility: max_range_m must be a number, got true"),
+            (
+                "feasibility",
+                {"feasibility": {"allow_neighbor_transitions": 0}},
+                "feasibility: allow_neighbor_transitions must be true or false, got 0",
+            ),
+            ("stats", {"jobs": True}, "jobs must be a positive integer"),
+            ("stats", {"sampler": {"class_balanced": 1}}, "sampler: class_balanced must be true or false, got 1"),
+            ("stats", {"sampler": {"seed": False}}, "sampler: seed must be an integer, got false"),
+            ("stats", {"horizon": {"dt": True}}, "horizon: dt must be a number, got true"),
+            ("stats", {"horizon": {"t_pred": 80.0}}, "horizon: t_pred must be an integer, got 80.0"),
+            ("stats", {"horizon": {"t_select": [29, True]}}, "horizon: t_select must be a list of integers, got [29, true]"),
+        ],
+        ids=[
+            "theta_s_boolean",
+            "range_boolean",
+            "flag_number",
+            "jobs_boolean",
+            "sampler_flag_number",
+            "seed_boolean",
+            "dt_boolean",
+            "t_pred_float",
+            "t_select_boolean",
+        ],
+    )
+    def test_config_value_of_the_wrong_json_type_is_exit_2(self, tmp_path, capsys, command, obj, message):
+        cfg, src, out = tmp_path / "cfg.json", tmp_path / "empty.jsonl", tmp_path / "out"
+        cfg.write_text(json.dumps(obj))
+        src.write_text("")
+        assert run(command, str(src), "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_integers_are_numbers_in_config(self, tmp_path):
+        cfg, src, out = tmp_path / "cfg.json", tmp_path / "empty.jsonl", tmp_path / "stats.json"
+        cfg.write_text(json.dumps({"direction": {"theta_s": 45}, "horizon": {"dt": 1}}))
+        src.write_text("")
+        assert run("stats", str(src), "--config", str(cfg), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["config"]["direction"]["theta_s"] == 45
 
     def test_negative_synth_count(self, tmp_path, capsys):
         out = tmp_path / "corpus.jsonl"

@@ -1,18 +1,23 @@
 """The synthetic generator: oracle equivalence, determinism, fixtures."""
 
+import hashlib
+import json
+
 import pytest
 
 from motionkit import errors
 from motionkit.attributes import extract_motion_attributes
 from motionkit.behavior import classify_behavior
-from motionkit.core import HorizonConfig
+from motionkit.core import HorizonConfig, serialize_scenario
 from motionkit.feasibility import feasibility_set
 from motionkit.metrics import ifr_scenario
 from motionkit.synth import (
     Phase,
     SynthSpec,
     TOPOLOGIES,
+    build_corpus,
     default_suite,
+    expectation_to_obj,
     gen_lane_graph,
     gen_prediction_set,
     gen_scenario,
@@ -57,6 +62,57 @@ class TestDeterminism:
         a, _ = gen_trajectory(spec, H)
         b, _ = gen_trajectory(spec, H)
         assert a == b
+
+
+def _pinned_parts(case: str):
+    """The byte chunks whose sha256 ``TestPinnedBytes`` pins for ``case``."""
+    kind, _, arg = case.partition(":")
+    if kind == "corpus":
+        for scenario, expected in build_corpus(12, seed=3, topology=arg):
+            yield serialize_scenario(scenario).encode()
+            yield json.dumps(expectation_to_obj(scenario.scenario_id, expected), sort_keys=True).encode()
+    elif kind == "suite":
+        yield repr(default_suite(30, seed=int(arg))).encode()
+    elif kind == "predictions":
+        for spec in (
+            SynthSpec(kind="straight", speed=10.0),
+            SynthSpec(kind="arc", radius=15.0, angle_deg=90.0, speed=8.0),
+            SynthSpec(kind="straight", speed=0.0),
+        ):
+            track, exp = gen_trajectory(spec, H)
+            preds = gen_prediction_set(track, exp.direction, 2, n_modes=4, horizon=H, perturbation=arg, seed=5)
+            yield preds.trajectories.tobytes()
+            yield preds.scores.tobytes()
+    else:  # a long future window behind a short observed one
+        horizon = HorizonConfig(t_obs=5, t_pred=120, t_select=(119,))
+        for spec in default_suite(10, seed=4, horizon=horizon):
+            track, exp = gen_trajectory(spec, horizon)
+            yield track.xy.tobytes() + track.headings.tobytes() + track.speeds.tobytes()
+            yield repr(exp).encode()
+
+
+# sha256 of the generator's output. Corpora, sidecars and prediction sets feed
+# every benchmark input and fixture, so a refactor must leave these unchanged.
+PINNED_SHA256 = {
+    "corpus:single": "95b1bd867a6261a99792d594c039760e49a8fbf5b9406323dcec521e32f66d2b",
+    "corpus:t_junction": "472f275954073d540f29b8b72d0a6eff16f20ba115b9cffcb739ee5c21540ea4",
+    "corpus:parallel_pair": "83c93d85125daab38133bb4a3cb5977793f51be0033c41ab7f252036d7d462c2",
+    "corpus:u_loop": "cbb1987ac791e517f377d15d155d3251e49d58626a69a08dd833097d3ab95e45",
+    "suite:1": "404ccfdb1c38a4f95d7d06da16e212692decc0283660d61f80f34395ad45d49c",
+    "suite:2": "d4f65f74439ab0bf28944ca8d38cad857c553fa14eb787b82df9d82b64b6fbde",
+    "predictions:none": "b722c2fd2b554962af6ccc8b9a84bcc38a6c3866321cecbb99428d9f76c14733",
+    "predictions:jitter": "97da9e1576e1cb1b38a9569a58fc4f566e257bcbd613a960a9a50b7115a44754",
+    "trajectory:t_pred_120": "659b1147c9f6fce25c92aa396085b515c3045f7822cd3854b01918a48423a370",
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("case", sorted(PINNED_SHA256))
+    def test_output_bytes_are_pinned(self, case):
+        digest = hashlib.sha256()
+        for part in _pinned_parts(case):
+            digest.update(part)
+        assert digest.hexdigest() == PINNED_SHA256[case]
 
 
 class TestSpecValidation:
