@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import Optional, Sequence
+
 import numpy as np
 
 from .core import MPS_TO_KMH, AgentTrack, HorizonConfig
@@ -113,24 +116,46 @@ class LabelRules:
         for name, what in (("speed_kmh", "speed"), ("accel_kmh", "acceleration")):
             bands = getattr(self, name)
             numbers = isinstance(bands, (list, tuple)) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in bands
+                isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max for v in bands
             )
             if not numbers or len(bands) != 4 or any(a >= b for a, b in zip(bands, bands[1:])):
                 raise ValueError(f"{what} thresholds must be 4 finite, strictly increasing numbers, got {bands!r}")
             object.__setattr__(self, name, tuple(bands))
 
 
+def chords(xy: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """The chords between consecutive valid samples of each row of (N, T, 2) points.
+
+    Returns ``(seg, ok, start)`` in an (N, T - 1) layout: entry ``j`` is the
+    chord that ends at sample ``j + 1``. When every sample is valid, ``seg`` is
+    the plain step difference and ``ok`` and ``start`` are None. Otherwise
+    ``seg[i, j]`` runs from the row's last valid sample before ``j + 1``, whose
+    index is ``start[i, j]`` (-1 when there is none), and ``ok[i, j]`` says
+    whether the chord exists, i.e. both of its ends are valid.
+    """
+    if valid.all():
+        return xy[:, 1:] - xy[:, :-1], None, None
+    steps = np.where(valid, np.arange(valid.shape[1]), -1)
+    start = np.maximum.accumulate(steps, axis=1)[:, :-1]
+    ok = valid[:, 1:] & (start >= 0)
+    origin = np.take_along_axis(xy, np.maximum(start, 0)[:, :, None], axis=1)
+    return xy[:, 1:] - origin, ok, start
+
+
 def classify_direction_arrays(
     xy: np.ndarray,
     speeds: np.ndarray,
+    valid: np.ndarray,
+    fallback_headings: Sequence[float],
     th: DirectionThresholds = DirectionThresholds(),
-    fallback_heading: float = 0.0,
-) -> FineDirection:
-    """Direction rules over already-valid samples given as arrays.
+) -> list[Optional[FineDirection]]:
+    """Direction rules for N rows of (N, T, 2) points, (N, T) speeds and an
+    (N, T) validity mask; invalid samples are skipped. Returns one label per
+    row, None for a row with fewer than two valid samples.
 
-    ``fallback_heading`` stands in for both endpoint headings when no
-    displacement exceeds ``epsilon_disp`` (the recorded-heading carry rule).
-    Decision order:
+    ``fallback_headings[i]`` stands in for both endpoint headings of row ``i``
+    when none of its displacements exceeds ``epsilon_disp`` (the
+    recorded-heading carry rule). Decision order, per row:
 
     1. Stationary when the max speed is below ``v_stationary`` and the
        traveled path length is below ``d_stationary``.
@@ -141,40 +166,65 @@ def classify_direction_arrays(
        (positive lat veers left).
     4. |dtheta| > theta_s: turn toward sign(dtheta), upgraded to a U-turn when
        the endpoint lies more than d_u on the side opposite the turn.
+
+    The floats match a per-row walk over the packed valid samples bit for bit:
+    endpoint headings come from ``math.atan2`` (``np.arctan2`` can differ in
+    the last bit), and the path length is summed over the row's packed chords
+    alone, since zeros in the sum could change numpy's pairwise grouping.
     """
-    if xy.shape[0] < 2:
-        raise InsufficientPoints(f"direction rules need >= 2 valid points, got {xy.shape[0]}")
-    seg = np.diff(xy, axis=0)
-    lengths = np.hypot(seg[:, 0], seg[:, 1])
-    path_length = float(lengths.sum())
-    if float(speeds.max()) < th.v_stationary and path_length < th.d_stationary:
-        return FineDirection.STATIONARY
-
+    n, t = valid.shape
+    if t < 2:
+        return [None] * n
+    seg, ok, _ = chords(xy, valid)
+    lengths = np.hypot(seg[..., 0], seg[..., 1])
+    big = lengths > th.epsilon_disp
+    rows = np.arange(n)
+    if ok is None:
+        enough = [True] * n
+        first_seg, first_big = seg[:, 0], big[:, 0]
+        disp = xy[:, -1] - xy[:, 0]
+        slow = speeds.max(axis=1) < th.v_stationary
+    else:
+        big &= ok
+        enough = ok.any(axis=1).tolist()
+        first_chord = ok.argmax(axis=1)
+        first_seg, first_big = seg[rows, first_chord], big[rows, first_chord]
+        disp = xy[rows, t - 1 - valid[:, ::-1].argmax(axis=1)] - xy[rows, valid.argmax(axis=1)]
+        slow = np.where(valid, speeds, -np.inf).max(axis=1) < th.v_stationary
     # Only the first and last carried headings matter: the carry chain makes
-    # heading[0] the first chord (or the fallback) and heading[-1] the most
-    # recent above-threshold chord overall.
-    big = np.flatnonzero(lengths > th.epsilon_disp)
-    if lengths[0] > th.epsilon_disp:
-        h_start = math.atan2(seg[0, 1], seg[0, 0])
-    else:
-        h_start = fallback_heading
-    if big.size:
-        last = big[-1]
-        h_end = math.atan2(seg[last, 1], seg[last, 0])
-    else:
-        h_end = fallback_heading
-    dtheta = wrap_angle(h_end - h_start)
-    dx, dy = xy[-1, 0] - xy[0, 0], xy[-1, 1] - xy[0, 1]
-    lat = -math.sin(h_start) * dx + math.cos(h_start) * dy
-
+    # the start heading the first chord (or the fallback) and the end heading
+    # the most recent above-threshold chord overall.
+    last_big = t - 2 - big[:, ::-1].argmax(axis=1)
+    last_seg, any_big = seg[rows, last_big].tolist(), big[rows, last_big].tolist()
+    first_seg, first_big, disp, slow = first_seg.tolist(), first_big.tolist(), disp.tolist(), slow.tolist()
+    fallback = [float(h) for h in fallback_headings]
     theta_s = math.radians(th.theta_s)
-    if abs(dtheta) <= theta_s:
-        if abs(lat) > th.d_v:
-            return FineDirection.STRAIGHT_VEER_LEFT if lat > 0 else FineDirection.STRAIGHT_VEER_RIGHT
-        return FineDirection.STRAIGHT
-    if dtheta > 0:
-        return FineDirection.LEFT_U_TURN if lat < -th.d_u else FineDirection.LEFT_TURN
-    return FineDirection.RIGHT_U_TURN if lat > th.d_u else FineDirection.RIGHT_TURN
+
+    labels: list[Optional[FineDirection]] = []
+    for i in range(n):
+        if not enough[i]:
+            labels.append(None)
+            continue
+        if slow[i]:
+            path = lengths[i] if ok is None else lengths[i][ok[i]]
+            if float(path.sum()) < th.d_stationary:
+                labels.append(FineDirection.STATIONARY)
+                continue
+        h_start = math.atan2(first_seg[i][1], first_seg[i][0]) if first_big[i] else fallback[i]
+        h_end = math.atan2(last_seg[i][1], last_seg[i][0]) if any_big[i] else fallback[i]
+        dtheta = wrap_angle(h_end - h_start)
+        dx, dy = disp[i]
+        lat = -math.sin(h_start) * dx + math.cos(h_start) * dy
+        if abs(dtheta) <= theta_s:
+            if abs(lat) > th.d_v:
+                labels.append(FineDirection.STRAIGHT_VEER_LEFT if lat > 0 else FineDirection.STRAIGHT_VEER_RIGHT)
+            else:
+                labels.append(FineDirection.STRAIGHT)
+        elif dtheta > 0:
+            labels.append(FineDirection.LEFT_U_TURN if lat < -th.d_u else FineDirection.LEFT_TURN)
+        else:
+            labels.append(FineDirection.RIGHT_U_TURN if lat > th.d_u else FineDirection.RIGHT_TURN)
+    return labels
 
 
 def _valid_steps(track: AgentTrack, window: tuple[int, int]) -> np.ndarray:
@@ -191,12 +241,15 @@ def classify_direction_fine(
     """Classify the motion over ``window`` (half-open [start, stop) step
     indices), ignoring invalid steps; see :func:`classify_direction_arrays`
     for the rules."""
-    steps = _valid_steps(track, window)
-    if steps.size < 2:
-        raise InsufficientPoints(f"window [{window[0]}, {window[1]}) has {steps.size} valid points")
-    return classify_direction_arrays(
-        track.xy[steps], track.speeds[steps], th, fallback_heading=float(track.headings[steps[0]])
+    start, stop = window
+    valid = track.valid_mask[start:stop]
+    fallback = track.headings[start + int(valid.argmax())] if valid.size else 0.0
+    (label,) = classify_direction_arrays(
+        track.xy[None, start:stop], track.speeds[None, start:stop], valid[None], [fallback], th
     )
+    if label is None:
+        raise InsufficientPoints(f"window [{start}, {stop}) has {int(valid.sum())} valid points")
+    return label
 
 
 def classify_speed(

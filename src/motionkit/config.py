@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -81,12 +82,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """A JSON int or float that is a finite float: not NaN or Infinity, and not an integer
+    too large to convert (the comparison is exact, so it cannot overflow)."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 # The JSON values a field accepts, by the type of its default: flags take only
 # booleans and numbers never do. The one tuple is t_select (HorizonConfig rejects a non-list).
 _ACCEPTS = {
     bool: (lambda v: isinstance(v, bool), "true or false"),
     int: (_is_int, "an integer"),
-    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    float: (_is_number, "a number"),
     tuple: (lambda v: not isinstance(v, list) or all(map(_is_int, v)), "a list of integers"),
 }
 

@@ -165,10 +165,12 @@ def enumerate_candidates(
         tail = lane.xy[entry_idx:]
         cum = polyline_arclength(tail)
         end = dist0 + min(limit - dist0, float(cum[-1]))
-        # k runs from floor(dist0 / spacing) + 1; the range overshoots by one so that the
-        # mask, not the division, decides which rounded products k * spacing stay <= end.
+        # k runs from floor(dist0 / spacing) + 1 to one past floor(end / spacing); the mask, not
+        # the division, decides which rounded products k * spacing lie in (dist0, end]. A product
+        # can land on dist0 (3 * 0.7 == 2.0999999999999996), and a sample there would repeat
+        # the predecessor lane's end sample.
         arc = np.arange(math.floor(dist0 / spacing) + 1, math.floor(end / spacing) + 2) * spacing
-        arc = arc[arc <= end]
+        arc = arc[(arc > dist0) & (arc <= end)]
         x, y, heading = point_along_polyline(tail, cum, arc - dist0)
         lon, lat = rotate_into_frame(np.stack([x, y], axis=1), pose_xy, pose_heading).T
         rel_heading = wrap_angle(heading - pose_heading)

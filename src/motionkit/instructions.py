@@ -124,6 +124,8 @@ class InstructionRecord:
             should_accept = self.safety_tag is Safety.SAFE
         if (self.decision is Decision.ACCEPT) != should_accept:
             raise SchemaError(f"decision {self.decision.value} inconsistent with tag")
+        if not isinstance(self.has_gt_trajectory, bool):
+            raise SchemaError("has_gt_trajectory must be true or false")
         if self.has_gt_trajectory and self.gt_future_xy is None:
             raise SchemaError("has_gt_trajectory rows must carry gt_future_xy")
         if self.gt_future_xy is not None:

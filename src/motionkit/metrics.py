@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attributes import DirectionLabel, LabelRules, classify_direction_arrays
+from .attributes import DirectionLabel, LabelRules, chords, classify_direction_arrays
 from .behavior import Safety
 from .core import _equal_by_value, _freeze, _json_array
 from .errors import NoValidOverlap, NonPositiveSigma, SchemaError
@@ -95,8 +95,10 @@ class PredictionSet:
 
 def classify_prediction(
     xy: np.ndarray, valid: Optional[np.ndarray], dt: float, rules: LabelRules = LabelRules()
-) -> Optional[DirectionLabel]:
-    """Direction bucket of one generated trajectory; None when unclassifiable.
+) -> list[Optional[DirectionLabel]]:
+    """Direction buckets of M generated trajectories, (M, T, 2) positions with an
+    (M, T) validity mask (None: all valid); one label per mode, None when the mode
+    has fewer than two valid samples.
 
     Predictions are bare positions: per-sample speed is derived from the
     displacement to the next valid sample over the elapsed time (the last
@@ -104,19 +106,24 @@ def classify_prediction(
     view of the motion.
     """
     xy = np.asarray(xy, dtype=float)
-    if valid is None:
-        pts = xy
-        gaps = np.ones(max(xy.shape[0] - 1, 0))
+    m, t = xy.shape[:2]
+    valid = np.ones((m, t), dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+    seg, ok, start = chords(xy, valid)
+    pair = np.hypot(seg[..., 0], seg[..., 1])
+    if ok is None:
+        pair /= dt
+        speeds = np.concatenate([pair, pair[:, -1:]], axis=1)
     else:
-        idx = np.flatnonzero(np.asarray(valid, dtype=bool))
-        pts = xy[idx]
-        gaps = np.diff(idx).astype(float)
-    if pts.shape[0] < 2:
-        return None
-    seg = np.diff(pts, axis=0)
-    pair_speeds = np.hypot(seg[:, 0], seg[:, 1]) / (dt * gaps)
-    speeds = np.append(pair_speeds, pair_speeds[-1])
-    return rules.collapse[classify_direction_arrays(pts, speeds, rules.direction, fallback_heading=0.0)]
+        pair /= dt * (np.arange(1, t) - start)
+        # Each chord's speed belongs to its start sample; a mode's last valid
+        # sample (the end of its last chord) repeats that chord's speed.
+        speeds = np.zeros((m, t))
+        r, j = np.nonzero(ok)
+        speeds[r, start[r, j]] = pair[r, j]
+        last = np.flatnonzero(np.diff(r, append=m))
+        speeds[r[last], j[last] + 1] = pair[r[last], j[last]]
+    fine = classify_direction_arrays(xy, speeds, valid, [0.0] * m, rules.direction)
+    return [None if f is None else rules.collapse[f] for f in fine]
 
 
 def ifr_scenario(
@@ -130,15 +137,8 @@ def ifr_scenario(
     Unclassifiable trajectories (fewer than two valid steps) count as
     non-matches in the denominator and are reported separately.
     """
-    matches = 0
-    unclassifiable = 0
-    for j in range(preds.n_modes):
-        label = classify_prediction(preds.trajectories[j], preds.valid[j], dt, rules)
-        if label is None:
-            unclassifiable += 1
-        elif label == instructed:
-            matches += 1
-    return matches / preds.n_modes, unclassifiable
+    labels = classify_prediction(preds.trajectories, preds.valid, dt, rules)
+    return labels.count(instructed) / preds.n_modes, labels.count(None)
 
 
 def ifr_micro(per_scenario: Sequence[float]) -> float:
@@ -177,20 +177,32 @@ def _joint_offsets(gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet
 
 
 def min_ade(gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet) -> float:
-    """Minimum over modes of the mean displacement over jointly valid steps."""
+    """Minimum over modes of the mean displacement over jointly valid steps.
+
+    A fully valid mode takes the axis mean; a mode with holes takes the mean of
+    its packed distances, which an axis mean over masked zeros would not match
+    in the last bit.
+    """
     mask, offsets = _joint_offsets(gt_xy, gt_valid, preds)
     dist = np.linalg.norm(offsets, axis=2)
-    return min(float(np.mean(d[m])) for d, m in zip(dist, mask) if m.any())
+    ade = dist.mean(axis=1)
+    for j in np.flatnonzero(~mask.all(axis=1)):
+        ade[j] = np.mean(dist[j][mask[j]]) if mask[j].any() else np.inf
+    return float(ade.min())
 
 
 def min_fde(gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet) -> float:
     """Minimum over modes of the displacement at the last jointly valid step.
 
-    The step's norm is taken on its own (a dot product), not read off min_ade's
-    (M, T) axis norm: the two can differ in the last bit.
+    The step's norm is a dot product per mode, which matches a 1-D
+    ``np.linalg.norm`` bit for bit; min_ade's (M, T) axis norm, ``hypot`` and
+    ``x*x + y*y`` can each differ from it in the last bit.
     """
     mask, offsets = _joint_offsets(gt_xy, gt_valid, preds)
-    return min(float(np.linalg.norm(o[np.flatnonzero(m)[-1]])) for o, m in zip(offsets, mask) if m.any())
+    has = mask.any(axis=1)
+    last = mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
+    o = offsets[np.arange(len(last)), last]
+    return float(np.sqrt(np.vecdot(o, o))[has].min())
 
 
 def detection_accuracy(decisions: Sequence[tuple[Decision, FeasTag]]) -> dict[FeasTag, float]:
@@ -319,15 +331,16 @@ def score_row(row: InstructionRecord, preds: Optional[PredictionSet], dt: float,
     }
     if preds is None:
         return result
+    gt_xy, gt_valid = row.gt_future_xy, row.gt_future_valid
+    if gt_xy is not None and gt_valid is None:
+        gt_valid = np.ones(len(gt_xy), dtype=bool)
     instructed = row.direction
-    if instructed is None and row.gt_future_xy is not None:
-        instructed = classify_prediction(row.gt_future_xy, row.gt_future_valid, dt, rules)
+    if instructed is None and gt_xy is not None:
+        (instructed,) = classify_prediction(gt_xy[None], gt_valid[None], dt, rules)
     if instructed is not None:
         result["direction"] = instructed
         result["ifr"], result["unclassifiable"] = ifr_scenario(instructed, preds, dt, rules)
     if row.has_gt_trajectory:
-        gt_xy = row.gt_future_xy
-        gt_valid = row.gt_future_valid if row.gt_future_valid is not None else np.ones(len(gt_xy), dtype=bool)
         try:
             result["ade"] = min_ade(gt_xy, gt_valid, preds)
             result["fde"] = min_fde(gt_xy, gt_valid, preds)

@@ -23,6 +23,7 @@ from motionkit.attributes import (
 )
 from motionkit.synth import Phase, SynthSpec, default_suite, gen_trajectory
 
+from direction_oracle import direction_rules_1d
 from tracks import circle_track, make_track, mirror_track, rigid_transform
 
 TH = DirectionThresholds()
@@ -85,6 +86,28 @@ class TestDirectionRules:
         valid[10] = False
         track = make_track(xy, speeds=[8.0] * 20, valid=valid)
         assert classify_full(track) is FineDirection.STRAIGHT
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.booleans(), min_size=2, max_size=30),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.004, 0.05, 0.15, 2.0]),
+    )
+    def test_track_window_equals_the_per_row_oracle(self, valid, seed, step):
+        """classify_direction_fine (the N=1 caller of the batched rules) against the
+        per-row rules on the window's packed valid samples."""
+        rng = np.random.default_rng(seed)
+        n = len(valid)
+        heading = np.cumsum(rng.normal(scale=0.4, size=n))
+        xy = np.cumsum(step * rng.random(n)[:, None] * np.stack([np.cos(heading), np.sin(heading)], axis=1), axis=0)
+        track = make_track(xy, speeds=rng.random(n) * 3.0, headings=rng.uniform(-3.0, 3.0, n), valid=valid)
+        steps = np.flatnonzero(valid)
+        if steps.size < 2:
+            with pytest.raises(errors.InsufficientPoints):
+                classify_full(track)
+            return
+        expected = direction_rules_1d(xy[steps], track.speeds[steps], TH, float(track.headings[steps[0]]))
+        assert classify_full(track) is expected
 
     def test_short_first_chord_falls_back_to_recorded_heading(self):
         # The first chord (1 cm) is below epsilon_disp, so the start heading is

@@ -1,6 +1,7 @@
 """End-to-end command tests: pipelines, determinism, exit codes."""
 
 import collections
+import math
 import json
 import types
 
@@ -405,6 +406,7 @@ class TestEvaluateCmd:
         "boolean_gt_future_point": "gt_future_xy must hold finite numbers",
         "string_with_context": "with_context must be true, false or null",
         "string_gt_with_context": "with_context must be true, false or null",
+        "string_gt_has_gt_trajectory": "has_gt_trajectory must be true or false",
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_LINES))
@@ -439,6 +441,8 @@ class TestEvaluateCmd:
             obj["gt_future_xy"][3] = [True, False]
         elif case in ("string_with_context", "string_gt_with_context"):
             obj["with_context"] = "no"
+        elif case == "string_gt_has_gt_trajectory":
+            obj["has_gt_trajectory"] = "no"
         else:
             obj["gt_future_xy"] = [p + [0.0] for p in obj["gt_future_xy"]]
         lines[1] = json.dumps(obj)
@@ -597,6 +601,15 @@ class TestStatsCmd:
         assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
         assert capsys.readouterr().err == "error: line 2: with_context must be true, false or null\n"
 
+    def test_string_has_gt_trajectory_is_a_line_error(self, tmp_path, capsys, corpus):
+        corpus_path, _ = corpus
+        rows = tmp_path / "rows.jsonl"
+        assert run("gen-instructions", str(corpus_path), "--out", str(rows)) == 0
+        good = json.loads(rows.read_text().splitlines()[0])
+        rows.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, has_gt_trajectory="no")) + "\n")
+        assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
+        assert capsys.readouterr().err == "error: line 2: has_gt_trajectory must be true or false\n"
+
     def test_boolean_gt_future_point_is_a_line_error(self, tmp_path, capsys, corpus):
         corpus_path, _ = corpus
         rows = tmp_path / "rows.jsonl"
@@ -683,6 +696,7 @@ class TestConfigHandling:
             ({"accel_thresholds_kmh": [6, 25, 25, 65]}, f"acceleration {BANDS} [6, 25, 25, 65]"),
             ({"accel_thresholds_kmh": [6, 25, 46, True]}, f"acceleration {BANDS} [6, 25, 46, True]"),
             ({"accel_thresholds_kmh": [6, 25, 46, float("inf")]}, f"acceleration {BANDS} [6, 25, 46, inf]"),
+            ({"accel_thresholds_kmh": [6, 25, 46, 10**400]}, f"acceleration {BANDS} [6, 25, 46, {10**400}]"),
         ],
         ids=[
             "horizon_number",
@@ -697,6 +711,7 @@ class TestConfigHandling:
             "accel_repeated",
             "accel_boolean",
             "accel_infinite",
+            "accel_too_large_for_a_float",
         ],
     )
     def test_config_of_the_wrong_type_is_exit_2(self, tmp_path, capsys, obj, message):
@@ -723,6 +738,13 @@ class TestConfigHandling:
             ("stats", {"horizon": {"dt": True}}, "horizon: dt must be a number, got true"),
             ("stats", {"horizon": {"t_pred": 80.0}}, "horizon: t_pred must be an integer, got 80.0"),
             ("stats", {"horizon": {"t_select": [29, True]}}, "horizon: t_select must be a list of integers, got [29, true]"),
+            (
+                "stats",
+                {"direction": {"theta_s": math.nan}, "behavior": {"v_stop": math.inf}},
+                "direction: theta_s must be a number, got NaN",
+            ),
+            ("stats", {"behavior": {"v_stop": math.inf}}, "behavior: v_stop must be a number, got Infinity"),
+            ("extract", {"direction": {"theta_s": 10**400}}, f"direction: theta_s must be a number, got {10**400}"),
         ],
         ids=[
             "theta_s_boolean",
@@ -734,6 +756,9 @@ class TestConfigHandling:
             "dt_boolean",
             "t_pred_float",
             "t_select_boolean",
+            "theta_s_nan",
+            "v_stop_infinity",
+            "theta_s_too_large_for_a_float",
         ],
     )
     def test_config_value_of_the_wrong_json_type_is_exit_2(self, tmp_path, capsys, command, obj, message):
@@ -799,7 +824,7 @@ class TestCrossCommandAgreement:
         rules = load_config(str(cfg)).rules
         for sid, gt in gt_rows.items():
             xy, valid = np.asarray(gt["gt_future_xy"]), np.asarray(gt["gt_future_valid"])
-            assert classify_prediction(xy, valid, H.dt, rules).value == extract[sid]["direction"], sid
+            assert classify_prediction(xy[None], valid[None], H.dt, rules)[0].value == extract[sid]["direction"], sid
 
         # evaluate labels predictions the same way: replaying each GT future
         # follows the GT instruction, so every scenario scores 1.

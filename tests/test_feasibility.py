@@ -182,6 +182,8 @@ def scalar_enumerate_candidates(scenario, params=FeasibilityParams()):
         cum = polyline_arclength(lane.xy[entry_idx:])
         reach = min(limit - dist0, float(cum[-1]))
         k = math.floor(dist0 / spacing) + 1
+        while k * spacing <= dist0:  # a rounded product can land on dist0 itself
+            k += 1
         while k * spacing <= dist0 + reach:
             x, y, heading = _scalar_point_along_polyline(lane.xy[entry_idx:], cum, k * spacing - dist0)
             lon, lat = rotate_into_frame(np.array([[x, y]]), pose_xy, pose_heading)[0]
@@ -284,9 +286,10 @@ class TestCandidateGridOracle:
         assert enumerate_candidates(scenario, params) == scalar_enumerate_candidates(scenario, params)
 
     def test_grid_point_at_a_neighbors_last_vertex(self):
-        # 3 * 0.7 rounds below the product it stands for, so floor(dist0 / 0.7) + 1 == 3 and the
-        # hop onto lane n's last vertex (2.0999999999999996 m away) emits a sample at local
-        # distance 0 on a one-vertex tail: it keeps the vertex and a 0 heading.
+        # 3 * 0.7 rounds below the product it stands for, so floor(dist0 / 0.7) + 1 == 3 and
+        # 3 * 0.7 equals the hop onto lane n's last vertex (2.0999999999999996 m away). The grid
+        # is strictly past dist0, so the one-vertex tail emits nothing: no sample at local
+        # distance 0 with a spurious 0 heading.
         hop = 3 * 0.7
         lanes = (
             _lane("a", [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)], left_neighbor="n"),
@@ -297,7 +300,8 @@ class TestCandidateGridOracle:
         scenario = Scenario(scenario_id="s", focal_agent_id="ego", agents=(track,), lanes=lanes, horizon=H)
         params = FeasibilityParams(sample_spacing_m=0.7, lane_assoc_radius_m=2.0)
         cands = enumerate_candidates(scenario, params)
-        assert [c for c in cands if c.lane_id == "n"] == [Candidate("n", hop, 0.0, hop, 0.0)]
+        assert math.floor(hop / 0.7) + 1 == 3
+        assert [c for c in cands if c.lane_id == "n"] == []
         assert cands == scalar_enumerate_candidates(scenario, params)
 
 

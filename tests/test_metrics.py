@@ -5,11 +5,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motionkit import errors
-from motionkit.attributes import DirectionLabel
+from motionkit.attributes import DirectionLabel, DirectionThresholds, LabelRules
 from motionkit.behavior import Safety
 from motionkit.core import HorizonConfig
 from motionkit.feasibility import FeasTag
@@ -17,6 +17,7 @@ from motionkit.instructions import Decision
 from motionkit.metrics import (
     PredictionSet,
     best_mode,
+    classify_prediction,
     detection_accuracy,
     gmm_nll,
     ifr_macro,
@@ -28,6 +29,8 @@ from motionkit.metrics import (
     score_loss,
 )
 from motionkit.synth import SynthSpec, gen_prediction_set, gen_trajectory
+
+from direction_oracle import classify_prediction_per_mode, packed_path_length
 
 H = HorizonConfig()
 DT = H.dt
@@ -78,6 +81,70 @@ class TestIfrScenario:
             scores=preds.scores,
         )
         assert ifr_scenario(label, moved, DT)[0] == ifr_scenario(label, preds, DT)[0]
+
+
+@st.composite
+def holed_modes(draw):
+    """(M, T, 2) random walks and an (M, T) mask whose rows have leading, inner and
+    trailing holes, including rows with 0 or 1 valid samples. The walk's step (m per
+    0.1 s) is below the default v_stationary * dt for every scale but the last."""
+    m, t = draw(st.integers(1, 4)), draw(st.integers(0, 24))
+    rows = []
+    for _ in range(m):
+        lead = draw(st.integers(0, t))
+        tail = draw(st.integers(0, t - lead))
+        inner = draw(st.lists(st.booleans(), min_size=t - lead - tail, max_size=t - lead - tail))
+        rows.append([False] * lead + inner + [False] * tail)
+    mask = np.array(rows, dtype=bool).reshape(m, t)
+    step = draw(st.sampled_from([0.002, 0.03, 0.12, 1.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    heading = np.cumsum(rng.normal(scale=0.4, size=(m, t)), axis=1)
+    moves = (step * rng.random((m, t)))[:, :, None] * np.stack([np.cos(heading), np.sin(heading)], axis=2)
+    xy = np.cumsum(moves, axis=1) + rng.normal(scale=10.0, size=(m, 1, 2))
+    gt = xy[0] + rng.normal(scale=step, size=(t, 2))
+    gt_valid = np.array(draw(st.lists(st.booleans(), min_size=t, max_size=t)), dtype=bool)
+    return xy, mask, gt, gt_valid
+
+
+_FIXED_WALK = np.cumsum(np.full((4, 12, 2), [0.011, 0.007]), axis=1)
+_FIXED_MASK = np.array(
+    [[False] * 12, [False] * 5 + [True] + [False] * 6, [False, False] + [True, False] * 4 + [False, False], [True] * 12]
+)
+
+
+class TestBatchedAgainstPerModeOracle:
+    """The batched kernels against the per-mode path they replaced (``direction_oracle``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(holed_modes(), st.sampled_from(["default", "exact", "above"]))
+    @example((_FIXED_WALK, _FIXED_MASK, _FIXED_WALK[3], np.ones(12, dtype=bool)), "exact")
+    def test_labels_and_displacements_equal_the_oracle(self, draw, boundary):
+        xy, mask, gt, gt_valid = draw
+        rules = LabelRules()
+        if boundary != "default":
+            # Put d_stationary on a slow row's exact packed path length (or one ulp above it),
+            # so only that exact sum decides Stationary.
+            paths = [packed_path_length(x, v) for x, v in zip(xy, mask) if v.sum() >= 2]
+            if paths and max(paths) > 0:
+                d = max(paths) if boundary == "exact" else math.nextafter(max(paths), math.inf)
+                rules = LabelRules(DirectionThresholds(d_stationary=d))
+        expected = [classify_prediction_per_mode(x, v, DT, rules) for x, v in zip(xy, mask)]
+        assert classify_prediction(xy, mask, DT, rules) == expected
+        assert classify_prediction(xy, None, DT, rules) == [classify_prediction_per_mode(x, None, DT, rules) for x in xy]
+
+        preds = PredictionSet(scenario_id="s", trajectories=xy, valid=mask)
+        joint = mask & gt_valid
+        if not joint.any():
+            with pytest.raises(errors.NoValidOverlap):
+                min_ade(gt, gt_valid, preds)
+            return
+        # per-mode oracle: the expressions min_ade and min_fde looped over modes with
+        offsets = xy - gt
+        dist = np.linalg.norm(offsets, axis=2)
+        ade = min(float(np.mean(d[j])) for d, j in zip(dist, joint) if j.any())
+        fde = min(float(np.linalg.norm(o[np.flatnonzero(j)[-1]])) for o, j in zip(offsets, joint) if j.any())
+        assert min_ade(gt, gt_valid, preds) == ade
+        assert min_fde(gt, gt_valid, preds) == fde
 
 
 class TestPredictionSet:
