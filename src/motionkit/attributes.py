@@ -233,6 +233,26 @@ def _valid_steps(track: AgentTrack, window: tuple[int, int]) -> np.ndarray:
     return start + np.flatnonzero(track.valid_mask[start:stop])
 
 
+def _classify_windows(
+    track: AgentTrack, windows: Sequence[tuple[int, int]], th: DirectionThresholds
+) -> list[FineDirection]:
+    """:func:`classify_direction_fine` of each half-open window, in one kernel
+    call: a window shorter than the widest is padded with invalid trailing
+    steps, which the rules skip."""
+    valid = [track.valid_mask[start:stop] for start, stop in windows]
+    shape = (len(windows), max(v.size for v in valid))
+    xy, speeds, mask = np.zeros((*shape, 2)), np.zeros(shape), np.zeros(shape, bool)
+    for i, ((start, stop), v) in enumerate(zip(windows, valid)):
+        n = v.size
+        xy[i, :n], speeds[i, :n], mask[i, :n] = track.xy[start:stop], track.speeds[start:stop], v
+    fallback = [track.headings[start + int(v.argmax())] if v.size else 0.0 for (start, _), v in zip(windows, valid)]
+    labels = classify_direction_arrays(xy, speeds, mask, fallback, th)
+    for (start, stop), v, label in zip(windows, valid, labels):
+        if label is None:
+            raise InsufficientPoints(f"window [{start}, {stop}) has {int(v.sum())} valid points")
+    return labels
+
+
 def classify_direction_fine(
     track: AgentTrack,
     window: tuple[int, int],
@@ -317,12 +337,13 @@ StepAttributes = tuple[DirectionLabel, SpeedCategory, AccelCategory]
 def classify_two_step(
     track: AgentTrack, horizon: HorizonConfig, rules: LabelRules = LabelRules()
 ) -> tuple[StepAttributes, StepAttributes]:
-    """Split the future window at its midpoint and classify each half independently."""
+    """Split the future window at its midpoint and classify each half
+    independently; one kernel call labels both halves' directions."""
     start, stop = horizon.future_window
     mid = start + (stop - start) // 2
+    halves = ((start, mid), (mid, stop))
     steps = []
-    for half in ((start, mid), (mid, stop)):
-        fine = classify_direction_fine(track, half, rules.direction)
+    for half, fine in zip(halves, _classify_windows(track, halves, rules.direction)):
         speed = classify_speed(window_mean_speed_kmh(track, half), rules.speed_kmh)
         accel = classify_acceleration(window_delta_v_kmh(track, half, horizon.dt), rules.accel_kmh)
         steps.append((rules.collapse[fine], speed, accel))

@@ -15,6 +15,7 @@ classifiers makes that anchoring lossless.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -112,7 +113,8 @@ class _PhasePlan:
     """Pre-composed phase table supporting exact pose/speed queries by time."""
 
     def __init__(self, phases: tuple[Phase, ...]):
-        self.rows = []
+        self.rows = []  # (start pose, curvature, start distance, sin and cos of the start heading)
+        ramps = []  # (start time, duration, start speed, acceleration)
         pose = (0.0, 0.0, 0.0)
         t0 = 0.0
         s0 = 0.0
@@ -121,28 +123,37 @@ class _PhasePlan:
             if length <= 0 and ph.angle_deg != 0.0:
                 raise InvalidSpec("an arc phase must cover a positive distance")
             kappa = math.radians(ph.angle_deg) / length if length > 0 else 0.0
-            self.rows.append((t0, pose, ph, kappa, s0))
+            self.rows.append((pose, kappa, s0, math.sin(pose[2]), math.cos(pose[2])))
+            ramps.append((t0, ph.duration_s, ph.v0, (ph.v1 - ph.v0) / ph.duration_s if ph.duration_s > 0 else 0.0))
             pose = _advance(pose, length, math.radians(ph.angle_deg))
             t0 += ph.duration_s
             s0 += length
+        self.starts, self.durations, self.v0, self.accel = np.array(ramps).T
         self.t_end = t0
-        self.s_end = s0
         self.end_pose = pose
 
-    def at(self, t: float) -> tuple[float, float, float, float, float]:
-        """(x, y, tangent heading, speed, cumulative distance) at time ``t``."""
-        t = min(max(t, 0.0), self.t_end)
-        row = self.rows[0]
-        for candidate in self.rows:
-            if candidate[0] <= t + 1e-12:
-                row = candidate
-        t0, pose, ph, kappa, s0 = row
-        u = min(max(t - t0, 0.0), ph.duration_s)
-        accel = (ph.v1 - ph.v0) / ph.duration_s if ph.duration_s > 0 else 0.0
-        s = ph.v0 * u + 0.5 * accel * u * u
-        v = ph.v0 + accel * u
-        x, y, h = _advance(pose, s, kappa * s)
-        return x, y, h, v, s0 + s
+    def kinematics(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row index, distance into the row's phase, speed) at each time, clamped to [0, t_end]."""
+        t = np.minimum(np.maximum(times, 0.0), self.t_end)
+        row = np.searchsorted(self.starts, t + 1e-12, side="right") - 1
+        u = np.minimum(np.maximum(t - self.starts[row], 0.0), self.durations[row])
+        v0, accel = self.v0[row], self.accel[row]
+        return row, v0 * u + 0.5 * accel * u * u, v0 + accel * u
+
+    def sample(self, times) -> list[tuple[float, float, float, float, float]]:
+        """(x, y, tangent heading, speed, cumulative distance) at each time."""
+        out = []
+        for r, s, v in zip(*(a.tolist() for a in self.kinematics(np.asarray(times, dtype=float)))):
+            (x, y, h), kappa, s0, sin_h, cos_h = self.rows[r]
+            angle = kappa * s  # _advance(pose, s, angle) with the row's sin and cos reused
+            if abs(angle) < 1e-12:
+                x, y = x + s * cos_h, y + s * sin_h
+            else:
+                radius = s / angle
+                x, y = x + radius * (math.sin(h + angle) - sin_h), y + radius * (cos_h - math.cos(h + angle))
+                h += angle
+            out.append((x, y, h, v, s0 + s))
+        return out
 
 
 def build_phases(spec: SynthSpec, horizon: HorizonConfig) -> tuple[Phase, ...]:
@@ -242,16 +253,17 @@ _ROUND = 7
 
 
 class _Profile:
-    """A plan sampled once at the horizon's future steps, with the closed-form
-    quantities the direction, speed, acceleration and behavior rules read."""
+    """A plan's speeds at the horizon's future steps, its poses at the window's
+    ends, and the closed-form quantities the direction, speed, acceleration and
+    behavior rules read."""
 
     def __init__(self, plan: _PhasePlan, horizon: HorizonConfig):
         dt, n = horizon.dt, horizon.t_pred
         self.dt = dt
-        self.samples = [plan.at(k * dt) for k in range(n)]  # (x, y, heading, speed, distance)
-        self.speeds = [v for _, _, _, v, _ in self.samples]
-        x0, y0, h0, _, s0 = self.samples[0]
-        x1, y1, h1, _, s1 = self.samples[-1]
+        self.speeds = plan.kinematics(np.arange(n) * dt)[2].tolist()
+        # The first two and last two future poses: the ends and the chords the classifier reads.
+        self.ends = plan.sample([k * dt for k in (0, min(1, n - 1), max(n - 2, 0), n - 1)])
+        (x0, y0, h0, _, s0), _, _, (x1, y1, h1, _, s1) = self.ends
         self.path = s1 - s0
         self.dtheta = wrap_angle(h1 - h0)
         self.lat = -math.sin(h0) * (x1 - x0) + math.cos(h0) * (y1 - y0)
@@ -270,13 +282,15 @@ def gen_trajectory(
     agent_id: str = "ego",
 ) -> tuple[AgentTrack, SynthExpectation]:
     """Closed-form sampled track plus its analytically expected labels."""
-    profile = _Profile(_PhasePlan(build_phases(spec, horizon)), horizon)
+    plan = _PhasePlan(build_phases(spec, horizon))
+    profile = _Profile(plan, horizon)
     dt = horizon.dt
-    x0, y0, h0, v0, _ = profile.samples[0]
+    future = plan.sample(np.arange(horizon.t_pred) * dt)
+    x0, y0, h0, v0, _ = future[0]
     # The observed prefix runs straight back from the first future pose at v0.
     backs = [(horizon.t_obs - i) * dt for i in range(horizon.t_obs)]
     poses = [(x0 - b * v0 * math.cos(h0), y0 - b * v0 * math.sin(h0), h0, v0) for b in backs]
-    poses += [sample[:4] for sample in profile.samples]
+    poses += [sample[:4] for sample in future]
     track = AgentTrack(
         agent_id=agent_id,
         agent_kind="vehicle",
@@ -289,19 +303,22 @@ def gen_trajectory(
     return track, expected_labels(profile)
 
 
+def _fine_direction(profile: _Profile, dtheta: float, lat: float) -> FineDirection:
+    """The direction rules on the profile's speeds and path and the given heading change and lateral offset."""
+    if max(profile.speeds) < _TH.v_stationary and profile.path < _TH.d_stationary:
+        return FineDirection.STATIONARY
+    if abs(dtheta) <= math.radians(_TH.theta_s):
+        if abs(lat) > _TH.d_v:
+            return FineDirection.STRAIGHT_VEER_LEFT if lat > 0 else FineDirection.STRAIGHT_VEER_RIGHT
+        return FineDirection.STRAIGHT
+    if dtheta > 0:
+        return FineDirection.LEFT_U_TURN if lat < -_TH.d_u else FineDirection.LEFT_TURN
+    return FineDirection.RIGHT_U_TURN if lat > _TH.d_u else FineDirection.RIGHT_TURN
+
+
 def expected_labels(profile: _Profile) -> SynthExpectation:
     """Threshold rules applied to the closed-form geometry and speed profile."""
-    if max(profile.speeds) < _TH.v_stationary and profile.path < _TH.d_stationary:
-        fine = FineDirection.STATIONARY
-    elif abs(profile.dtheta) <= math.radians(_TH.theta_s):
-        if abs(profile.lat) > _TH.d_v:
-            fine = FineDirection.STRAIGHT_VEER_LEFT if profile.lat > 0 else FineDirection.STRAIGHT_VEER_RIGHT
-        else:
-            fine = FineDirection.STRAIGHT
-    elif profile.dtheta > 0:
-        fine = FineDirection.LEFT_U_TURN if profile.lat < -_TH.d_u else FineDirection.LEFT_TURN
-    else:
-        fine = FineDirection.RIGHT_U_TURN if profile.lat > _TH.d_u else FineDirection.RIGHT_TURN
+    fine = _fine_direction(profile, profile.dtheta, profile.lat)
     return SynthExpectation(
         fine=fine,
         direction=DEFAULT_COLLAPSE[fine],
@@ -394,7 +411,7 @@ def _lane_from_phases(
     arcs = [min(i * step_m, total) for i in range(n)]
     if total - (n - 1) * step_m > 1e-6:
         arcs.append(total)
-    pts = [plan.at(s)[:3] for s in arcs]
+    pts = [sample[:3] for sample in plan.sample(arcs)]
     c, s_ = math.cos(start[2]), math.sin(start[2])
     return Lane(
         lane_id=lane_id,
@@ -491,6 +508,12 @@ def _redirect_spec(gt_label: DirectionLabel) -> SynthSpec:
     return SynthSpec(kind="straight", speed=8.0)  # Straight for Stationary / LeftUTurn
 
 
+@functools.cache
+def _redirect(spec: SynthSpec, horizon: HorizonConfig) -> tuple[AgentTrack, SynthExpectation]:
+    """The redirect track of ``spec`` on ``horizon``, built once: its arrays are read-only."""
+    return gen_trajectory(spec, horizon)
+
+
 def gen_prediction_set(
     gt_track: AgentTrack,
     gt_label: DirectionLabel,
@@ -515,7 +538,7 @@ def gen_prediction_set(
         raise InvalidSpec(f"unknown perturbation {perturbation!r}")
     start, stop = horizon.future_window
     gt_xy = gt_track.xy[start:stop]
-    redirect_track, redirect_expected = gen_trajectory(_redirect_spec(gt_label), horizon)
+    redirect_track, redirect_expected = _redirect(_redirect_spec(gt_label), horizon)
     if redirect_expected.direction == gt_label:
         raise InvalidSpec("redirect transform failed to change the label")
     base = redirect_track.xy[start:stop]
@@ -543,7 +566,10 @@ def _comfortably_off_thresholds(profile: _Profile) -> bool:
 
     Used by the default suite's rejection sampling so sampled-point
     discretization (sub-degree heading shifts, chord-vs-arc path length) can
-    never flip a label relative to the closed-form oracle.
+    never flip a label relative to the closed-form oracle. The classifier takes
+    its endpoint headings from the first and last sampled chords, which lag the
+    tangents by half a step's turn; at dt > 0.1 that alone can flip a label, so
+    the label must also come out the same from those chords.
     """
     if abs(max(profile.speeds) - _TH.v_stationary) < 0.3 or abs(profile.path - _TH.d_stationary) < 0.75:
         return False
@@ -555,7 +581,20 @@ def _comfortably_off_thresholds(profile: _Profile) -> bool:
     if any(abs(profile.mean_kmh - t) < 0.75 for t in SPEED_THRESHOLDS_KMH):
         return False
     bands = (*ACCEL_THRESHOLDS_KMH, _BP.delta_v_const_kmh)
-    return not any(abs(abs(dv) - t) < 0.75 for dv in profile.dv for t in bands)
+    if any(abs(abs(dv) - t) < 0.75 for dv in profile.dv for t in bands):
+        return False
+    first, second, before_last, last = profile.ends
+    h_start, h_end = _chord_heading(first, second, first[2]), _chord_heading(before_last, last, last[2])
+    lat = -math.sin(h_start) * (last[0] - first[0]) + math.cos(h_start) * (last[1] - first[1])
+    chord_fine = _fine_direction(profile, wrap_angle(h_end - h_start), lat)
+    return chord_fine is _fine_direction(profile, profile.dtheta, profile.lat)
+
+
+def _chord_heading(a: tuple, b: tuple, tangent: float) -> float:
+    """Heading of the chord from pose ``a`` to pose ``b``, or ``tangent`` when
+    the chord is no longer than ``epsilon_disp``."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    return math.atan2(dy, dx) if math.hypot(dx, dy) > _TH.epsilon_disp else tangent
 
 
 def default_suite(n: int = 500, seed: int = 7, horizon: HorizonConfig = HorizonConfig()) -> list[SynthSpec]:

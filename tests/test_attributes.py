@@ -1,14 +1,16 @@
 """Direction, speed, and acceleration category rules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionkit import errors
+from motionkit import attributes, errors
 from motionkit.attributes import (
+    DEFAULT_COLLAPSE,
     AccelCategory,
     DirectionLabel,
     DirectionThresholds,
@@ -21,6 +23,7 @@ from motionkit.attributes import (
     classify_two_step,
     extract_motion_attributes,
 )
+from motionkit.core import HorizonConfig
 from motionkit.synth import Phase, SynthSpec, default_suite, gen_trajectory
 
 from direction_oracle import direction_rules_1d
@@ -316,3 +319,34 @@ class TestTwoStep:
         step1, step2 = classify_two_step(track, horizon)
         assert step1[2] is AccelCategory.MODERATE_ACCEL
         assert step2[2] is AccelCategory.CONSTANT
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 41),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+        st.sampled_from([0.004, 0.05, 0.6, 2.0]),
+    )
+    def test_one_kernel_call_equals_a_call_per_half(self, t_pred, seed, holes, step):
+        """Both halves in one padded N = 2 kernel call give the labels, or the
+        first failing half's error, of one classify_direction_fine call per half."""
+        rng = np.random.default_rng(seed)
+        horizon = HorizonConfig(t_obs=2, t_pred=t_pred, t_select=())
+        n = horizon.n_steps
+        heading = np.cumsum(rng.normal(scale=0.4, size=n))
+        xy = np.cumsum(step * rng.random(n)[:, None] * np.stack([np.cos(heading), np.sin(heading)], axis=1), axis=0)
+        valid = rng.random(n) >= holes
+        track = make_track(xy, speeds=rng.random(n) * 3.0, headings=rng.uniform(-3.0, 3.0, n), valid=valid)
+        start, stop = horizon.future_window
+        mid = start + (stop - start) // 2
+        halves = ((start, mid), (mid, stop))
+        try:
+            expected = [classify_direction_fine(track, half) for half in halves]
+        except errors.InsufficientPoints as exc:
+            for call in (lambda: attributes._classify_windows(track, halves, TH), lambda: classify_two_step(track, horizon)):
+                with pytest.raises(errors.InsufficientPoints, match=re.escape(str(exc))):
+                    call()
+            return
+        assert attributes._classify_windows(track, halves, TH) == expected
+        step1, step2 = classify_two_step(track, horizon)
+        assert [step1[0], step2[0]] == [DEFAULT_COLLAPSE[fine] for fine in expected]

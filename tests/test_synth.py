@@ -1,12 +1,16 @@
 """The synthetic generator: oracle equivalence, determinism, fixtures."""
 
 import hashlib
+import itertools
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motionkit import errors
-from motionkit.attributes import extract_motion_attributes
+from motionkit import errors, synth
+from motionkit.attributes import DirectionLabel, extract_motion_attributes
 from motionkit.behavior import classify_behavior
 from motionkit.core import HorizonConfig, serialize_scenario
 from motionkit.feasibility import feasibility_set
@@ -23,6 +27,8 @@ from motionkit.synth import (
     gen_scenario,
     gen_trajectory,
 )
+
+from phase_oracle import phase_at
 
 H = HorizonConfig()
 
@@ -52,6 +58,30 @@ class TestOracleEquivalence:
         assert fines & {"StraightVeerLeft", "StraightVeerRight"}
 
 
+class TestNonDefaultStep:
+    @pytest.mark.parametrize("dt", [0.2, 0.3])
+    def test_sidecar_equals_extract(self, dt):
+        """Every sidecar field equals what extract and the behavior rules give
+        the same track on the same horizon, also when dt is not 0.1."""
+        horizon = HorizonConfig(dt=dt)
+        mismatches = []
+        for scenario, expected in build_corpus(300, seed=7, horizon=horizon, topology=None):
+            track = scenario.focal_track
+            attrs = extract_motion_attributes(track, horizon)
+            labelled = {
+                "scenario_id": scenario.scenario_id,
+                "fine_direction": attrs.fine_direction.value,
+                "direction": attrs.direction.value,
+                "speed": attrs.speed.value,
+                "acceleration": attrs.acceleration.value,
+                "behavior": classify_behavior(track, horizon).value,
+            }
+            sidecar = expectation_to_obj(scenario.scenario_id, expected)
+            if labelled != sidecar:
+                mismatches.append((sidecar, labelled))
+        assert mismatches == []
+
+
 class TestDeterminism:
     def test_suite_is_seed_deterministic(self):
         assert default_suite(60, seed=21) == default_suite(60, seed=21)
@@ -67,8 +97,9 @@ class TestDeterminism:
 def _pinned_parts(case: str):
     """The byte chunks whose sha256 ``TestPinnedBytes`` pins for ``case``."""
     kind, _, arg = case.partition(":")
-    if kind == "corpus":
-        for scenario, expected in build_corpus(12, seed=3, topology=arg):
+    if kind in ("corpus", "horizon"):
+        n, topology, horizon = (12, arg, H) if kind == "corpus" else (30, "single", _PINNED_HORIZONS[arg])
+        for scenario, expected in build_corpus(n, seed=3, horizon=horizon, topology=topology):
             yield serialize_scenario(scenario).encode()
             yield json.dumps(expectation_to_obj(scenario.scenario_id, expected), sort_keys=True).encode()
     elif kind == "suite":
@@ -91,6 +122,10 @@ def _pinned_parts(case: str):
             yield repr(exp).encode()
 
 
+# Corpora on other horizons: a long future window, and 0.2 s steps, where the
+# suite's chord check rejects draws that the 0.1 s margins alone would accept.
+_PINNED_HORIZONS = {"t_pred_120": HorizonConfig(t_pred=120, t_select=(119,)), "dt_0.2": HorizonConfig(dt=0.2)}
+
 # sha256 of the generator's output. Corpora, sidecars and prediction sets feed
 # every benchmark input and fixture, so a refactor must leave these unchanged.
 PINNED_SHA256 = {
@@ -103,6 +138,8 @@ PINNED_SHA256 = {
     "predictions:none": "b722c2fd2b554962af6ccc8b9a84bcc38a6c3866321cecbb99428d9f76c14733",
     "predictions:jitter": "97da9e1576e1cb1b38a9569a58fc4f566e257bcbd613a960a9a50b7115a44754",
     "trajectory:t_pred_120": "659b1147c9f6fce25c92aa396085b515c3045f7822cd3854b01918a48423a370",
+    "horizon:t_pred_120": "149f04f7ca9ca8406b81c8df9a93607cdb42d3656e5f37fea04a8eb1d85c23b3",
+    "horizon:dt_0.2": "da4ad2ddbe7ffbd431a02942ce00d788c75893c22f12409b666e19ebf3f906e7",
 }
 
 
@@ -186,7 +223,69 @@ class TestPredictionSets:
         )
         assert ifr_scenario(exp.direction, preds, H.dt)[0] == pytest.approx(4.0 / 6.0)
 
+    def test_redirect_cache_repeats_a_fresh_build(self):
+        track, _ = gen_trajectory(SynthSpec(kind="straight", speed=10.0), H)
+        for label in DirectionLabel:
+            synth._redirect.cache_clear()
+            fresh = gen_prediction_set(track, label, 1, n_modes=3, horizon=H)
+            for _ in range(2):
+                again = gen_prediction_set(track, label, 1, n_modes=3, horizon=H)
+                assert np.array_equal(again.trajectories, fresh.trajectories)
+            assert synth._redirect.cache_info().hits == 2
+
+    def test_cached_redirect_track_is_read_only(self):
+        track, _ = synth._redirect(synth._redirect_spec(DirectionLabel.STRAIGHT), H)
+        assert track == gen_trajectory(synth._redirect_spec(DirectionLabel.STRAIGHT), H)[0]
+        for array in (track.xy, track.headings, track.speeds, track.valid_mask):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            track.xy[0, 0] = 1.0
+
+    def test_redirects_are_cached_per_horizon(self):
+        short = HorizonConfig(t_pred=50, t_select=(49,))
+        spec = synth._redirect_spec(DirectionLabel.STRAIGHT)
+        a, b = synth._redirect(spec, short)[0], synth._redirect(spec, H)[0]
+        assert (len(a.xy), len(b.xy)) == (short.n_steps, H.n_steps)
+        for horizon in (short, H):
+            track, exp = gen_trajectory(SynthSpec(kind="straight", speed=10.0), horizon)
+            preds = gen_prediction_set(track, exp.direction, 0, n_modes=2, horizon=horizon)
+            assert preds.trajectories.shape == (2, horizon.t_pred, 2)
+            assert ifr_scenario(exp.direction, preds, horizon.dt)[0] == 0.0
+
     def test_match_count_bounds(self):
         track, exp = gen_trajectory(SynthSpec(kind="straight", speed=10.0), H)
         with pytest.raises(errors.InvalidSpec):
             gen_prediction_set(track, exp.direction, match_count=7, n_modes=6, horizon=H)
+
+
+# A phase: zero-duration phases allowed; an arc only when it covers a positive distance.
+_phases = st.builds(
+    lambda duration, v0, v1, angle: Phase(duration, v0, v1, angle if duration * (v0 + v1) / 2.0 > 0 else 0.0),
+    st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+    st.floats(0.0, 30.0),
+    st.floats(0.0, 30.0),
+    st.one_of(st.just(0.0), st.floats(-150.0, 150.0)),
+)
+
+
+class TestPhasePlan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_phases, min_size=1, max_size=5),
+        st.lists(st.floats(-0.5, 1.5), max_size=12),
+        st.lists(st.tuples(st.integers(0, 5), st.sampled_from([-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12]))),
+    )
+    def test_sample_and_kinematics_equal_the_row_scan(self, phases, fractions, near_starts):
+        """Times inside and outside [0, t_end] and within 1e-12 of a row start,
+        nondecreasing as in every caller."""
+        phases = tuple(phases)
+        plan = synth._PhasePlan(phases)
+        starts = list(itertools.accumulate((ph.duration_s for ph in phases[:-1]), initial=0.0))
+        times = sorted(
+            [f * plan.t_end for f in fractions]
+            + [starts[i % len(starts)] + d for i, d in near_starts]
+            + [-1.0, plan.t_end, plan.t_end + 1.0]
+        )
+        expected = [phase_at(phases, t) for t in times]
+        assert plan.sample(times) == expected
+        assert plan.kinematics(np.array(times))[2].tolist() == [v for _, _, _, v, _ in expected]
