@@ -123,6 +123,24 @@ class LabelRules:
             object.__setattr__(self, name, tuple(bands))
 
 
+def classify_turn(dtheta: float, lat: float, th: DirectionThresholds) -> FineDirection:
+    """The heading rule, shared by track windows and feasibility candidates:
+    Straight when |dtheta| <= theta_s, otherwise a turn toward sign(dtheta),
+    upgraded to a U-turn when ``lat`` lies more than d_u on the side opposite
+    the turn. ``dtheta`` is in radians, ``lat`` in meters (positive left)."""
+    if abs(dtheta) <= math.radians(th.theta_s):
+        return FineDirection.STRAIGHT
+    if dtheta > 0:
+        return FineDirection.LEFT_U_TURN if lat < -th.d_u else FineDirection.LEFT_TURN
+    return FineDirection.RIGHT_U_TURN if lat > th.d_u else FineDirection.RIGHT_TURN
+
+
+def speed_change_kmh(dv_mps: float, steps: int, dt: float) -> float:
+    """A speed change over a window of ``steps`` steps of ``dt`` seconds, in
+    km/h rescaled to the 8 s reference window of the acceleration table."""
+    return dv_mps * MPS_TO_KMH * (REFERENCE_WINDOW_S / (steps * dt))
+
+
 def chords(xy: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """The chords between consecutive valid samples of each row of (N, T, 2) points.
 
@@ -138,7 +156,7 @@ def chords(xy: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, Optional[np.n
     steps = np.where(valid, np.arange(valid.shape[1]), -1)
     start = np.maximum.accumulate(steps, axis=1)[:, :-1]
     ok = valid[:, 1:] & (start >= 0)
-    origin = np.take_along_axis(xy, np.maximum(start, 0)[:, :, None], axis=1)
+    origin = xy[np.arange(len(xy))[:, None], np.maximum(start, 0)]
     return xy[:, 1:] - origin, ok, start
 
 
@@ -162,10 +180,8 @@ def classify_direction_arrays(
     2. Otherwise compute the heading change ``dtheta`` between the first and
        last samples (headings inferred from consecutive displacements) and the
        endpoint's (lon, lat) in the frame of the window start.
-    3. |dtheta| <= theta_s: Straight, upgraded to a veer when |lat| > d_v
-       (positive lat veers left).
-    4. |dtheta| > theta_s: turn toward sign(dtheta), upgraded to a U-turn when
-       the endpoint lies more than d_u on the side opposite the turn.
+    3. :func:`classify_turn` of ``dtheta`` and the endpoint's lat; a Straight
+       is upgraded to a veer when |lat| > d_v (positive lat veers left).
 
     The floats match a per-row walk over the packed valid samples bit for bit:
     endpoint headings come from ``math.atan2`` (``np.arctan2`` can differ in
@@ -198,7 +214,6 @@ def classify_direction_arrays(
     last_seg, any_big = seg[rows, last_big].tolist(), big[rows, last_big].tolist()
     first_seg, first_big, disp, slow = first_seg.tolist(), first_big.tolist(), disp.tolist(), slow.tolist()
     fallback = [float(h) for h in fallback_headings]
-    theta_s = math.radians(th.theta_s)
 
     labels: list[Optional[FineDirection]] = []
     for i in range(n):
@@ -212,33 +227,30 @@ def classify_direction_arrays(
                 continue
         h_start = math.atan2(first_seg[i][1], first_seg[i][0]) if first_big[i] else fallback[i]
         h_end = math.atan2(last_seg[i][1], last_seg[i][0]) if any_big[i] else fallback[i]
-        dtheta = wrap_angle(h_end - h_start)
         dx, dy = disp[i]
         lat = -math.sin(h_start) * dx + math.cos(h_start) * dy
-        if abs(dtheta) <= theta_s:
-            if abs(lat) > th.d_v:
-                labels.append(FineDirection.STRAIGHT_VEER_LEFT if lat > 0 else FineDirection.STRAIGHT_VEER_RIGHT)
-            else:
-                labels.append(FineDirection.STRAIGHT)
-        elif dtheta > 0:
-            labels.append(FineDirection.LEFT_U_TURN if lat < -th.d_u else FineDirection.LEFT_TURN)
-        else:
-            labels.append(FineDirection.RIGHT_U_TURN if lat > th.d_u else FineDirection.RIGHT_TURN)
+        fine = classify_turn(wrap_angle(h_end - h_start), lat, th)
+        if fine is FineDirection.STRAIGHT and abs(lat) > th.d_v:
+            fine = FineDirection.STRAIGHT_VEER_LEFT if lat > 0 else FineDirection.STRAIGHT_VEER_RIGHT
+        labels.append(fine)
     return labels
-
-
-def _valid_steps(track: AgentTrack, window: tuple[int, int]) -> np.ndarray:
-    """Indices of the valid steps in ``window`` (half-open [start, stop))."""
-    start, stop = window
-    return start + np.flatnonzero(track.valid_mask[start:stop])
 
 
 def _classify_windows(
     track: AgentTrack, windows: Sequence[tuple[int, int]], th: DirectionThresholds
-) -> list[FineDirection]:
-    """:func:`classify_direction_fine` of each half-open window, in one kernel
-    call: a window shorter than the widest is padded with invalid trailing
-    steps, which the rules skip."""
+) -> list[tuple[FineDirection, float, float]]:
+    """One labelling pass over half-open [start, stop) windows of ``track``:
+    each window's fine direction, the mean of its valid speeds in km/h, and
+    its last-minus-first valid speed change in m/s. Raises
+    :class:`InsufficientPoints` for the first window with fewer than two
+    valid points.
+
+    The windows are stacked into one (N, T) array, a window shorter than the
+    widest padded with invalid trailing steps, and labelled by one
+    :func:`classify_direction_arrays` call. One mask of the stack packs the
+    valid speeds; each window's are summed on their own, which matches
+    ``np.mean`` bit for bit where a row sum over the padding could not.
+    """
     valid = [track.valid_mask[start:stop] for start, stop in windows]
     shape = (len(windows), max(v.size for v in valid))
     xy, speeds, mask = np.zeros((*shape, 2)), np.zeros(shape), np.zeros(shape, bool)
@@ -247,10 +259,13 @@ def _classify_windows(
         xy[i, :n], speeds[i, :n], mask[i, :n] = track.xy[start:stop], track.speeds[start:stop], v
     fallback = [track.headings[start + int(v.argmax())] if v.size else 0.0 for (start, _), v in zip(windows, valid)]
     labels = classify_direction_arrays(xy, speeds, mask, fallback, th)
-    for (start, stop), v, label in zip(windows, valid, labels):
+    packed, end, out = speeds[mask], 0, []
+    for (start, stop), count, label in zip(windows, mask.sum(axis=1).tolist(), labels):
         if label is None:
-            raise InsufficientPoints(f"window [{start}, {stop}) has {int(v.sum())} valid points")
-    return labels
+            raise InsufficientPoints(f"window [{start}, {stop}) has {count} valid points")
+        row, end = packed[end : end + count], end + count
+        out.append((label, float(row.sum()) / count * MPS_TO_KMH, float(row[-1] - row[0])))
+    return out
 
 
 def classify_direction_fine(
@@ -261,15 +276,7 @@ def classify_direction_fine(
     """Classify the motion over ``window`` (half-open [start, stop) step
     indices), ignoring invalid steps; see :func:`classify_direction_arrays`
     for the rules."""
-    start, stop = window
-    valid = track.valid_mask[start:stop]
-    fallback = track.headings[start + int(valid.argmax())] if valid.size else 0.0
-    (label,) = classify_direction_arrays(
-        track.xy[None, start:stop], track.speeds[None, start:stop], valid[None], [fallback], th
-    )
-    if label is None:
-        raise InsufficientPoints(f"window [{start}, {stop}) has {int(valid.sum())} valid points")
-    return label
+    return _classify_windows(track, [window], th)[0][0]
 
 
 def classify_speed(
@@ -310,44 +317,35 @@ def classify_acceleration(
     return levels[-1]
 
 
-def window_mean_speed_kmh(track: AgentTrack, window: tuple[int, int]) -> float:
-    steps = _valid_steps(track, window)
-    if not steps.size:
-        raise InsufficientPoints("no valid points in window")
-    return float(np.mean(track.speeds[steps])) * MPS_TO_KMH
-
-
-def window_delta_v_kmh(track: AgentTrack, window: tuple[int, int], dt: float) -> float:
-    """Signed speed change over the window, rescaled to the 8 s table convention.
-
-    The window of n steps stands for n * dt seconds; the raw last-minus-first
-    valid speed difference is multiplied by (8 s / window duration).
-    """
-    steps = _valid_steps(track, window)
-    if steps.size < 2:
-        raise InsufficientPoints("need >= 2 valid points for a speed change")
-    duration = (window[1] - window[0]) * dt
-    raw = float(track.speeds[steps[-1]] - track.speeds[steps[0]]) * MPS_TO_KMH
-    return raw * (REFERENCE_WINDOW_S / duration)
-
-
 StepAttributes = tuple[DirectionLabel, SpeedCategory, AccelCategory]
+
+
+def _window_attributes(
+    track: AgentTrack, windows: Sequence[tuple[int, int]], dt: float, rules: LabelRules
+) -> list[tuple[FineDirection, SpeedCategory, AccelCategory]]:
+    """Each window's fine direction and its speed and acceleration bands, from one labelling pass."""
+    speed, accel = rules.speed_kmh, rules.accel_kmh
+    return [
+        (fine, classify_speed(mean, speed), classify_acceleration(speed_change_kmh(dv, b - a, dt), accel))
+        for (a, b), (fine, mean, dv) in zip(windows, _classify_windows(track, windows, rules.direction))
+    ]
+
+
+def _halves(horizon: HorizonConfig) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The future window split at its midpoint."""
+    start, stop = horizon.future_window
+    mid = start + (stop - start) // 2
+    return (start, mid), (mid, stop)
 
 
 def classify_two_step(
     track: AgentTrack, horizon: HorizonConfig, rules: LabelRules = LabelRules()
 ) -> tuple[StepAttributes, StepAttributes]:
     """Split the future window at its midpoint and classify each half
-    independently; one kernel call labels both halves' directions."""
-    start, stop = horizon.future_window
-    mid = start + (stop - start) // 2
-    halves = ((start, mid), (mid, stop))
-    steps = []
-    for half, fine in zip(halves, _classify_windows(track, halves, rules.direction)):
-        speed = classify_speed(window_mean_speed_kmh(track, half), rules.speed_kmh)
-        accel = classify_acceleration(window_delta_v_kmh(track, half, horizon.dt), rules.accel_kmh)
-        steps.append((rules.collapse[fine], speed, accel))
-    return steps[0], steps[1]
+    independently, both halves in one labelling pass."""
+    labels = _window_attributes(track, _halves(horizon), horizon.dt, rules)
+    first, second = ((rules.collapse[f], s, a) for f, s, a in labels)
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -364,12 +362,13 @@ class MotionAttributes:
 def extract_motion_attributes(
     track: AgentTrack, horizon: HorizonConfig, rules: LabelRules = LabelRules()
 ) -> MotionAttributes:
-    window = horizon.future_window
-    fine = classify_direction_fine(track, window, rules.direction)
+    """The future window and both of its halves, labelled in one pass."""
+    windows = (horizon.future_window, *_halves(horizon))
+    (fine, speed, accel), *halves = _window_attributes(track, windows, horizon.dt, rules)
     return MotionAttributes(
         fine_direction=fine,
         direction=rules.collapse[fine],
-        speed=classify_speed(window_mean_speed_kmh(track, window), rules.speed_kmh),
-        acceleration=classify_acceleration(window_delta_v_kmh(track, window, horizon.dt), rules.accel_kmh),
-        two_step=classify_two_step(track, horizon, rules),
+        speed=speed,
+        acceleration=accel,
+        two_step=tuple((rules.collapse[f], s, a) for f, s, a in halves),
     )

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .attributes import REFERENCE_WINDOW_S
-from .core import MPS_TO_KMH, AgentTrack, HorizonConfig
+from .attributes import speed_change_kmh
+from .core import AgentTrack, HorizonConfig
 from .errors import CapError, CoverageError, InsufficientPoints, SchemaError, UnknownScenarioType
 
 MAX_ENTRIES_PER_SIDE = 10
@@ -103,7 +103,7 @@ def classify_behavior(
     def delta_v(sub: np.ndarray, steps: int) -> float:
         if sub.size < 2 or steps <= 0:
             return 0.0
-        return float(sub[-1] - sub[0]) * MPS_TO_KMH * (REFERENCE_WINDOW_S / (steps * dt))
+        return speed_change_kmh(float(sub[-1] - sub[0]), steps, dt)
 
     band = params.delta_v_const_kmh
     mid = n_steps // 2

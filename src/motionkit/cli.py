@@ -197,7 +197,12 @@ def cmd_gen_instructions(args, cfg: Config) -> int:
     if args.draws is not None and args.draws < 0:
         raise ConfigError("--draws must be >= 0")
     sampler = None
-    if args.mix is not None:
+    if args.mix is None:
+        flags = {"--balanced/--no-balanced": args.balanced, "--seed": args.seed, "--draws": args.draws}
+        for flag, value in flags.items():
+            if value is not None:
+                raise ConfigError(f"{flag} applies only with --mix")
+    else:
         try:
             gt_s, if_s = args.mix.split(":")
             gt_frac, if_frac = float(gt_s), float(if_s)

@@ -27,7 +27,14 @@ from .behavior import BehaviorParams
 from .core import HorizonConfig
 from .errors import ConfigError, MotionKitError
 from .feasibility import FeasibilityParams
-from .instructions import SamplerConfig
+
+
+@dataclass(frozen=True)
+class SamplerDefaults:
+    """The defaults of ``gen-instructions --balanced`` and ``--seed``; the mixture is ``--mix``."""
+
+    class_balanced: bool = True
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -36,7 +43,7 @@ class Config:
     rules: LabelRules = field(default_factory=LabelRules)
     feasibility: FeasibilityParams = field(default_factory=FeasibilityParams)
     behavior: BehaviorParams = field(default_factory=BehaviorParams)
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
+    sampler: SamplerDefaults = field(default_factory=SamplerDefaults)
     jobs: int = 1
     guidelines: Optional[str] = None
 
@@ -163,7 +170,7 @@ def load_config(path: Optional[str] = None) -> Config:
         rules=rules,
         feasibility=_build(FeasibilityParams, obj, "feasibility"),
         behavior=_build(BehaviorParams, obj, "behavior"),
-        sampler=_build(SamplerConfig, obj, "sampler"),
+        sampler=_build(SamplerDefaults, obj, "sampler"),
         jobs=jobs,
         guidelines=guidelines,
     )

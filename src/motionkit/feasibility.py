@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .attributes import DirectionLabel, FineDirection, LabelRules, classify_direction_fine
+from .attributes import DirectionLabel, LabelRules, classify_direction_fine, classify_turn
 from .core import MPS_TO_KMH, Lane, Scenario
 from .errors import InvalidAnchor, SchemaError
 from .geometry import point_along_polyline, polyline_arclength, rotate_into_frame, wrap_angle
@@ -205,22 +205,10 @@ def enumerate_candidates(
 
 
 def classify_candidate(candidate: Candidate, rules: LabelRules) -> DirectionLabel:
-    """Map one destination sample to a coarse direction with the shared rules.
-
-    Candidates never classify Stationary (that feasibility comes from the
-    speed rule alone) nor as a veer; a turn becomes a U-turn when the sample
-    lies more than ``d_u`` on the side opposite the turn, and the collapse
-    maps the result onto a coarse label.
-    """
-    th = rules.direction
-    dtheta = candidate.rel_heading
-    if abs(dtheta) <= math.radians(th.theta_s):
-        fine = FineDirection.STRAIGHT
-    elif dtheta > 0:
-        fine = FineDirection.LEFT_U_TURN if candidate.lat < -th.d_u else FineDirection.LEFT_TURN
-    else:
-        fine = FineDirection.RIGHT_U_TURN if candidate.lat > th.d_u else FineDirection.RIGHT_TURN
-    return rules.collapse[fine]
+    """Map one destination sample to a coarse direction with the heading rule of
+    ground-truth windows, :func:`attributes.classify_turn`. Candidates never
+    classify Stationary (that comes from the speed rule alone) nor as a veer."""
+    return rules.collapse[classify_turn(candidate.rel_heading, candidate.lat, rules.direction)]
 
 
 def feasibility_set(

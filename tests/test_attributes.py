@@ -22,12 +22,14 @@ from motionkit.attributes import (
     classify_speed,
     classify_two_step,
     extract_motion_attributes,
+    speed_change_kmh,
 )
 from motionkit.core import HorizonConfig
 from motionkit.synth import Phase, SynthSpec, default_suite, gen_trajectory
 
 from direction_oracle import direction_rules_1d
 from tracks import circle_track, make_track, mirror_track, rigid_transform
+from window_oracle import window_delta_v_kmh, window_mean_speed_kmh
 
 TH = DirectionThresholds()
 
@@ -320,33 +322,73 @@ class TestTwoStep:
         assert step1[2] is AccelCategory.MODERATE_ACCEL
         assert step2[2] is AccelCategory.CONSTANT
 
-    @settings(max_examples=200, deadline=None)
+
+def random_track(n: int, seed: int, holes: float, step: float):
+    rng = np.random.default_rng(seed)
+    heading = np.cumsum(rng.normal(scale=0.4, size=n))
+    xy = np.cumsum(step * rng.random(n)[:, None] * np.stack([np.cos(heading), np.sin(heading)], axis=1), axis=0)
+    valid = rng.random(n) >= holes
+    return make_track(xy, speeds=rng.random(n) * 30.0, headings=rng.uniform(-3.0, 3.0, n), valid=valid)
+
+
+class TestOnePass:
+    @settings(max_examples=300, deadline=None)
     @given(
-        st.integers(1, 41),
+        st.one_of(st.integers(1, 41), st.integers(120, 300)),
         st.integers(0, 2**32 - 1),
         st.sampled_from([0.0, 0.2, 0.5, 0.9]),
         st.sampled_from([0.004, 0.05, 0.6, 2.0]),
+        st.sampled_from([0.1, 0.25]),
     )
-    def test_one_kernel_call_equals_a_call_per_half(self, t_pred, seed, holes, step):
-        """Both halves in one padded N = 2 kernel call give the labels, or the
-        first failing half's error, of one classify_direction_fine call per half."""
-        rng = np.random.default_rng(seed)
-        horizon = HorizonConfig(t_obs=2, t_pred=t_pred, t_select=())
-        n = horizon.n_steps
-        heading = np.cumsum(rng.normal(scale=0.4, size=n))
-        xy = np.cumsum(step * rng.random(n)[:, None] * np.stack([np.cos(heading), np.sin(heading)], axis=1), axis=0)
-        valid = rng.random(n) >= holes
-        track = make_track(xy, speeds=rng.random(n) * 3.0, headings=rng.uniform(-3.0, 3.0, n), valid=valid)
+    def test_one_pass_equals_the_per_window_oracle(self, t_pred, seed, holes, step, dt):
+        """The window and both halves, labelled in one pass, against the per-row
+        direction rules and the per-window speed functions; with a window of
+        fewer than two valid points, the first such window's error."""
+        horizon = HorizonConfig(t_obs=2, t_pred=t_pred, t_select=(), dt=dt)
+        track = random_track(horizon.n_steps, seed, holes, step)
         start, stop = horizon.future_window
         mid = start + (stop - start) // 2
-        halves = ((start, mid), (mid, stop))
-        try:
-            expected = [classify_direction_fine(track, half) for half in halves]
-        except errors.InsufficientPoints as exc:
-            for call in (lambda: attributes._classify_windows(track, halves, TH), lambda: classify_two_step(track, horizon)):
-                with pytest.raises(errors.InsufficientPoints, match=re.escape(str(exc))):
-                    call()
-            return
-        assert attributes._classify_windows(track, halves, TH) == expected
-        step1, step2 = classify_two_step(track, horizon)
-        assert [step1[0], step2[0]] == [DEFAULT_COLLAPSE[fine] for fine in expected]
+        windows = ((start, stop), (start, mid), (mid, stop))
+        expected = []
+        for window in windows:
+            steps = window[0] + np.flatnonzero(track.valid_mask[window[0] : window[1]])
+            if steps.size < 2:
+                message = f"window [{window[0]}, {window[1]}) has {steps.size} valid points"
+                calls = [lambda: attributes._classify_windows(track, windows, TH)]
+                calls.append(lambda: extract_motion_attributes(track, horizon))
+                if window != windows[0]:  # the first short half is also classify_two_step's error
+                    calls.append(lambda: classify_two_step(track, horizon))
+                for call in calls:
+                    with pytest.raises(errors.InsufficientPoints, match=re.escape(message)):
+                        call()
+                return
+            fine = direction_rules_1d(track.xy[steps], track.speeds[steps], TH, float(track.headings[steps[0]]))
+            expected.append((fine, window_mean_speed_kmh(track, window), window_delta_v_kmh(track, window, dt)))
+
+        labelled = attributes._classify_windows(track, windows, TH)
+        got = [
+            (fine, mean, speed_change_kmh(change, stop - start, dt))
+            for (start, stop), (fine, mean, change) in zip(windows, labelled)
+        ]
+        assert got == expected
+        bands = [(fine, classify_speed(mean), classify_acceleration(dv)) for fine, mean, dv in expected]
+        collapsed = tuple((DEFAULT_COLLAPSE[fine], speed, accel) for fine, speed, accel in bands[1:])
+        assert extract_motion_attributes(track, horizon) == attributes.MotionAttributes(
+            bands[0][0], DEFAULT_COLLAPSE[bands[0][0]], bands[0][1], bands[0][2], collapsed
+        )
+        assert classify_two_step(track, horizon) == collapsed
+        assert classify_direction_fine(track, windows[0]) is expected[0][0]
+
+    def test_one_kernel_call_per_track(self, horizon, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].shape[0])
+            return kernel(*args)
+
+        kernel = attributes.classify_direction_arrays
+        monkeypatch.setattr(attributes, "classify_direction_arrays", counting)
+        for spec in default_suite(8, seed=3):
+            track, _ = gen_trajectory(spec, horizon)
+            extract_motion_attributes(track, horizon)
+        assert calls == [3] * 8

@@ -669,6 +669,10 @@ class TestConfigHandling:
             (("--mix", "1.5:-0.5"), "mixture fractions must lie in [0, 1]"),
             (("--mix", "0.6:0.6"), "gt_fraction + if_fraction must equal 1"),
             (("--mix", "0.7:0.3", "--draws", "-4"), "--draws must be >= 0"),
+            (("--draws", "3"), "--draws applies only with --mix"),
+            (("--seed", "4"), "--seed applies only with --mix"),
+            (("--no-balanced",), "--balanced/--no-balanced applies only with --mix"),
+            (("--mode", "behavior", "--seed", "4"), "--seed applies only with --mix"),
         ],
     )
     def test_out_of_range_sampling_flags(self, tmp_path, capsys, corpus, flags, message):
@@ -697,6 +701,7 @@ class TestConfigHandling:
             ({"accel_thresholds_kmh": [6, 25, 46, True]}, f"acceleration {BANDS} [6, 25, 46, True]"),
             ({"accel_thresholds_kmh": [6, 25, 46, float("inf")]}, f"acceleration {BANDS} [6, 25, 46, inf]"),
             ({"accel_thresholds_kmh": [6, 25, 46, 10**400]}, f"acceleration {BANDS} [6, 25, 46, {10**400}]"),
+            ({"sampler": {"gt_fraction": 0.7, "if_fraction": 0.3}}, "sampler: unknown key(s) ['gt_fraction', 'if_fraction']"),
         ],
         ids=[
             "horizon_number",
@@ -712,6 +717,7 @@ class TestConfigHandling:
             "accel_boolean",
             "accel_infinite",
             "accel_too_large_for_a_float",
+            "sampler_mixture_fractions",
         ],
     )
     def test_config_of_the_wrong_type_is_exit_2(self, tmp_path, capsys, obj, message):

@@ -66,5 +66,8 @@ def test_one_span_per_unit_of_work(tmp_path):
     for name in ("extract", "feasibility", "gen-instructions"):
         assert spans[name, "cli.worker"] == len(scenarios), name
     assert spans["evaluate", "cli.worker"] == n_rows
+    # the GT label of each scenario, and the two-step caption of each GT row, through the traced names
+    assert spans["feasibility", "attributes.classify_direction_fine"] == len(scenarios)
+    assert spans["gen-instructions", "attributes.classify_two_step"] == len(gt_rows)
     assert spans["evaluate", "metrics.aggregate"] == 1
     assert spans["evaluate", "metrics.prediction_set"] == len(gt_rows)
