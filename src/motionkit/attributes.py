@@ -162,14 +162,15 @@ def chords(xy: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, Optional[np.n
 
 def classify_direction_arrays(
     xy: np.ndarray,
-    speeds: np.ndarray,
+    max_speed: Sequence[float],
     valid: np.ndarray,
     fallback_headings: Sequence[float],
     th: DirectionThresholds = DirectionThresholds(),
 ) -> list[Optional[FineDirection]]:
-    """Direction rules for N rows of (N, T, 2) points, (N, T) speeds and an
-    (N, T) validity mask; invalid samples are skipped. Returns one label per
-    row, None for a row with fewer than two valid samples.
+    """Direction rules for N rows of (N, T, 2) points, the max speed over each
+    row's valid samples, and an (N, T) validity mask; invalid samples are
+    skipped. Returns one label per row, None for a row with fewer than two
+    valid samples.
 
     ``fallback_headings[i]`` stands in for both endpoint headings of row ``i``
     when none of its displacements exceeds ``epsilon_disp`` (the
@@ -199,20 +200,19 @@ def classify_direction_arrays(
         enough = [True] * n
         first_seg, first_big = seg[:, 0], big[:, 0]
         disp = xy[:, -1] - xy[:, 0]
-        slow = speeds.max(axis=1) < th.v_stationary
     else:
         big &= ok
         enough = ok.any(axis=1).tolist()
         first_chord = ok.argmax(axis=1)
         first_seg, first_big = seg[rows, first_chord], big[rows, first_chord]
         disp = xy[rows, t - 1 - valid[:, ::-1].argmax(axis=1)] - xy[rows, valid.argmax(axis=1)]
-        slow = np.where(valid, speeds, -np.inf).max(axis=1) < th.v_stationary
     # Only the first and last carried headings matter: the carry chain makes
     # the start heading the first chord (or the fallback) and the end heading
     # the most recent above-threshold chord overall.
     last_big = t - 2 - big[:, ::-1].argmax(axis=1)
     last_seg, any_big = seg[rows, last_big].tolist(), big[rows, last_big].tolist()
-    first_seg, first_big, disp, slow = first_seg.tolist(), first_big.tolist(), disp.tolist(), slow.tolist()
+    first_seg, first_big, disp = first_seg.tolist(), first_big.tolist(), disp.tolist()
+    slow = (np.asarray(max_speed) < th.v_stationary).tolist()
     fallback = [float(h) for h in fallback_headings]
 
     labels: list[Optional[FineDirection]] = []
@@ -245,26 +245,27 @@ def _classify_windows(
     :class:`InsufficientPoints` for the first window with fewer than two
     valid points.
 
-    The windows are stacked into one (N, T) array, a window shorter than the
-    widest padded with invalid trailing steps, and labelled by one
-    :func:`classify_direction_arrays` call. One mask of the stack packs the
-    valid speeds; each window's are summed on their own, which matches
-    ``np.mean`` bit for bit where a row sum over the padding could not.
+    The windows' points are stacked into one (N, T) array, a window shorter
+    than the widest padded with invalid trailing steps, and labelled by one
+    :func:`classify_direction_arrays` call. Each window's valid speeds are
+    packed straight from the track and give its max, mean and change; a
+    packed sum matches ``np.mean`` bit for bit where a row sum over the
+    padding could not.
     """
     valid = [track.valid_mask[start:stop] for start, stop in windows]
+    speeds = [track.speeds[start:stop][v] for (start, stop), v in zip(windows, valid)]
     shape = (len(windows), max(v.size for v in valid))
-    xy, speeds, mask = np.zeros((*shape, 2)), np.zeros(shape), np.zeros(shape, bool)
+    xy, mask = np.zeros((*shape, 2)), np.zeros(shape, bool)
     for i, ((start, stop), v) in enumerate(zip(windows, valid)):
         n = v.size
-        xy[i, :n], speeds[i, :n], mask[i, :n] = track.xy[start:stop], track.speeds[start:stop], v
+        xy[i, :n], mask[i, :n] = track.xy[start:stop], v
     fallback = [track.headings[start + int(v.argmax())] if v.size else 0.0 for (start, _), v in zip(windows, valid)]
-    labels = classify_direction_arrays(xy, speeds, mask, fallback, th)
-    packed, end, out = speeds[mask], 0, []
-    for (start, stop), count, label in zip(windows, mask.sum(axis=1).tolist(), labels):
+    labels = classify_direction_arrays(xy, [row.max(initial=-np.inf) for row in speeds], mask, fallback, th)
+    out = []
+    for (start, stop), row, label in zip(windows, speeds, labels):
         if label is None:
-            raise InsufficientPoints(f"window [{start}, {stop}) has {count} valid points")
-        row, end = packed[end : end + count], end + count
-        out.append((label, float(row.sum()) / count * MPS_TO_KMH, float(row[-1] - row[0])))
+            raise InsufficientPoints(f"window [{start}, {stop}) has {row.size} valid points")
+        out.append((label, float(row.sum()) / row.size * MPS_TO_KMH, float(row[-1] - row[0])))
     return out
 
 

@@ -215,18 +215,16 @@ def _gt_future(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 def build_direction_row(
     scenario: Scenario,
     instructed: DirectionLabel,
-    params: FeasibilityParams = FeasibilityParams(),
+    report: FeasibilityReport,
     rules: LabelRules = LabelRules(),
-    report: Optional[FeasibilityReport] = None,
 ) -> InstructionRecord:
-    """Compose feasibility tagging and templating into one dataset row.
+    """Compose feasibility tagging and templating into one dataset row, given
+    the scenario's :func:`feasibility_set` report.
 
     GT rows carry the two-step caption and the ground-truth future trajectory;
     F rows accept without a step plan (no trajectory realizes them); IF rows
     reject.
     """
-    if report is None:
-        report = feasibility_set(scenario, params, rules)
     tag = tag_instruction(report, instructed)
     common = dict(
         scenario_id=scenario.scenario_id,
@@ -259,7 +257,7 @@ def build_direction_rows(
 ) -> list[InstructionRecord]:
     """One row per direction label (the GT row first, then F, then IF)."""
     report = feasibility_set(scenario, params, rules)
-    rows = [build_direction_row(scenario, d, params, rules, report=report) for d in DirectionLabel]
+    rows = [build_direction_row(scenario, d, report, rules) for d in DirectionLabel]
     order = {FeasTag.GT: 0, FeasTag.F: 1, FeasTag.IF: 2}
     rows.sort(key=lambda r: (order[r.feas_tag], r.direction.value))  # type: ignore[union-attr]
     return rows
@@ -321,9 +319,9 @@ _GT_BITS = 53
 
 
 def sample_training_mix(
-    rows: Sequence[InstructionRecord], cfg: SamplerConfig, n_draws: Optional[int] = None
+    rows: Sequence[InstructionRecord], cfg: SamplerConfig, n_draws: int
 ) -> Iterator[InstructionRecord]:
-    """Emit a GT/IF training mixture with optional class balancing.
+    """Emit ``n_draws`` rows of a GT/IF training mixture with optional class balancing.
 
     Each draw picks a GT row with probability ``gt_fraction`` and an IF row
     otherwise. With ``class_balanced``, the GT draw first picks uniformly among
@@ -343,8 +341,6 @@ def sample_training_mix(
     if cfg.if_fraction > 0 and not if_rows:
         raise EmptyClass("mixture requests IF rows but none are available")
 
-    if n_draws is None:
-        n_draws = len(rows)
     rng = random.Random(cfg.seed)
     threshold = round(cfg.gt_fraction * (1 << _GT_BITS))
     for _ in range(n_draws):

@@ -103,7 +103,8 @@ def classify_prediction(
     Predictions are bare positions: per-sample speed is derived from the
     displacement to the next valid sample over the elapsed time (the last
     sample repeats the previous speed), matching the ground-truth extractor's
-    view of the motion.
+    view of the motion. The rules read only a mode's max speed, which is its
+    fastest chord between consecutive valid samples.
     """
     xy = np.asarray(xy, dtype=float)
     m, t = xy.shape[:2]
@@ -112,17 +113,10 @@ def classify_prediction(
     pair = np.hypot(seg[..., 0], seg[..., 1])
     if ok is None:
         pair /= dt
-        speeds = np.concatenate([pair, pair[:, -1:]], axis=1)
     else:
-        pair /= dt * (np.arange(1, t) - start)
-        # Each chord's speed belongs to its start sample; a mode's last valid
-        # sample (the end of its last chord) repeats that chord's speed.
-        speeds = np.zeros((m, t))
-        r, j = np.nonzero(ok)
-        speeds[r, start[r, j]] = pair[r, j]
-        last = np.flatnonzero(np.diff(r, append=m))
-        speeds[r[last], j[last] + 1] = pair[r[last], j[last]]
-    fine = classify_direction_arrays(xy, speeds, valid, [0.0] * m, rules.direction)
+        pair = np.where(ok, pair / (dt * (np.arange(1, t) - start)), -np.inf)
+    # -inf is the max of a mode with no chord, which the rules label None.
+    fine = classify_direction_arrays(xy, pair.max(axis=1, initial=-np.inf), valid, [0.0] * m, rules.direction)
     return [None if f is None else rules.collapse[f] for f in fine]
 
 

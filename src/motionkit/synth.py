@@ -123,6 +123,8 @@ class _PhasePlan:
             if length <= 0 and ph.angle_deg != 0.0:
                 raise InvalidSpec("an arc phase must cover a positive distance")
             kappa = math.radians(ph.angle_deg) / length if length > 0 else 0.0
+            if not math.isfinite(kappa):
+                raise InvalidSpec("an arc phase's curvature must be finite")
             self.rows.append((pose, kappa, s0, math.sin(pose[2]), math.cos(pose[2])))
             ramps.append((t0, ph.duration_s, ph.v0, (ph.v1 - ph.v0) / ph.duration_s if ph.duration_s > 0 else 0.0))
             pose = _advance(pose, length, math.radians(ph.angle_deg))
@@ -276,11 +278,7 @@ class _Profile:
         )
 
 
-def gen_trajectory(
-    spec: SynthSpec,
-    horizon: HorizonConfig = HorizonConfig(),
-    agent_id: str = "ego",
-) -> tuple[AgentTrack, SynthExpectation]:
+def gen_trajectory(spec: SynthSpec, horizon: HorizonConfig = HorizonConfig()) -> tuple[AgentTrack, SynthExpectation]:
     """Closed-form sampled track plus its analytically expected labels."""
     plan = _PhasePlan(build_phases(spec, horizon))
     profile = _Profile(plan, horizon)
@@ -292,7 +290,7 @@ def gen_trajectory(
     poses = [(x0 - b * v0 * math.cos(h0), y0 - b * v0 * math.sin(h0), h0, v0) for b in backs]
     poses += [sample[:4] for sample in future]
     track = AgentTrack(
-        agent_id=agent_id,
+        agent_id="ego",
         agent_kind="vehicle",
         t0=0,
         xy=[(round(x, _ROUND), round(y, _ROUND)) for x, y, _, _ in poses],
@@ -371,13 +369,6 @@ def veer_spec(shift: float, speed: float = 8.0, left: bool = True, seed: int = 0
     )
 
 
-def stationary_spec(speed: float = 0.0, seed: int = 0) -> SynthSpec:
-    """A track that never leaves the stationary bucket."""
-    if speed >= 1.8:
-        raise InvalidSpec("stationary speeds must stay clearly below the 2 m/s threshold")
-    return SynthSpec(kind="straight", speed=speed, seed=seed)
-
-
 # -- lane-graph fixtures --------------------------------------------------------
 
 
@@ -402,7 +393,6 @@ def _lane_from_phases(
     successors: tuple[str, ...] = (),
     left_neighbor: Optional[str] = None,
     right_neighbor: Optional[str] = None,
-    speed_limit_kmh: Optional[float] = None,
 ) -> Lane:
     plan = _PhasePlan(phases)
     # Phases here are parameterized at 1 m/s so time equals arc length.
@@ -420,7 +410,6 @@ def _lane_from_phases(
         successors=successors,
         left_neighbor=left_neighbor,
         right_neighbor=right_neighbor,
-        speed_limit_kmh=speed_limit_kmh,
     )
 
 
@@ -622,7 +611,7 @@ def default_suite(n: int = 500, seed: int = 7, horizon: HorizonConfig = HorizonC
         lambda: arc(-1.0),
         lambda: SynthSpec(kind="u_turn", radius=u(0.8, 1.3), angle_deg=u(163.0, 175.0), speed=u(8.0, 9.5)),
         lambda: SynthSpec(kind="u_turn", radius=u(0.8, 1.3), angle_deg=-u(163.0, 175.0), speed=u(8.0, 9.5)),
-        lambda: stationary_spec(speed=u(0.0, 0.35)),
+        lambda: SynthSpec(kind="straight", speed=u(0.0, 0.35)),  # stationary
         lambda: SynthSpec(kind="stop", speed=u(8.0, 14.0), rest_s=u(1.2, 2.0)),
         lambda: SynthSpec(kind="dwell_then_go", dwell_s=u(1.5, 2.5), speed_end=u(8.0, 14.0), speed=0.0),
     ]

@@ -288,6 +288,7 @@ class TestGenInstructions:
 class TestEvaluateCmd:
     def _build_eval_inputs(self, tmp_path, match_counts):
         from motionkit.core import serialize_scenario
+        from motionkit.feasibility import feasibility_set
         from motionkit.instructions import build_direction_row
 
         corpus_lines = []
@@ -296,7 +297,7 @@ class TestEvaluateCmd:
         for i, matches in enumerate(match_counts):
             scenario, expected = gen_scenario(SynthSpec(kind="straight", speed=10.0), f"e{i:03d}", H)
             corpus_lines.append(serialize_scenario(scenario))
-            row = build_direction_row(scenario, expected.direction)
+            row = build_direction_row(scenario, expected.direction, feasibility_set(scenario))
             row_lines.append(json.dumps(row.to_obj(), sort_keys=True))
             preds = gen_prediction_set(
                 scenario.focal_track, expected.direction, match_count=matches, n_modes=6, horizon=H
@@ -552,6 +553,30 @@ class TestEvaluateCmd:
         # d0's best mode is 1.25 m off and b-safe2 replays its GT; b-safe shares no valid step
         assert metrics["min_ade"] == pytest.approx(0.625, abs=1e-9)
         assert metrics["min_fde"] == pytest.approx(0.625, abs=1e-9)
+
+    def test_one_step_rows_are_unclassifiable(self, tmp_path):
+        """A row whose two modes have one step each (one valid, one not) scores
+        IFR 0 with both modes unclassifiable; a row without a direction and a
+        one-step GT future has no instructed direction, so it is not scored."""
+        common = dict(focal_agent_id="ego", instruction_text="-", caption_text="-", decision="Accept")
+        common["has_gt_trajectory"] = True
+        rows = [
+            dict(common, scenario_id="a", feas_tag="GT", direction="Straight", gt_future_xy=[[0.0, 0.0]]),
+            dict(common, scenario_id="b", safety_tag="Safe", gt_future_xy=[[1.0, 2.0]]),
+        ]
+        two_modes = [[[0.0, 0.0]], [[3.0, 4.0]]]
+        preds = [
+            dict(scenario_id="a", direction="Straight", trajectories=two_modes, valid=[[True], [False]]),
+            dict(scenario_id="b", trajectories=[[[1.0, 2.0]]]),
+        ]
+        dataset, predictions, report = tmp_path / "rows.jsonl", tmp_path / "preds.jsonl", tmp_path / "report.json"
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        predictions.write_text("".join(json.dumps(p) + "\n" for p in preds))
+        assert run("evaluate", "--dataset", str(dataset), "--predictions", str(predictions), "--report", str(report)) == 0
+        metrics = json.loads(report.read_text())["metrics"]
+        assert (metrics["n_rows"], metrics["n_scored"], metrics["n_unclassifiable"]) == (2, 1, 2)
+        assert metrics["ifr_micro"] == 0.0
+        assert (metrics["min_ade"], metrics["min_fde"]) == (0.0, 0.0)
 
     def test_jobs_identical_report(self, tmp_path):
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 3, 2, 0])

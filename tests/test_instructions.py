@@ -132,7 +132,7 @@ class TestBuildRows:
 
     def test_gt_row_accepts_with_trajectory(self):
         scenario, _ = gen_scenario(SynthSpec(kind="straight", speed=10.0), "s1", H)
-        row = build_direction_row(scenario, DirectionLabel.STRAIGHT)
+        row = build_direction_row(scenario, DirectionLabel.STRAIGHT, feasibility_set(scenario))
         assert row.feas_tag is FeasTag.GT
         assert row.decision is Decision.ACCEPT
         assert row.has_gt_trajectory
@@ -141,7 +141,7 @@ class TestBuildRows:
 
     def test_if_row_rejects_without_trajectory(self):
         scenario, _ = gen_scenario(SynthSpec(kind="straight", speed=10.0), "s1", H)
-        row = build_direction_row(scenario, DirectionLabel.LEFT)
+        row = build_direction_row(scenario, DirectionLabel.LEFT, feasibility_set(scenario))
         assert row.feas_tag is FeasTag.IF
         assert row.decision is Decision.REJECT
         assert not row.has_gt_trajectory

@@ -3,10 +3,11 @@
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motionkit import errors, synth
@@ -275,10 +276,18 @@ class TestPhasePlan:
         st.lists(st.floats(-0.5, 1.5), max_size=12),
         st.lists(st.tuples(st.integers(0, 5), st.sampled_from([-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12]))),
     )
+    # the smallest normal v1 makes a subnormal length, whose curvature overflows
+    @example([Phase(0.5, 0.0, 2.2250738585072014e-308, 58.0)], [], [])
     def test_sample_and_kinematics_equal_the_row_scan(self, phases, fractions, near_starts):
         """Times inside and outside [0, t_end] and within 1e-12 of a row start,
-        nondecreasing as in every caller."""
+        nondecreasing as in every caller. A plan with an infinite curvature is
+        an invalid spec."""
         phases = tuple(phases)
+        lengths = [ph.duration_s * (ph.v0 + ph.v1) / 2.0 for ph in phases]
+        if not all(math.isfinite(math.radians(ph.angle_deg) / n) for ph, n in zip(phases, lengths) if n > 0):
+            with pytest.raises(errors.InvalidSpec, match="curvature"):
+                synth._PhasePlan(phases)
+            return
         plan = synth._PhasePlan(phases)
         starts = list(itertools.accumulate((ph.duration_s for ph in phases[:-1]), initial=0.0))
         times = sorted(
