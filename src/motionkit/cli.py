@@ -32,17 +32,15 @@ from .instructions import (
     build_direction_rows,
     sample_training_mix,
 )
-from .metrics import PredictionSet, aggregate, score_row
+from .metrics import BLOCK_ROWS, PredictionSet, aggregate, score_blocks, score_row
 from .synth import build_corpus, expectation_to_obj
 
 _JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 
-def _read_lines(path: str) -> list[str]:
-    if path == "-":
-        return sys.stdin.read().splitlines()
+def _read_bytes(path: str) -> bytes:
     try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
@@ -54,9 +52,26 @@ def _write_text(path: Optional[str], text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _numbered_lines(path: str) -> list[tuple[int, str]]:
-    """The non-blank lines of ``path`` with their physical (1-based) line numbers."""
-    return [(i, line) for i, line in enumerate(_read_lines(path), start=1) if line.strip()]
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of ``text`` with their physical (1-based) line numbers."""
+    return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """The numbered non-blank lines of ``path`` (``-``: stdin)."""
+    return _numbered_lines(sys.stdin.read() if path == "-" else _read_bytes(path).decode("utf-8"))
+
+
+def _read_input(path: str) -> tuple[list[tuple[int, str]], dict[str, str]]:
+    """The numbered lines of a report's input and its entry in the report: the path and the
+    sha256 of the bytes the lines were decoded from ("stdin" for stdin)."""
+    if path == "-":
+        return _read_lines(path), {"path": path, "sha256": "stdin"}
+    data = _read_bytes(path)
+    digest = hashlib.sha256(data).hexdigest()
+    text = data.decode("utf-8")
+    del data  # not held while the text is split, which would raise peak memory by its size
+    return _numbered_lines(text), {"path": path, "sha256": digest}
 
 
 # -- the per-line map ------------------------------------------------------------
@@ -123,7 +138,7 @@ def _map_scenarios(args, cfg: Config, *settings) -> list:
     """The command's worker (``args.worker``, from the parser table) with ``cfg`` and
     ``settings`` over every line of ``args.input``; the kept payloads in scenario order."""
     worker = functools.partial(args.worker, cfg, *settings)
-    return _map_lines(worker, _numbered_lines(args.input), args.jobs or cfg.jobs)
+    return _map_lines(worker, _read_lines(args.input), args.jobs or cfg.jobs)
 
 
 # -- extract and feasibility -------------------------------------------------------
@@ -231,27 +246,25 @@ def cmd_gen_instructions(args, cfg: Config) -> int:
 
 # -- evaluate and stats ------------------------------------------------------------
 
-# Module-level names for the prediction decode, the row scorer and the report build:
+# Module-level names for the prediction decode, the row assembly and the report build:
 # perfbench/tracing.py wraps them by these names.
 _parse_prediction = PredictionSet.from_obj
 _evaluate_worker = score_row
 _aggregate = aggregate
 
 
-def _write_report(path: Optional[str], cfg: Config, inputs: dict[str, str], body: dict) -> None:
-    """A JSON report: the resolved config, the path and sha256 of each input, and ``body``."""
-    hashes = {
-        name: {"path": p, "sha256": "stdin" if p == "-" else hashlib.sha256(Path(p).read_bytes()).hexdigest()}
-        for name, p in inputs.items()
-    }
-    payload = {"config": cfg.to_obj(), "inputs": hashes, **body}
+def _write_report(path: Optional[str], cfg: Config, inputs: dict[str, dict[str, str]], body: dict) -> None:
+    """A JSON report: the resolved config, each input's :func:`_read_input` entry, and ``body``."""
+    payload = {"config": cfg.to_obj(), "inputs": inputs, **body}
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_evaluate(args, cfg: Config) -> int:
-    """Score every dataset row in one in-process pass; each line is decoded once."""
+def _read_predictions(path: str) -> tuple[dict[tuple[str, Optional[str]], PredictionSet], dict[str, str]]:
+    """Every prediction of ``path`` keyed by (scenario_id, direction), each line decoded once, and
+    the file's report entry. The lines are dropped on return, before the dataset is read."""
+    lines, entry = _read_input(path)
     predictions: dict[tuple[str, Optional[str]], PredictionSet] = {}
-    for i, line in _numbered_lines(args.predictions):
+    for i, line in lines:
         try:
             preds = _parse_prediction(json.loads(line))
         except (json.JSONDecodeError, MotionKitError) as exc:
@@ -260,20 +273,43 @@ def cmd_evaluate(args, cfg: Config) -> int:
         if key in predictions:
             raise SchemaError(f"predictions line {i}: duplicate key {key}")
         predictions[key] = preds
+    return predictions, entry
 
+
+def cmd_evaluate(args, cfg: Config) -> int:
+    """Score every dataset row in one in-process pass; each line is decoded once.
+
+    The dataset is taken BLOCK_ROWS lines at a time: the block pass scores the decoded rows
+    together, then each row's result is assembled by the worker. A bad line stops the decode;
+    the rows above it are scored first, so the error on the lowest line is the one raised.
+    """
+    predictions, predictions_input = _read_predictions(args.predictions)
+    lines, dataset_input = _read_input(args.dataset)
     keyed = []
-    for i, line in _numbered_lines(args.dataset):
-        try:
-            row = InstructionRecord.from_obj(json.loads(line))
+    for start in range(0, len(lines), BLOCK_ROWS):
+        decoded, failed = [], None
+        for i, line in lines[start : start + BLOCK_ROWS]:
+            try:
+                row = InstructionRecord.from_obj(json.loads(line))
+            except (json.JSONDecodeError, MotionKitError) as exc:
+                failed = i, exc
+                break
             direction = row.direction.value if row.direction else None
             preds = predictions.get((row.scenario_id, direction)) or predictions.get((row.scenario_id, None))
-            result = _evaluate_worker(row, preds, cfg.horizon.dt, cfg.rules)
-        except (json.JSONDecodeError, MotionKitError) as exc:
+            decoded.append((i, row, preds))
+        scores = score_blocks([d[1] for d in decoded], [d[2] for d in decoded], cfg.horizon.dt, cfg.rules)
+        for (i, row, preds), row_scores in zip(decoded, scores):
+            try:
+                result = _evaluate_worker(row, preds, row_scores)
+            except MotionKitError as exc:
+                raise SchemaError(f"dataset line {i}: {exc}") from exc
+            keyed.append(((row.scenario_id, row.direction.value if row.direction else "", i), result))
+        if failed is not None:
+            i, exc = failed
             raise SchemaError(f"dataset line {i}: {exc}") from exc
-        keyed.append(((row.scenario_id, direction or "", i), result))
     keyed.sort(key=lambda kv: kv[0])
     report = _aggregate([result for _, result in keyed])
-    inputs = {"dataset": args.dataset, "predictions": args.predictions}
+    inputs = {"dataset": dataset_input, "predictions": predictions_input}
     _write_report(args.report, cfg, inputs, {"metrics": report.to_obj()})
     return 0
 
@@ -284,7 +320,7 @@ def _by_value(counts: collections.Counter) -> dict[str, int]:
 
 
 def cmd_stats(args, cfg: Config) -> int:
-    lines = _numbered_lines(args.input)
+    lines, dataset_input = _read_input(args.input)
     direction, feas_tag, behavior, decision = (collections.Counter() for _ in range(4))
     for i, line in lines:
         try:
@@ -302,7 +338,7 @@ def cmd_stats(args, cfg: Config) -> int:
         "behavior_counts": _by_value(behavior),
         "decision_counts": _by_value(decision),
     }
-    _write_report(args.out, cfg, {"dataset": args.input}, body)
+    _write_report(args.out, cfg, {"dataset": dataset_input}, body)
     return 0
 
 

@@ -9,9 +9,9 @@ README. Angles are radians wrapped to (-pi, pi], speeds are m/s except lane
 
 from __future__ import annotations
 
+import array
 import json
 import math
-import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Optional
@@ -24,6 +24,18 @@ from .geometry import wrap_angle
 MPS_TO_KMH = 3.6
 
 AGENT_KINDS = frozenset({"vehicle", "pedestrian", "cyclist", "other"})
+
+#: The largest magnitude a number read from a float column may have: track and
+#: centerline x, y, heading and speed, GT futures, prediction trajectories and
+#: scores, and the scalar ``dt`` and ``speed_limit_kmh``. A million kilometres is
+#: far past any map frame, and squared distances and sums over a track of numbers
+#: this size stay far inside the float range, so no label or report value can
+#: overflow.
+MAX_ABS = 1e9
+
+#: How a line error qualifies the finite numbers it asks for (NaN, infinities and numbers
+#: above MAX_ABS fail).
+WITHIN = f"of magnitude at most {MAX_ABS:g}"
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,13 @@ def _freeze(obj, **dtypes) -> None:
         array = np.array(getattr(obj, name), dtype=dtype, order="C")
         array.flags.writeable = False
         object.__setattr__(obj, name, array)
+
+
+def _bounded(a: np.ndarray) -> bool:
+    """Whether every number of ``a`` is finite and at most MAX_ABS in magnitude. The one check
+    covers both, so it costs what a finiteness check alone would: a NaN propagates through the
+    max and compares False."""
+    return bool(np.maximum.reduce(np.abs(a), axis=None, initial=0.0) <= MAX_ABS)
 
 
 def _equal_by_value(a, b) -> bool:
@@ -192,8 +211,8 @@ def _require(obj: dict, key: str, kind, where: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{where}: field {key!r} must be a number")
-        if not abs(value) <= sys.float_info.max:  # also false for NaN
-            raise SchemaError(f"{where}: field {key!r} must be a finite number")
+        if not abs(value) <= MAX_ABS:  # also false for NaN
+            raise SchemaError(f"{where}: field {key!r} must be a finite number {WITHIN}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -232,13 +251,16 @@ def _json_array(value, ndim: int, name: str):
         return value
     if not types <= _JSON_TYPES[float]:
         raise SchemaError(f"{name} must hold finite numbers")
-    return np.array(leaves).reshape(shape)
+    try:
+        return np.frombuffer(array.array("d", leaves)).reshape(shape)
+    except OverflowError:  # an int past the float range, which the caller's float cast names
+        return np.array(leaves).reshape(shape)
 
 
 def _table(obj: dict, key: str, kinds: dict, where: str) -> tuple[dict, np.ndarray]:
     """The rows of ``obj[key]`` as one list per field plus the float fields as one (k, n) array;
-    a row that is not an object with exactly these fields of these JSON types, finite and with
-    speed >= 0, raises its first problem as ``{where}.{key}[i]: ...``."""
+    a row that is not an object with exactly these fields of these JSON types, within MAX_ABS
+    and with speed >= 0, raises its first problem as ``{where}.{key}[i]: ...``."""
     rows = _require(obj, key, list, where)
     # Rows that each hold every field and together hold len(kinds) * n keys hold no other key.
     if set(map(type, rows)) <= {dict} and sum(map(len, rows)) == len(kinds) * len(rows):
@@ -246,7 +268,7 @@ def _table(obj: dict, key: str, kinds: dict, where: str) -> tuple[dict, np.ndarr
             columns = {name: [row[name] for row in rows] for name in kinds}
             if all(set(map(type, columns[name])) <= _JSON_TYPES[kind] for name, kind in kinds.items()):
                 floats = np.array([columns[name] for name, kind in kinds.items() if kind is float], dtype=float)
-                if np.isfinite(floats).all() and min(columns.get("speed") or [0]) >= 0:
+                if _bounded(floats) and min(columns.get("speed") or [0]) >= 0:
                     return columns, floats
         except (KeyError, OverflowError):
             pass

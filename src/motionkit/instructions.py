@@ -31,7 +31,7 @@ from .behavior import (
     classify_behavior,
     label_safety,
 )
-from .core import Scenario, _equal_by_value, _freeze, _json_array
+from .core import WITHIN, Scenario, _bounded, _equal_by_value, _freeze, _json_array
 from .errors import EmptyClass, SchemaError
 from .feasibility import FeasibilityParams, FeasibilityReport, FeasTag, feasibility_set, tag_instruction
 
@@ -96,7 +96,8 @@ def render_behavior_caption(safety: Safety, template: str) -> str:
 @dataclass(frozen=True, eq=False)
 class InstructionRecord:
     """One dataset row; exactly one of feas_tag / safety_tag is present. The GT future is a
-    read-only (T, 2) float array of finite numbers with an optional (T,) bool validity mask."""
+    read-only (T, 2) float array of finite numbers (at most ``core.MAX_ABS`` in magnitude) with an
+    optional (T,) bool validity mask."""
 
     scenario_id: str
     focal_agent_id: str
@@ -130,12 +131,15 @@ class InstructionRecord:
             raise SchemaError("has_gt_trajectory rows must carry gt_future_xy")
         if self.gt_future_xy is not None:
             xy = np.asarray(self.gt_future_xy)
-            if xy.dtype.kind not in "iuf" or not np.isfinite(xy).all():
+            if xy.dtype.kind not in "iuf":
                 raise SchemaError("gt_future_xy must hold finite numbers")
-            if xy.ndim != 2 or xy.shape[1] != 2:
-                raise SchemaError(f"gt_future_xy must be (T, 2), got {xy.shape}")
             object.__setattr__(self, "gt_future_xy", xy)
             _freeze(self, gt_future_xy=float)
+            xy = self.gt_future_xy
+            if not _bounded(xy):
+                raise SchemaError(f"gt_future_xy must hold finite numbers {WITHIN}")
+            if xy.ndim != 2 or xy.shape[1] != 2:
+                raise SchemaError(f"gt_future_xy must be (T, 2), got {xy.shape}")
         if self.gt_future_valid is not None:
             _freeze(self, gt_future_valid=None)  # no cast: "false" or 0 must not pass as a flag
             if self.gt_future_valid.dtype != bool:

@@ -11,13 +11,13 @@ with the same classifier used for ground truth.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .attributes import DirectionLabel, LabelRules, chords, classify_direction_arrays
 from .behavior import Safety
-from .core import _equal_by_value, _freeze, _json_array
+from .core import WITHIN, _bounded, _equal_by_value, _freeze, _json_array
 from .errors import NoValidOverlap, NonPositiveSigma, SchemaError
 from .feasibility import FeasTag
 from .instructions import Decision, InstructionRecord
@@ -30,7 +30,8 @@ _PREDICTION_FIELDS = frozenset(
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
     """M candidate future trajectories for one scenario plus mode scores. The arrays are
-    read-only copies; trajectories and scores hold finite numbers, the mask booleans."""
+    read-only copies; trajectories and scores hold finite numbers at most ``core.MAX_ABS`` in
+    magnitude, the mask booleans."""
 
     scenario_id: str
     trajectories: np.ndarray  # (M, T, 2)
@@ -53,8 +54,8 @@ class PredictionSet:
         if self.scores.shape != (traj.shape[0],):
             raise SchemaError("scores must have one entry per mode")
         for name in ("trajectories", "scores"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise SchemaError(f"{name} must hold finite numbers")
+            if not _bounded(getattr(self, name)):
+                raise SchemaError(f"{name} must hold finite numbers {WITHIN}")
         if self.valid is None:
             object.__setattr__(self, "valid", np.ones(traj.shape[:2], dtype=bool))
         _freeze(self, valid=None)  # no cast: "no" or 0 must not pass as a flag
@@ -120,6 +121,11 @@ def classify_prediction(
     return [None if f is None else rules.collapse[f] for f in fine]
 
 
+def _ifr(instructed: DirectionLabel, labels: list[Optional[DirectionLabel]]) -> tuple[float, int]:
+    """The share of ``labels`` equal to ``instructed``, and the count of None labels."""
+    return labels.count(instructed) / len(labels), labels.count(None)
+
+
 def ifr_scenario(
     instructed: DirectionLabel,
     preds: PredictionSet,
@@ -131,8 +137,7 @@ def ifr_scenario(
     Unclassifiable trajectories (fewer than two valid steps) count as
     non-matches in the denominator and are reported separately.
     """
-    labels = classify_prediction(preds.trajectories, preds.valid, dt, rules)
-    return labels.count(instructed) / preds.n_modes, labels.count(None)
+    return _ifr(instructed, classify_prediction(preds.trajectories, preds.valid, dt, rules))
 
 
 def ifr_micro(per_scenario: Sequence[float]) -> float:
@@ -158,45 +163,80 @@ def ifr_macro(
     return macro, per_class
 
 
-def _joint_offsets(gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet) -> tuple[np.ndarray, np.ndarray]:
-    """The (M, T) jointly valid steps and the (M, T, 2) prediction-minus-GT offsets."""
+class ModeStack(NamedTuple):
+    """The modes of R prediction sets that share (M, T), stacked row by row: what
+    :func:`min_ade` and :func:`min_fde` read of R rows at once."""
+
+    trajectories: np.ndarray  # (R, M, T, 2)
+    valid: np.ndarray  # (R, M, T) bool
+
+
+def _joint_mask(
+    gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet | ModeStack
+) -> tuple[np.ndarray, np.ndarray]:
+    """The GT points as floats and the (..., M, T) steps valid in both a mode and its GT; one
+    row without any such step raises :class:`NoValidOverlap`."""
     gt_xy = np.asarray(gt_xy, dtype=float)
     gt_valid = np.asarray(gt_valid, dtype=bool)
-    if gt_xy.shape != preds.trajectories.shape[1:] or gt_valid.shape != preds.valid.shape[1:]:
+    traj, valid = preds.trajectories, preds.valid
+    rows = valid.shape[:-2]  # () for one row, (R,) for a stack
+    if gt_xy.shape != (*rows, *traj.shape[-2:]) or gt_valid.shape != (*rows, valid.shape[-1]):
         raise SchemaError("ground truth and prediction must share t_pred")
-    mask = preds.valid & gt_valid
-    if not mask.any():
+    mask = valid & gt_valid[..., None, :]
+    if not rows and not mask.any():
         raise NoValidOverlap("no mode shares a valid step with the ground truth")
-    return mask, preds.trajectories - gt_xy
+    return gt_xy, mask
 
 
-def min_ade(gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet) -> float:
+def min_ade(gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet | ModeStack) -> float | np.ndarray:
     """Minimum over modes of the mean displacement over jointly valid steps.
 
-    A fully valid mode takes the axis mean; a mode with holes takes the mean of
-    its packed distances, which an axis mean over masked zeros would not match
-    in the last bit.
+    One row (``gt_xy`` (T, 2), ``gt_valid`` (T,), a :class:`PredictionSet`) gives a float;
+    R stacked rows (``gt_xy`` (R, T, 2), ``gt_valid`` (R, T), a :class:`ModeStack`) give an
+    (R,) array, inf for a row with no jointly valid step. A fully valid mode takes the axis
+    mean; a mode with holes takes the mean of its packed distances, which an axis mean over
+    masked zeros would not match in the last bit. Each row's value is the same bits either way.
     """
-    mask, offsets = _joint_offsets(gt_xy, gt_valid, preds)
-    dist = np.linalg.norm(offsets, axis=2)
-    ade = dist.mean(axis=1)
-    for j in np.flatnonzero(~mask.all(axis=1)):
-        ade[j] = np.mean(dist[j][mask[j]]) if mask[j].any() else np.inf
-    return float(ade.min())
+    gt_xy, mask = _joint_mask(gt_xy, gt_valid, preds)
+    if not mask.any():
+        return np.full(mask.shape[:-2], np.inf)
+    # np.linalg.norm(axis=-1) sums the squares with a reduce over the 2-wide axis, which is
+    # slow; adding the two columns gives the same bits.
+    sq = np.square(preds.trajectories - gt_xy[..., None, :, :])
+    dist = np.sqrt(sq[..., 0] + sq[..., 1])
+    ade = dist.mean(axis=-1)
+    holed = ~mask.all(axis=-1)
+    if holed.any():
+        # Each holed mode's packed distances are one contiguous slice of ``packed``, summed
+        # and divided by their count as np.mean does it.
+        counts = mask[holed].sum(axis=-1).tolist()
+        packed = dist[holed][mask[holed]]
+        ends = np.cumsum(counts).tolist()
+        ade[holed] = [packed[e - c : e].sum() / c if c else np.inf for c, e in zip(counts, ends)]
+    return _per_row(ade.min(axis=-1))
 
 
-def min_fde(gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet) -> float:
-    """Minimum over modes of the displacement at the last jointly valid step.
+def min_fde(gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet | ModeStack) -> float | np.ndarray:
+    """Minimum over modes of the displacement at the last jointly valid step; one row or R
+    stacked rows, as :func:`min_ade` takes them.
 
     The step's norm is a dot product per mode, which matches a 1-D
-    ``np.linalg.norm`` bit for bit; min_ade's (M, T) axis norm, ``hypot`` and
-    ``x*x + y*y`` can each differ from it in the last bit.
+    ``np.linalg.norm`` bit for bit; an axis norm (min_ade's sum of squares),
+    ``hypot`` and ``x*x + y*y`` can each differ from it in the last bit.
     """
-    mask, offsets = _joint_offsets(gt_xy, gt_valid, preds)
-    has = mask.any(axis=1)
-    last = mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
-    o = offsets[np.arange(len(last)), last]
-    return float(np.sqrt(np.vecdot(o, o))[has].min())
+    gt_xy, mask = _joint_mask(gt_xy, gt_valid, preds)
+    if not mask.any():
+        return np.full(mask.shape[:-2], np.inf)
+    last = mask.shape[-1] - 1 - mask[..., ::-1].argmax(axis=-1)  # (..., M)
+    end = np.take_along_axis(preds.trajectories, last[..., None, None], axis=-2)[..., 0, :]
+    o = end - np.take_along_axis(gt_xy, last[..., None], axis=-2)
+    fde = np.where(mask.any(axis=-1), np.sqrt(np.vecdot(o, o)), np.inf)
+    return _per_row(fde.min(axis=-1))
+
+
+def _per_row(best: np.ndarray):
+    """A float for one row, the (R,) array for R stacked rows."""
+    return float(best) if best.ndim == 0 else best
 
 
 def detection_accuracy(decisions: Sequence[tuple[Decision, FeasTag]]) -> dict[FeasTag, float]:
@@ -304,9 +344,90 @@ class EvalReport:
         return asdict(self)
 
 
-def score_row(row: InstructionRecord, preds: Optional[PredictionSet], dt: float, rules: LabelRules) -> dict:
-    """One dataset row's part of the report: its instructed direction and tags, IFR and
-    unclassifiable-mode count, minADE/minFDE, and the prediction's decision and context.
+#: Dataset rows scored together. A block stacks its rows' predictions into one (R, M, T, 2)
+#: array, so this bounds the block pass's temporaries: 64 rows of 6 modes and 80 steps are
+#: 0.5 MB each.
+BLOCK_ROWS = 64
+
+
+class RowScores(NamedTuple):
+    """What the block pass computed for one row with a prediction."""
+
+    labels: list[Optional[DirectionLabel]]  # one per mode
+    gt_label: Optional[DirectionLabel]  # the GT future's label, for a row without a direction
+    ade: Optional[float]  # None without a GT trajectory or a jointly valid step
+    fde: Optional[float]
+
+
+def _blocks(keys: Sequence) -> Iterator[list[int]]:
+    """The indices of ``keys`` grouped by equal key (None keys left out), at most BLOCK_ROWS a block."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    for members in groups.values():
+        for start in range(0, len(members), BLOCK_ROWS):
+            yield members[start : start + BLOCK_ROWS]
+
+
+def _gt_valid(row: InstructionRecord) -> np.ndarray:
+    """A row's GT validity mask; all valid when the row gives none."""
+    return np.ones(len(row.gt_future_xy), dtype=bool) if row.gt_future_valid is None else row.gt_future_valid
+
+
+def _shares_t_pred(row: InstructionRecord, preds: PredictionSet) -> bool:
+    """Whether a row's GT future has its prediction's step count."""
+    return row.gt_future_xy.shape == preds.trajectories.shape[1:]
+
+
+def score_blocks(
+    rows: Sequence[InstructionRecord], preds: Sequence[Optional[PredictionSet]], dt: float, rules: LabelRules
+) -> list[Optional[RowScores]]:
+    """The :class:`RowScores` of each row with a prediction, ``preds[k]`` being row ``k``'s
+    (None for a row without one, which gets None).
+
+    Rows are taken in blocks of at most BLOCK_ROWS that share their prediction's (M, T).
+    One :func:`classify_prediction` call labels a block's R·M modes, and one :func:`min_ade`
+    and one :func:`min_fde` call over (R, M, T) give the minADE and minFDE of its rows that
+    carry a GT trajectory of the prediction's length. The GT futures of rows without a
+    direction are labelled in blocks of equal length the same way. Every value has the bits
+    the row would get alone.
+    """
+    out: list[Optional[RowScores]] = [None] * len(rows)
+    gt_labels: dict[int, Optional[DirectionLabel]] = {}
+    unlabelled = [
+        len(row.gt_future_xy) if p is not None and row.direction is None and row.gt_future_xy is not None else None
+        for row, p in zip(rows, preds)
+    ]
+    for block in _blocks(unlabelled):
+        xy = np.stack([rows[k].gt_future_xy for k in block])
+        valid = np.stack([_gt_valid(rows[k]) for k in block])
+        gt_labels.update(zip(block, classify_prediction(xy, valid, dt, rules)))
+
+    for block in _blocks([None if p is None else p.trajectories.shape[:2] for p in preds]):
+        traj = np.stack([preds[k].trajectories for k in block])
+        valid = np.stack([preds[k].valid for k in block])
+        r, m, t = valid.shape
+        labels = classify_prediction(traj.reshape(r * m, t, 2), valid.reshape(r * m, t), dt, rules)
+        errors: list[tuple[Optional[float], Optional[float]]] = [(None, None)] * r
+        scored = [i for i, k in enumerate(block) if rows[k].has_gt_trajectory and _shares_t_pred(rows[k], preds[k])]
+        if scored:
+            gt_xy = np.stack([rows[block[i]].gt_future_xy for i in scored])
+            gt_valid = np.stack([_gt_valid(rows[block[i]]) for i in scored])
+            modes = ModeStack(traj[scored], valid[scored])
+            pairs = zip(min_ade(gt_xy, gt_valid, modes).tolist(), min_fde(gt_xy, gt_valid, modes).tolist())
+            for i, (ade, fde) in zip(scored, pairs):
+                if ade != np.inf:  # inf: no jointly valid step, for minFDE as well
+                    errors[i] = (ade, fde)
+        for i, k in enumerate(block):
+            out[k] = RowScores(labels[i * m : (i + 1) * m], gt_labels.get(k), *errors[i])
+    return out
+
+
+def score_row(row: InstructionRecord, preds: Optional[PredictionSet], scores: Optional[RowScores]) -> dict:
+    """One dataset row's part of the report, from its :func:`score_blocks` entry: its
+    instructed direction and tags, IFR and unclassifiable-mode count, minADE/minFDE, and the
+    prediction's decision and context.
 
     A row without a direction is instructed with the direction of its GT future. A
     prediction's ``with_context`` overrides the row's.
@@ -325,21 +446,14 @@ def score_row(row: InstructionRecord, preds: Optional[PredictionSet], dt: float,
     }
     if preds is None:
         return result
-    gt_xy, gt_valid = row.gt_future_xy, row.gt_future_valid
-    if gt_xy is not None and gt_valid is None:
-        gt_valid = np.ones(len(gt_xy), dtype=bool)
-    instructed = row.direction
-    if instructed is None and gt_xy is not None:
-        (instructed,) = classify_prediction(gt_xy[None], gt_valid[None], dt, rules)
+    instructed = row.direction if row.direction is not None else scores.gt_label
     if instructed is not None:
         result["direction"] = instructed
-        result["ifr"], result["unclassifiable"] = ifr_scenario(instructed, preds, dt, rules)
+        result["ifr"], result["unclassifiable"] = _ifr(instructed, scores.labels)
     if row.has_gt_trajectory:
-        try:
-            result["ade"] = min_ade(gt_xy, gt_valid, preds)
-            result["fde"] = min_fde(gt_xy, gt_valid, preds)
-        except NoValidOverlap:
-            pass
+        if not _shares_t_pred(row, preds):
+            raise SchemaError("ground truth and prediction must share t_pred")
+        result["ade"], result["fde"] = scores.ade, scores.fde
     result["decision"] = preds.decision
     if preds.with_context is not None:
         result["with_context"] = bool(preds.with_context)

@@ -587,6 +587,85 @@ class TestEvaluateCmd:
         assert r1.read_bytes() == r8.read_bytes()
 
 
+class TestMagnitudeLimit:
+    """A finite number past ``core.MAX_ABS`` in a float column is a line error naming its
+    field: it gives no label, no report and no overflow warning."""
+
+    LIMIT = "of magnitude at most 1e+09"
+
+    @pytest.mark.parametrize(
+        "path,field,named",
+        [
+            (("agents", 0, "points", 40), "x", "agents[0].points[40]: field 'x'"),
+            (("agents", 0, "points", 12), "y", "agents[0].points[12]: field 'y'"),
+            (("agents", 0, "points", 12), "heading", "agents[0].points[12]: field 'heading'"),
+            (("agents", 0, "points", 12), "speed", "agents[0].points[12]: field 'speed'"),
+            (("lanes", 0, "centerline", 1), "y", "lanes[0].centerline[1]: field 'y'"),
+            (("lanes", 0), "speed_limit_kmh", "lanes[0]: field 'speed_limit_kmh'"),
+        ],
+    )
+    def test_scenario_number_past_the_limit(self, tmp_path, capsys, path, field, named):
+        good, _ = gen_scenario(SynthSpec(kind="straight", speed=10.0), "s", H)
+        doc = json.loads(serialize_scenario(good))
+        target = doc
+        for key in path:
+            target = target[key]
+        target[field] = 1.0e10
+        src = tmp_path / "bad.jsonl"
+        src.write_text(serialize_scenario(good) + "\n" + json.dumps(doc) + "\n")
+        assert run("extract", str(src), "--out", str(tmp_path / "o.jsonl")) == 1
+        assert capsys.readouterr().err == f"error: line 2: scenario s.{named} must be a finite number {self.LIMIT}\n"
+
+    def test_huge_steps_give_no_label(self, tmp_path, capsys):
+        """x of steps 40-90 of a left turn at +-1e308 once labelled LeftTurn and overflowed."""
+        scenario, expected = gen_scenario(SynthSpec(kind="arc", speed=8.0, angle_deg=90.0), "s", H)
+        assert expected.direction is DirectionLabel.LEFT
+        doc = json.loads(serialize_scenario(scenario))
+        for i, point in enumerate(doc["agents"][0]["points"][40:91]):
+            point["x"] = 1e308 if i % 2 else -1e308
+        src, out = tmp_path / "bad.jsonl", tmp_path / "o.jsonl"
+        src.write_text(json.dumps(doc) + "\n")
+        assert run("extract", str(src), "--out", str(out)) == 1
+        named = "scenario s.agents[0].points[40]: field 'x'"
+        assert capsys.readouterr().err == f"error: line 1: {named} must be a finite number {self.LIMIT}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "where,field", [("dataset", "gt_future_xy"), ("predictions", "trajectories"), ("predictions", "scores")]
+    )
+    @pytest.mark.parametrize("value", [1e308, -1.5e9])
+    def test_evaluate_number_past_the_limit(self, tmp_path, capsys, where, field, value):
+        """A GT point at [1e308, 1e308] once gave "min_ade": Infinity, which is not JSON."""
+        dataset, predictions = TestEvaluateCmd()._build_eval_inputs(tmp_path, [6, 2, 1])
+        path = dataset if where == "dataset" else predictions
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[0])
+        if field == "gt_future_xy":
+            obj[field][0] = [value, value]
+        elif field == "trajectories":
+            obj[field][2][7][1] = value
+        else:
+            obj[field][0] = value
+        path.write_text("".join(line + "\n" for line in [json.dumps(obj)] + lines[1:]))
+        report = tmp_path / "report.json"
+        assert run("evaluate", "--dataset", str(dataset), "--predictions", str(predictions), "--report", str(report)) == 1
+        assert capsys.readouterr().err == f"error: {where} line 1: {field} must hold finite numbers {self.LIMIT}\n"
+        assert not report.exists()
+        if where == "dataset":
+            assert run("stats", str(dataset), "--out", str(tmp_path / "stats.json")) == 1
+            assert capsys.readouterr().err == f"error: line 1: {field} must hold finite numbers {self.LIMIT}\n"
+
+    def test_numbers_at_the_limit_are_kept(self, tmp_path):
+        dataset, predictions = TestEvaluateCmd()._build_eval_inputs(tmp_path, [6])
+        row = json.loads(dataset.read_text())
+        row["gt_future_xy"][-1] = [1e9, -1e9]
+        dataset.write_text(json.dumps(row) + "\n")
+        report = tmp_path / "report.json"
+        assert run("evaluate", "--dataset", str(dataset), "--predictions", str(predictions), "--report", str(report)) == 0
+        metrics = json.loads(report.read_text())["metrics"]
+        assert 1e9 < metrics["min_fde"] < 2e9
+
+
 class TestStatsCmd:
     def test_counts_sum_to_rows(self, tmp_path, corpus):
         corpus_path, _ = corpus

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from motionkit import errors
 from motionkit.attributes import DirectionLabel, DirectionThresholds, LabelRules
 from motionkit.behavior import Safety
-from motionkit.core import HorizonConfig
+from motionkit.core import MAX_ABS, HorizonConfig
 from motionkit.feasibility import FeasTag
 from motionkit.instructions import Decision
 from motionkit.metrics import (
@@ -180,7 +180,12 @@ class TestPredictionSet:
                 lambda t: st.lists(
                     st.lists(
                         st.lists(
-                            st.one_of(st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False)),
+                            st.one_of(
+                                st.integers(-(2**70), 2**70),
+                                st.floats(allow_nan=False, allow_infinity=False),
+                                st.integers(-int(MAX_ABS), int(MAX_ABS)),
+                                st.floats(-MAX_ABS, MAX_ABS),
+                            ),
                             min_size=2,
                             max_size=2,
                         ),
@@ -194,10 +199,16 @@ class TestPredictionSet:
         )
     )
     def test_from_obj_builds_the_arrays_np_array_builds(self, trajectories):
-        """The flat decode of a JSON line gives the nested conversion's arrays bit for bit."""
+        """The flat decode of a JSON line gives the nested conversion's arrays bit for bit; a
+        number past MAX_ABS is rejected."""
         scores = [leaf for point in trajectories[0] for leaf in point][: len(trajectories)]
         scores += [1] * (len(trajectories) - len(scores))
-        preds = PredictionSet.from_obj({"scenario_id": "s", "trajectories": trajectories, "scores": scores})
+        obj = {"scenario_id": "s", "trajectories": trajectories, "scores": scores}
+        if np.abs(np.array(trajectories, dtype=float)).max() > MAX_ABS:
+            with pytest.raises(errors.SchemaError, match="trajectories must hold finite numbers of magnitude at most"):
+                PredictionSet.from_obj(obj)
+            return
+        preds = PredictionSet.from_obj(obj)
         assert preds.trajectories.tobytes() == np.array(trajectories, dtype=float).tobytes()
         assert preds.scores.tobytes() == np.array(scores, dtype=float).tobytes()
 
