@@ -13,11 +13,12 @@ import argparse
 import collections
 import functools
 import hashlib
+import itertools
 import json
 import multiprocessing
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .attributes import extract_motion_attributes
 from .behavior import GuidelineBook, load_default_guidelines, load_guidelines
@@ -32,16 +33,17 @@ from .instructions import (
     build_direction_rows,
     sample_training_mix,
 )
-from .metrics import BLOCK_ROWS, PredictionSet, aggregate, score_blocks, score_row
+from .metrics import BLOCK_ROWS, PredictionSet, aggregate, check_t_pred, score_blocks, score_row
 from .synth import build_corpus, expectation_to_obj
 
 _JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 
-def _read_bytes(path: str) -> bytes:
+def _read_text(path: str) -> str:
+    """The text of ``path`` (``-``: stdin); a file that cannot be read or is not UTF-8 is an input error."""
     try:
-        return Path(path).read_bytes()
-    except OSError as exc:
+        return sys.stdin.read() if path == "-" else Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
@@ -59,18 +61,14 @@ def _numbered_lines(text: str) -> list[tuple[int, str]]:
 
 def _read_lines(path: str) -> list[tuple[int, str]]:
     """The numbered non-blank lines of ``path`` (``-``: stdin)."""
-    return _numbered_lines(sys.stdin.read() if path == "-" else _read_bytes(path).decode("utf-8"))
+    return _numbered_lines(_read_text(path))
 
 
 def _read_input(path: str) -> tuple[list[tuple[int, str]], dict[str, str]]:
     """The numbered lines of a report's input and its entry in the report: the path and the
-    sha256 of the bytes the lines were decoded from ("stdin" for stdin)."""
-    if path == "-":
-        return _read_lines(path), {"path": path, "sha256": "stdin"}
-    data = _read_bytes(path)
-    digest = hashlib.sha256(data).hexdigest()
-    text = data.decode("utf-8")
-    del data  # not held while the text is split, which would raise peak memory by its size
+    sha256 of the file's bytes, which the UTF-8 text encodes back to ("stdin" for stdin)."""
+    text = _read_text(path)
+    digest = "stdin" if path == "-" else hashlib.sha256(text.encode("utf-8")).hexdigest()
     return _numbered_lines(text), {"path": path, "sha256": digest}
 
 
@@ -111,18 +109,16 @@ def _map_lines(worker, items: list[tuple[int, str]], jobs: int) -> list:
     else:
         with multiprocessing.Pool(processes=jobs) as pool:
             outcomes = pool.map(call, items, chunksize=max(1, len(items) // (jobs * 8)))
-    kept = []
-    skips: dict[str, tuple[int, int]] = {}
+    kept, skipped = [], {}  # skipped: the line numbers of each skip reason
     for item, (status, value) in zip(items, outcomes):
         if status == "error":
             raise value
         if status == "skip":
-            count, first = skips.get(value, (0, item[0]))
-            skips[value] = (count + 1, first)
+            skipped.setdefault(value, []).append(item[0])
         else:
             kept.append(value)
-    for reason, (count, first) in sorted(skips.items()):
-        print(f"skipped {count} scenario(s): {reason} (first at line {first})", file=sys.stderr)
+    for reason, numbers in sorted(skipped.items()):
+        print(f"skipped {len(numbers)} scenario(s): {reason} (first at line {numbers[0]})", file=sys.stderr)
     kept.sort(key=lambda kv: kv[0])
     return [payload for _, payload in kept]
 
@@ -200,10 +196,7 @@ def _load_book(cfg: Config, flag_path: Optional[str]) -> GuidelineBook:
     path = flag_path or cfg.guidelines
     if path is None:
         return load_default_guidelines()
-    try:
-        return load_guidelines(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SchemaError(f"cannot read guidelines {path}: {exc}") from exc
+    return load_guidelines(_read_text(path))
 
 
 def cmd_gen_instructions(args, cfg: Config) -> int:
@@ -259,16 +252,23 @@ def _write_report(path: Optional[str], cfg: Config, inputs: dict[str, dict[str, 
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _read_predictions(path: str) -> tuple[dict[tuple[str, Optional[str]], PredictionSet], dict[str, str]]:
-    """Every prediction of ``path`` keyed by (scenario_id, direction), each line decoded once, and
-    the file's report entry. The lines are dropped on return, before the dataset is read."""
-    lines, entry = _read_input(path)
-    predictions: dict[tuple[str, Optional[str]], PredictionSet] = {}
+def _decoded(lines: list[tuple[int, str]], decode, what: str) -> Iterator[tuple[int, object]]:
+    """``(line number, decode(json.loads(line)))`` of each numbered line, in order, each line
+    decoded once. The first line that fails raises its error as ``{what} N: ...``."""
     for i, line in lines:
         try:
-            preds = _parse_prediction(json.loads(line))
+            value = decode(json.loads(line))
         except (json.JSONDecodeError, MotionKitError) as exc:
-            raise SchemaError(f"predictions line {i}: {exc}") from exc
+            raise SchemaError(f"{what} {i}: {exc}") from exc
+        yield i, value
+
+
+def _read_predictions(path: str) -> tuple[dict[tuple[str, Optional[str]], PredictionSet], dict[str, str]]:
+    """Every prediction of ``path`` keyed by (scenario_id, direction), and the file's report
+    entry. The lines are dropped on return, before the dataset is read."""
+    lines, entry = _read_input(path)
+    predictions: dict[tuple[str, Optional[str]], PredictionSet] = {}
+    for i, preds in _decoded(lines, _parse_prediction, "predictions line"):
         key = (preds.scenario_id, preds.direction.value if preds.direction else None)
         if key in predictions:
             raise SchemaError(f"predictions line {i}: duplicate key {key}")
@@ -279,35 +279,29 @@ def _read_predictions(path: str) -> tuple[dict[tuple[str, Optional[str]], Predic
 def cmd_evaluate(args, cfg: Config) -> int:
     """Score every dataset row in one in-process pass; each line is decoded once.
 
-    The dataset is taken BLOCK_ROWS lines at a time: the block pass scores the decoded rows
-    together, then each row's result is assembled by the worker. A bad line stops the decode;
-    the rows above it are scored first, so the error on the lowest line is the one raised.
+    Each row is paired with its prediction as it is decoded, so the first line that fails to
+    decode or to pair raises. The rows are taken BLOCK_ROWS at a time: the block pass scores
+    them together, then the worker assembles each row's result.
     """
     predictions, predictions_input = _read_predictions(args.predictions)
     lines, dataset_input = _read_input(args.dataset)
+
+    def paired(obj) -> tuple[InstructionRecord, Optional[PredictionSet]]:
+        row = InstructionRecord.from_obj(obj)
+        direction = row.direction.value if row.direction else None
+        preds = predictions.get((row.scenario_id, direction)) or predictions.get((row.scenario_id, None))
+        if preds is not None:
+            check_t_pred(row, preds)
+        return row, preds
+
+    decoded = _decoded(lines, paired, "dataset line")
     keyed = []
-    for start in range(0, len(lines), BLOCK_ROWS):
-        decoded, failed = [], None
-        for i, line in lines[start : start + BLOCK_ROWS]:
-            try:
-                row = InstructionRecord.from_obj(json.loads(line))
-            except (json.JSONDecodeError, MotionKitError) as exc:
-                failed = i, exc
-                break
-            direction = row.direction.value if row.direction else None
-            preds = predictions.get((row.scenario_id, direction)) or predictions.get((row.scenario_id, None))
-            decoded.append((i, row, preds))
-        scores = score_blocks([d[1] for d in decoded], [d[2] for d in decoded], cfg.horizon.dt, cfg.rules)
-        for (i, row, preds), row_scores in zip(decoded, scores):
-            try:
-                result = _evaluate_worker(row, preds, row_scores)
-            except MotionKitError as exc:
-                raise SchemaError(f"dataset line {i}: {exc}") from exc
-            keyed.append(((row.scenario_id, row.direction.value if row.direction else "", i), result))
-        if failed is not None:
-            i, exc = failed
-            raise SchemaError(f"dataset line {i}: {exc}") from exc
-    keyed.sort(key=lambda kv: kv[0])
+    while block := [pair for _, pair in itertools.islice(decoded, BLOCK_ROWS)]:
+        rows, preds = zip(*block)
+        for row, p, row_scores in zip(rows, preds, score_blocks(rows, preds, cfg.horizon.dt, cfg.rules)):
+            key = (row.scenario_id, row.direction.value if row.direction else "")
+            keyed.append((key, _evaluate_worker(row, p, row_scores)))
+    keyed.sort(key=lambda kv: kv[0])  # stable: rows of one key stay in dataset order
     report = _aggregate([result for _, result in keyed])
     inputs = {"dataset": dataset_input, "predictions": predictions_input}
     _write_report(args.report, cfg, inputs, {"metrics": report.to_obj()})
@@ -322,11 +316,7 @@ def _by_value(counts: collections.Counter) -> dict[str, int]:
 def cmd_stats(args, cfg: Config) -> int:
     lines, dataset_input = _read_input(args.input)
     direction, feas_tag, behavior, decision = (collections.Counter() for _ in range(4))
-    for i, line in lines:
-        try:
-            row = InstructionRecord.from_obj(json.loads(line))
-        except (json.JSONDecodeError, SchemaError) as exc:
-            raise SchemaError(f"line {i}: {exc}") from exc
+    for _, row in _decoded(lines, InstructionRecord.from_obj, "line"):
         direction[row.direction] += 1
         feas_tag[row.feas_tag] += 1
         behavior[row.behavior] += 1

@@ -23,8 +23,8 @@ TWO_PI = 2.0 * math.pi
 EPSILON_DISP = 0.05
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+def wrap_angle(theta: float | np.ndarray) -> float | np.ndarray:
+    """Wrap an angle, or each angle of an array, to (-pi, pi]."""
     return math.pi - (math.pi - theta) % TWO_PI
 
 

@@ -11,7 +11,7 @@ with the same classifier used for ground truth.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,9 @@ class PredictionSet:
     __eq__ = _equal_by_value
 
     def __post_init__(self) -> None:
+        for name in ("trajectories", "scores"):
+            if np.asarray(getattr(self, name)).dtype.kind in "bSU":  # a cast would pass True or "1.5"
+                raise SchemaError(f"{name} must hold finite numbers")
         _freeze(self, trajectories=float)
         traj = self.trajectories
         if traj.ndim != 3 or traj.shape[0] < 1 or traj.shape[2] != 2:
@@ -140,6 +143,14 @@ def ifr_scenario(
     return _ifr(instructed, classify_prediction(preds.trajectories, preds.valid, dt, rules))
 
 
+def _grouped(pairs: Iterable[tuple]) -> dict[object, list]:
+    """The values of ``(key, value)`` pairs listed by key, keys and values in the order they come."""
+    groups: dict[object, list] = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return groups
+
+
 def ifr_micro(per_scenario: Sequence[float]) -> float:
     """Corpus IFR: plain mean of per-scenario fractions."""
     if not per_scenario:
@@ -151,16 +162,8 @@ def ifr_macro(
     rows: Sequence[tuple[DirectionLabel, float]]
 ) -> tuple[float, dict[DirectionLabel, float]]:
     """Macro IFR: average per-direction means over the directions present."""
-    buckets: dict[DirectionLabel, list[float]] = {}
-    for label, value in rows:
-        buckets.setdefault(label, []).append(value)
-    per_class = {
-        label: float(np.sum(np.asarray(vals)) / len(vals)) for label, vals in buckets.items()
-    }
-    if not per_class:
-        return 0.0, {}
-    macro = float(np.sum(np.asarray(list(per_class.values()))) / len(per_class))
-    return macro, per_class
+    per_class = {label: ifr_micro(values) for label, values in _grouped(rows).items()}
+    return ifr_micro(list(per_class.values())), per_class
 
 
 class ModeStack(NamedTuple):
@@ -171,6 +174,16 @@ class ModeStack(NamedTuple):
     valid: np.ndarray  # (R, M, T) bool
 
 
+def _require_t_pred(gt_xy: np.ndarray, gt_valid: Optional[np.ndarray], preds: PredictionSet | ModeStack) -> None:
+    """Raise :class:`SchemaError` unless the ground truth has the prediction's T steps: points
+    (T, 2) and a mask (T,) or None for one row, (R, T, 2) and (R, T) for a stack of R rows."""
+    rows = preds.valid.shape[:-2]  # () for one row, (R,) for a stack
+    if gt_xy.shape != (*rows, *preds.trajectories.shape[-2:]) or (
+        gt_valid is not None and gt_valid.shape != gt_xy.shape[:-1]
+    ):
+        raise SchemaError("ground truth and prediction must share t_pred")
+
+
 def _joint_mask(
     gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet | ModeStack
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -178,12 +191,9 @@ def _joint_mask(
     row without any such step raises :class:`NoValidOverlap`."""
     gt_xy = np.asarray(gt_xy, dtype=float)
     gt_valid = np.asarray(gt_valid, dtype=bool)
-    traj, valid = preds.trajectories, preds.valid
-    rows = valid.shape[:-2]  # () for one row, (R,) for a stack
-    if gt_xy.shape != (*rows, *traj.shape[-2:]) or gt_valid.shape != (*rows, valid.shape[-1]):
-        raise SchemaError("ground truth and prediction must share t_pred")
-    mask = valid & gt_valid[..., None, :]
-    if not rows and not mask.any():
+    _require_t_pred(gt_xy, gt_valid, preds)
+    mask = preds.valid & gt_valid[..., None, :]
+    if mask.ndim == 2 and not mask.any():
         raise NoValidOverlap("no mode shares a valid step with the ground truth")
     return gt_xy, mask
 
@@ -241,29 +251,22 @@ def _per_row(best: np.ndarray):
 
 def detection_accuracy(decisions: Sequence[tuple[Decision, FeasTag]]) -> dict[FeasTag, float]:
     """Per-tag accuracy: GT/F rows are correct when accepted, IF when rejected."""
-    totals: dict[FeasTag, int] = {}
-    correct: dict[FeasTag, int] = {}
-    for decision, tag in decisions:
-        totals[tag] = totals.get(tag, 0) + 1
-        expected = Decision.ACCEPT if tag in (FeasTag.GT, FeasTag.F) else Decision.REJECT
-        if decision == expected:
-            correct[tag] = correct.get(tag, 0) + 1
-    return {tag: correct.get(tag, 0) / total for tag, total in totals.items()}
+    hits = _grouped(
+        (tag, decision == (Decision.ACCEPT if tag in (FeasTag.GT, FeasTag.F) else Decision.REJECT))
+        for decision, tag in decisions
+    )
+    return {tag: sum(h) / len(h) for tag, h in hits.items()}
 
 
 def safety_accuracy(
     decisions: Sequence[tuple[Decision, Safety, bool]]
 ) -> dict[tuple[Safety, bool], float]:
     """Accuracy split four ways by (safety tag, with/without context)."""
-    totals: dict[tuple[Safety, bool], int] = {}
-    correct: dict[tuple[Safety, bool], int] = {}
-    for decision, safety, with_context in decisions:
-        key = (safety, bool(with_context))
-        totals[key] = totals.get(key, 0) + 1
-        expected = Decision.ACCEPT if safety is Safety.SAFE else Decision.REJECT
-        if decision == expected:
-            correct[key] = correct.get(key, 0) + 1
-    return {key: correct.get(key, 0) / total for key, total in totals.items()}
+    hits = _grouped(
+        ((safety, bool(ctx)), decision == (Decision.ACCEPT if safety is Safety.SAFE else Decision.REJECT))
+        for decision, safety, ctx in decisions
+    )
+    return {key: sum(h) / len(h) for key, h in hits.items()}
 
 
 def best_mode(mode_xy: np.ndarray, gt_xy: np.ndarray, t_select: Sequence[int]) -> int:
@@ -361,11 +364,7 @@ class RowScores(NamedTuple):
 
 def _blocks(keys: Sequence) -> Iterator[list[int]]:
     """The indices of ``keys`` grouped by equal key (None keys left out), at most BLOCK_ROWS a block."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        if key is not None:
-            groups.setdefault(key, []).append(i)
-    for members in groups.values():
+    for members in _grouped((key, i) for i, key in enumerate(keys) if key is not None).values():
         for start in range(0, len(members), BLOCK_ROWS):
             yield members[start : start + BLOCK_ROWS]
 
@@ -375,9 +374,12 @@ def _gt_valid(row: InstructionRecord) -> np.ndarray:
     return np.ones(len(row.gt_future_xy), dtype=bool) if row.gt_future_valid is None else row.gt_future_valid
 
 
-def _shares_t_pred(row: InstructionRecord, preds: PredictionSet) -> bool:
-    """Whether a row's GT future has its prediction's step count."""
-    return row.gt_future_xy.shape == preds.trajectories.shape[1:]
+def check_t_pred(row: InstructionRecord, preds: PredictionSet) -> bool:
+    """Whether minADE/minFDE score ``row`` against its prediction: whether the row carries a GT
+    trajectory, which must then share t_pred with ``preds`` (:class:`SchemaError` otherwise)."""
+    if row.has_gt_trajectory:
+        _require_t_pred(row.gt_future_xy, row.gt_future_valid, preds)
+    return row.has_gt_trajectory
 
 
 def score_blocks(
@@ -389,7 +391,7 @@ def score_blocks(
     Rows are taken in blocks of at most BLOCK_ROWS that share their prediction's (M, T).
     One :func:`classify_prediction` call labels a block's R·M modes, and one :func:`min_ade`
     and one :func:`min_fde` call over (R, M, T) give the minADE and minFDE of its rows that
-    carry a GT trajectory of the prediction's length. The GT futures of rows without a
+    carry a GT trajectory, which :func:`check_t_pred` checks. The GT futures of rows without a
     direction are labelled in blocks of equal length the same way. Every value has the bits
     the row would get alone.
     """
@@ -410,7 +412,7 @@ def score_blocks(
         r, m, t = valid.shape
         labels = classify_prediction(traj.reshape(r * m, t, 2), valid.reshape(r * m, t), dt, rules)
         errors: list[tuple[Optional[float], Optional[float]]] = [(None, None)] * r
-        scored = [i for i, k in enumerate(block) if rows[k].has_gt_trajectory and _shares_t_pred(rows[k], preds[k])]
+        scored = [i for i, k in enumerate(block) if check_t_pred(rows[k], preds[k])]
         if scored:
             gt_xy = np.stack([rows[block[i]].gt_future_xy for i in scored])
             gt_valid = np.stack([_gt_valid(rows[block[i]]) for i in scored])
@@ -450,10 +452,7 @@ def score_row(row: InstructionRecord, preds: Optional[PredictionSet], scores: Op
     if instructed is not None:
         result["direction"] = instructed
         result["ifr"], result["unclassifiable"] = _ifr(instructed, scores.labels)
-    if row.has_gt_trajectory:
-        if not _shares_t_pred(row, preds):
-            raise SchemaError("ground truth and prediction must share t_pred")
-        result["ade"], result["fde"] = scores.ade, scores.fde
+    result["ade"], result["fde"] = scores.ade, scores.fde
     result["decision"] = preds.decision
     if preds.with_context is not None:
         result["with_context"] = bool(preds.with_context)
@@ -463,7 +462,8 @@ def score_row(row: InstructionRecord, preds: Optional[PredictionSet], scores: Op
 def aggregate(results: Sequence[dict]) -> EvalReport:
     """The corpus report from the :func:`score_row` results, in dataset order."""
     report = EvalReport(n_rows=len(results))
-    ifr_rows = [(r["direction"], r["ifr"]) for r in results if r["ifr"] is not None]
+    ifr_results = [r for r in results if r["ifr"] is not None]
+    ifr_rows = [(r["direction"], r["ifr"]) for r in ifr_results]
     report.n_scored = len(ifr_rows)
     report.n_missing_predictions = sum(1 for r in results if not r["has_pred"])
     report.n_unclassifiable = sum(r["unclassifiable"] for r in results)
@@ -472,11 +472,8 @@ def aggregate(results: Sequence[dict]) -> EvalReport:
         report.ifr_macro, per_class = ifr_macro(ifr_rows)
         report.per_class_ifr = {label.value: value for label, value in per_class.items()}
         report.classes_absent = sorted(d.value for d in DirectionLabel if d not in per_class)
-    by_tag: dict[FeasTag, list[float]] = {}
-    for r in results:
-        if r["ifr"] is not None and r["feas_tag"] is not None:
-            by_tag.setdefault(r["feas_tag"], []).append(r["ifr"])
-    report.ifr_by_tag = {tag.value: ifr_micro(vals) for tag, vals in by_tag.items()}
+    by_tag = _grouped((r["feas_tag"], r["ifr"]) for r in ifr_results if r["feas_tag"] is not None)
+    report.ifr_by_tag = {tag.value: ifr_micro(values) for tag, values in by_tag.items()}
 
     ades = [r["ade"] for r in results if r["ade"] is not None]
     fdes = [r["fde"] for r in results if r["fde"] is not None]

@@ -143,6 +143,51 @@ class TestSynthAndExtract:
         assert outs[1].read_bytes() == outs[4].read_bytes()
 
 
+class TestSkipReasons:
+    """The two skips that label no scenario: a focal track with fewer than two valid future
+    points and one without a valid current pose."""
+
+    @pytest.fixture
+    def corpus_with_skips(self, tmp_path):
+        docs = [
+            json.loads(serialize_scenario(gen_scenario(SynthSpec(kind="straight", speed=10.0), f"s{i}", H)[0]))
+            for i in range(6)
+        ]
+        for k in (1, 4):  # lines 2 and 5: one valid future point
+            for point in docs[k]["agents"][0]["points"][H.t_obs + 1 :]:
+                point["valid"] = False
+        docs[2]["agents"][0]["points"][H.t_obs - 1]["valid"] = False  # line 3: no current pose
+        src = tmp_path / "corpus.jsonl"
+        src.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        return src
+
+    @pytest.mark.parametrize(
+        "command,kept,summary",
+        [
+            (
+                "extract",
+                ["s0", "s2", "s3", "s5"],
+                "skipped 2 scenario(s): fewer than 2 valid future points (first at line 2)\n",
+            ),
+            (
+                "feasibility",
+                ["s0", "s3", "s5"],
+                "skipped 2 scenario(s): fewer than 2 valid future points (first at line 2)\n"
+                "skipped 1 scenario(s): no valid current pose (first at line 3)\n",
+            ),
+        ],
+    )
+    def test_skips_are_summarised_alike_at_any_jobs(self, tmp_path, capsys, corpus_with_skips, command, kept, summary):
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{command}-{jobs}.jsonl"
+            assert run(command, str(corpus_with_skips), "--out", str(out), "--jobs", jobs) == 0
+            runs.append((out.read_bytes(), capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == summary
+        assert [json.loads(line)["scenario_id"] for line in runs[0][0].splitlines()] == kept
+
+
 class TestFeasibilityCmd:
     def test_reports_on_topologies(self, tmp_path):
         src = tmp_path / "s.jsonl"
@@ -273,12 +318,13 @@ class TestGenInstructions:
         src = tmp_path / "s.jsonl"
         src.write_text("".join(l + "\n" for l in lines))
         out = tmp_path / "rows.jsonl"
-        assert run("gen-instructions", str(src), "--out", str(out), "--mode", "behavior", "--jobs", "2") == 0
-        assert out.read_text() == ""
-        assert capsys.readouterr().err == (
-            "skipped 1 scenario(s): focal agent is not a vehicle (first at line 3)\n"
-            f"skipped {len(lines) - 1} scenario(s): no scenario_type (first at line 1)\n"
-        )
+        for jobs in ("1", "2"):
+            assert run("gen-instructions", str(src), "--out", str(out), "--mode", "behavior", "--jobs", jobs) == 0
+            assert out.read_text() == ""
+            assert capsys.readouterr().err == (
+                "skipped 1 scenario(s): focal agent is not a vehicle (first at line 3)\n"
+                f"skipped {len(lines) - 1} scenario(s): no scenario_type (first at line 1)\n"
+            )
 
     def test_mix_with_behavior_mode_is_config_error(self, tmp_path, corpus):
         corpus_path, _ = corpus
@@ -408,6 +454,7 @@ class TestEvaluateCmd:
         "string_with_context": "with_context must be true, false or null",
         "string_gt_with_context": "with_context must be true, false or null",
         "string_gt_has_gt_trajectory": "has_gt_trajectory must be true or false",
+        "duplicate_key": "duplicate key ('e000', 'Straight')",
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_LINES))
@@ -444,6 +491,8 @@ class TestEvaluateCmd:
             obj["with_context"] = "no"
         elif case == "string_gt_has_gt_trajectory":
             obj["has_gt_trajectory"] = "no"
+        elif case == "duplicate_key":
+            obj["scenario_id"] = json.loads(lines[0])["scenario_id"]
         else:
             obj["gt_future_xy"] = [p + [0.0] for p in obj["gt_future_xy"]]
         lines[1] = json.dumps(obj)
@@ -777,6 +826,7 @@ class TestConfigHandling:
             (("--seed", "4"), "--seed applies only with --mix"),
             (("--no-balanced",), "--balanced/--no-balanced applies only with --mix"),
             (("--mode", "behavior", "--seed", "4"), "--seed applies only with --mix"),
+            (("--jobs", "0"), "--jobs must be >= 1"),
         ],
     )
     def test_out_of_range_sampling_flags(self, tmp_path, capsys, corpus, flags, message):
@@ -806,6 +856,16 @@ class TestConfigHandling:
             ({"accel_thresholds_kmh": [6, 25, 46, float("inf")]}, f"acceleration {BANDS} [6, 25, 46, inf]"),
             ({"accel_thresholds_kmh": [6, 25, 46, 10**400]}, f"acceleration {BANDS} [6, 25, 46, {10**400}]"),
             ({"sampler": {"gt_fraction": 0.7, "if_fraction": 0.3}}, "sampler: unknown key(s) ['gt_fraction', 'if_fraction']"),
+            (
+                {"direction_collapse": {"Sideways": "Straight"}},
+                "direction_collapse: 'Sideways' is not a valid FineDirection",
+            ),
+            (
+                {"direction_collapse": {"Straight": "Straight"}},
+                "direction_collapse must map all fine classes; missing ['LeftTurn', 'LeftUTurn', 'RightTurn', "
+                "'RightUTurn', 'Stationary', 'StraightVeerLeft', 'StraightVeerRight']",
+            ),
+            ({"guidelines": 5}, "guidelines must be a path string"),
         ],
         ids=[
             "horizon_number",
@@ -822,6 +882,9 @@ class TestConfigHandling:
             "accel_infinite",
             "accel_too_large_for_a_float",
             "sampler_mixture_fractions",
+            "collapse_unknown_class",
+            "collapse_missing_class",
+            "guidelines_number",
         ],
     )
     def test_config_of_the_wrong_type_is_exit_2(self, tmp_path, capsys, obj, message):
@@ -879,6 +942,28 @@ class TestConfigHandling:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (None, "cannot read config file {path}: [Errno 2] No such file or directory: '{path}'"),
+            (b"{", "config file {path} is not valid JSON: Expecting property name enclosed in double quotes"),
+            (b"[1, 2]", "config file {path} must hold a JSON object"),
+            (
+                b"\xff\xfe{}",
+                "cannot read config file {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
+        ],
+        ids=["missing", "not_json", "not_an_object", "not_utf8"],
+    )
+    def test_config_file_that_is_not_a_json_object_is_exit_2(self, tmp_path, capsys, content, message):
+        cfg, src, out = tmp_path / "cfg.json", tmp_path / "empty.jsonl", tmp_path / "attrs.jsonl"
+        if content is not None:
+            cfg.write_bytes(content)
+        src.write_text("")
+        assert run("extract", str(src), "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message.format(path=cfg)}")
+        assert not out.exists()
+
     def test_integers_are_numbers_in_config(self, tmp_path):
         cfg, src, out = tmp_path / "cfg.json", tmp_path / "empty.jsonl", tmp_path / "stats.json"
         cfg.write_text(json.dumps({"direction": {"theta_s": 45}, "horizon": {"dt": 1}}))
@@ -891,6 +976,36 @@ class TestConfigHandling:
         assert run("synth", "--n", "-3", "--out", str(out)) == 2
         assert capsys.readouterr().err == "config error: --n must be >= 0\n"
         assert not out.exists()
+
+    def test_unknown_synth_suite(self, tmp_path, capsys):
+        out = tmp_path / "corpus.jsonl"
+        assert run("synth", "--suite", "other", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "config error: unknown suite 'other'\n"
+        assert not out.exists()
+
+
+class TestInputThatIsNotUtf8:
+    """A file that is not UTF-8 is an input error naming the file, for each reader of input files."""
+
+    MESSAGE = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("extract", "{bad}", "--out", "{out}"),
+            ("stats", "{bad}", "--out", "{out}"),
+            ("evaluate", "--dataset", "{empty}", "--predictions", "{bad}", "--report", "{out}"),
+            ("gen-instructions", "{empty}", "--mode", "behavior", "--guidelines", "{bad}", "--out", "{out}"),
+        ],
+        ids=["scenario_corpus", "report_input", "predictions", "guidelines"],
+    )
+    def test_is_an_input_error(self, tmp_path, capsys, argv):
+        paths = {"bad": tmp_path / "utf16.json", "empty": tmp_path / "empty.jsonl", "out": tmp_path / "out"}
+        paths["bad"].write_bytes("\ufeff{}\n".encode("utf-16-le"))  # starts with the bytes ff fe
+        paths["empty"].write_text("")
+        assert run(*(arg.format(**paths) for arg in argv)) == 1
+        assert capsys.readouterr().err == f"error: cannot read {paths['bad']}: {self.MESSAGE}"
+        assert not paths["out"].exists()
 
 
 # Veers fold onto Left/Right, and the speed and acceleration bands move.

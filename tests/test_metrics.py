@@ -166,6 +166,10 @@ class TestPredictionSet:
             ({"scores": np.array([1.0, np.nan, 1.0])}, "scores must hold finite numbers"),
             ({"valid": np.ones((3, 5), dtype=int)}, "valid mask must hold booleans"),
             ({"valid": np.ones((3, 4), dtype=bool)}, "valid mask must be (M, T)"),
+            ({"trajectories": np.ones((3, 5, 2), dtype=bool)}, "trajectories must hold finite numbers"),
+            ({"trajectories": np.full((3, 5, 2), "1.5")}, "trajectories must hold finite numbers"),
+            ({"scores": np.array([True, False, True])}, "scores must hold finite numbers"),
+            ({"scores": ["1", "1", "1"]}, "scores must hold finite numbers"),
         ],
     )
     def test_rejects_bad_arrays(self, change, message):

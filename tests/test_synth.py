@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from motionkit import errors, synth
 from motionkit.attributes import DirectionLabel, extract_motion_attributes
-from motionkit.behavior import classify_behavior
+from motionkit.behavior import BehaviorLabel, classify_behavior
 from motionkit.core import HorizonConfig, serialize_scenario
 from motionkit.feasibility import feasibility_set
 from motionkit.metrics import ifr_scenario
@@ -57,6 +57,26 @@ class TestOracleEquivalence:
         fines = {gen_trajectory(s, H)[1].fine.value for s in default_suite(100)}
         assert {"Straight", "Stationary", "LeftTurn", "RightTurn", "LeftUTurn", "RightUTurn"} <= fines
         assert fines & {"StraightVeerLeft", "StraightVeerRight"}
+
+
+    @pytest.mark.parametrize(
+        "spec,label",
+        [
+            (SynthSpec(kind="straight", speed=15.0, speed_end=5.0), BehaviorLabel.SLOWING_DOWN),
+            (
+                SynthSpec(kind="piecewise", speed=15.0, phases=(Phase(4.0, 15.0, 5.0), Phase(3.5, 5.0, 15.0))),
+                BehaviorLabel.SLOWING_THEN_SPEEDING,
+            ),
+            (
+                SynthSpec(kind="piecewise", speed=5.0, phases=(Phase(4.0, 5.0, 15.0), Phase(3.5, 15.0, 5.0))),
+                BehaviorLabel.SPEEDING_THEN_SLOWING,
+            ),
+        ],
+        ids=["slowing_down", "slowing_then_speeding", "speeding_then_slowing"],
+    )
+    def test_behavior_oracle_on_labels_the_suite_never_draws(self, spec, label):
+        track, expected = gen_trajectory(spec, H)
+        assert expected.behavior is classify_behavior(track, H) is label
 
 
 class TestNonDefaultStep:
