@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import MPS_TO_KMH, AgentTrack, HorizonConfig
+from .core import MPS_TO_KMH, AgentTrack, HorizonConfig, _is_number
 from .errors import InsufficientPoints, NegativeSpeed
 from .geometry import EPSILON_DISP, wrap_angle
 
@@ -115,9 +114,7 @@ class LabelRules:
     def __post_init__(self) -> None:
         for name, what in (("speed_kmh", "speed"), ("accel_kmh", "acceleration")):
             bands = getattr(self, name)
-            numbers = isinstance(bands, (list, tuple)) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max for v in bands
-            )
+            numbers = isinstance(bands, (list, tuple)) and all(map(_is_number, bands))
             if not numbers or len(bands) != 4 or any(a >= b for a, b in zip(bands, bands[1:])):
                 raise ValueError(f"{what} thresholds must be 4 finite, strictly increasing numbers, got {bands!r}")
             object.__setattr__(self, name, tuple(bands))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import array
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Optional
@@ -204,18 +205,27 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value, limit: float = sys.float_info.max) -> bool:
+    """A JSON int or float of magnitude at most ``limit`` (MAX_ABS for input files), so never NaN or
+    Infinity; the comparison is exact, so an int too large for a float cannot overflow it."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= limit
+
+
 def _require(obj: dict, key: str, kind, where: str):
     if key not in obj:
         raise SchemaError(f"{where}: missing required field {key!r}")
     value = obj[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{where}: field {key!r} must be a number")
-        if not abs(value) <= MAX_ABS:  # also false for NaN
+        if not _is_number(value, MAX_ABS):
             raise SchemaError(f"{where}: field {key!r} must be a finite number {WITHIN}")
         return float(value)
     if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise SchemaError(f"{where}: field {key!r} must be an integer")
         return value
     if not isinstance(value, kind):
@@ -223,10 +233,16 @@ def _require(obj: dict, key: str, kind, where: str):
     return value
 
 
-def _reject_extra(obj: dict, allowed, where: str) -> None:
+def _reject_extra(obj: dict, allowed, where: Optional[str] = None) -> None:
     extra = set(obj) - set(allowed)
     if extra:
-        raise SchemaError(f"{where}: unexpected field(s) {sorted(extra)}")
+        message = f"unexpected field(s) {sorted(extra)}"
+        raise SchemaError(message if where is None else f"{where}: {message}")
+
+
+def _optional_flag(value, name: str) -> None:
+    if value is not None and not isinstance(value, bool):
+        raise SchemaError(f"{name} must be true, false or null")
 
 
 _POINT_FIELDS = {"t": int, "valid": bool, "x": float, "y": float, "heading": float, "speed": float}
@@ -234,27 +250,46 @@ _VERTEX_FIELDS = {"x": float, "y": float, "heading": float}
 _JSON_TYPES = {int: {int}, bool: {bool}, float: {int, float}}
 
 
-def _json_array(value, ndim: int, name: str):
-    """``value`` as an array, built in one flat pass, when it nests ``ndim`` levels of equal-length
-    lists. Its leaves must be JSON numbers: an int or a float, not a bool or a string such as
-    "1.5", which ``np.array`` would cast. Any other ``value`` is returned as it is, for the
-    caller's own conversion and shape check to reject."""
-    leaves, shape = [value], []
-    for _ in range(ndim):
-        lengths = set(map(len, leaves)) if set(map(type, leaves)) == {list} else set()
-        if len(lengths) != 1:
-            return value
-        shape.append(lengths.pop())
-        leaves = list(chain.from_iterable(leaves))
-    types = set(map(type, leaves))
-    if list in types:  # nested deeper than ndim
-        return value
-    if not types <= _JSON_TYPES[float]:
-        raise SchemaError(f"{name} must hold finite numbers")
+def _json_array(value, name: str) -> np.ndarray:
+    """``value`` as the read-only float array a record stores: an int or float ndarray, or equal-length
+    lists or tuples nested around ints and floats, not bools or strings such as "1.5", which a cast
+    would pass. NaN, infinities and numbers past MAX_ABS raise; the caller checks the shape."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":
+            raise SchemaError(f"{name} must hold finite numbers")
+        out = np.array(value, dtype=float, order="C")
+    else:
+        leaves, shape = [value], []
+        while (types := set(map(type, leaves))) & {list, tuple}:
+            lengths = set(map(len, leaves)) if types <= {list, tuple} else set()
+            if len(lengths) != 1:
+                raise SchemaError(f"{name} must nest lists of equal length")
+            shape.append(lengths.pop())
+            leaves = list(chain.from_iterable(leaves))
+        if not all(issubclass(t, (int, float, np.integer, np.floating)) and t is not bool for t in types):
+            raise SchemaError(f"{name} must hold finite numbers")
+        try:
+            flat = array.array("d", leaves)
+        except OverflowError as exc:  # an int past the float range
+            raise SchemaError(f"{name}: {exc}") from exc
+        del leaves  # first, so that the copy the record keeps can reuse their memory
+        out = np.array(flat).reshape(shape)  # a copy: a view would keep the over-allocated buffer
+    if not _bounded(out):
+        raise SchemaError(f"{name} must hold finite numbers {WITHIN}")
+    out.flags.writeable = False
+    return out
+
+
+def _json_mask(value, name: str) -> np.ndarray:
+    """``value`` as a read-only bool array; nothing is cast, so "no" or 0 does not pass as a flag."""
     try:
-        return np.frombuffer(array.array("d", leaves)).reshape(shape)
-    except OverflowError:  # an int past the float range, which the caller's float cast names
-        return np.array(leaves).reshape(shape)
+        mask = np.array(value, order="C")
+    except ValueError as exc:
+        raise SchemaError(f"{name} must nest lists of equal length") from exc
+    if mask.dtype != bool:
+        raise SchemaError(f"{name} must hold booleans")
+    mask.flags.writeable = False
+    return mask
 
 
 def _table(obj: dict, key: str, kinds: dict, where: str) -> tuple[dict, np.ndarray]:
@@ -371,7 +406,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
     horizon_raw = _require(obj, "horizon", dict, where)
     _reject_extra(horizon_raw, {"t_obs", "t_pred", "t_select", "dt"}, f"{where}.horizon")
     t_select = _require(horizon_raw, "t_select", list, f"{where}.horizon")
-    if not all(isinstance(t, int) and not isinstance(t, bool) for t in t_select):
+    if not all(map(_is_int, t_select)):
         raise SchemaError(f"{where}.horizon: t_select must be a list of integers")
     horizon = HorizonConfig(
         t_obs=_require(horizon_raw, "t_obs", int, f"{where}.horizon"),

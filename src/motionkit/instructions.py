@@ -31,7 +31,7 @@ from .behavior import (
     classify_behavior,
     label_safety,
 )
-from .core import WITHIN, Scenario, _bounded, _equal_by_value, _freeze, _json_array
+from .core import Scenario, _equal_by_value, _json_array, _json_mask, _optional_flag, _reject_extra
 from .errors import EmptyClass, SchemaError
 from .feasibility import FeasibilityParams, FeasibilityReport, FeasTag, feasibility_set, tag_instruction
 
@@ -130,24 +130,16 @@ class InstructionRecord:
         if self.has_gt_trajectory and self.gt_future_xy is None:
             raise SchemaError("has_gt_trajectory rows must carry gt_future_xy")
         if self.gt_future_xy is not None:
-            xy = np.asarray(self.gt_future_xy)
-            if xy.dtype.kind not in "iuf":
-                raise SchemaError("gt_future_xy must hold finite numbers")
-            object.__setattr__(self, "gt_future_xy", xy)
-            _freeze(self, gt_future_xy=float)
-            xy = self.gt_future_xy
-            if not _bounded(xy):
-                raise SchemaError(f"gt_future_xy must hold finite numbers {WITHIN}")
+            xy = _json_array(self.gt_future_xy, "gt_future_xy")
             if xy.ndim != 2 or xy.shape[1] != 2:
                 raise SchemaError(f"gt_future_xy must be (T, 2), got {xy.shape}")
+            object.__setattr__(self, "gt_future_xy", xy)
         if self.gt_future_valid is not None:
-            _freeze(self, gt_future_valid=None)  # no cast: "false" or 0 must not pass as a flag
-            if self.gt_future_valid.dtype != bool:
-                raise SchemaError("gt_future_valid must hold booleans")
-            if self.gt_future_xy is None or self.gt_future_valid.shape != (len(self.gt_future_xy),):
+            valid = _json_mask(self.gt_future_valid, "gt_future_valid")
+            if self.gt_future_xy is None or valid.shape != (len(self.gt_future_xy),):
                 raise SchemaError("gt_future_valid must be (T,), one flag per gt_future_xy point")
-        if self.with_context is not None and not isinstance(self.with_context, bool):
-            raise SchemaError("with_context must be true, false or null")
+            object.__setattr__(self, "gt_future_valid", valid)
+        _optional_flag(self.with_context, "with_context")
 
     def to_obj(self) -> dict:
         obj: dict = {
@@ -180,7 +172,10 @@ class InstructionRecord:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "InstructionRecord":
-        """One decoded dataset line; every number in it must be a JSON int or float."""
+        """One decoded dataset line; its arrays go to the constructor's checks unconverted."""
+        if not isinstance(obj, dict):
+            raise SchemaError("dataset row must be an object")
+        _reject_extra(obj, cls.__dataclass_fields__)
         try:
             if not isinstance(obj["scenario_id"], str):
                 raise TypeError("scenario_id must be a string")
@@ -202,7 +197,7 @@ class InstructionRecord:
                 behavior=BehaviorLabel(obj["behavior"]) if "behavior" in obj else None,
                 two_step=two_step,  # type: ignore[arg-type]
                 has_gt_trajectory=obj.get("has_gt_trajectory", False),
-                gt_future_xy=_json_array(obj.get("gt_future_xy"), 2, "gt_future_xy"),
+                gt_future_xy=obj.get("gt_future_xy"),
                 gt_future_valid=obj.get("gt_future_valid"),
                 with_context=obj.get("with_context"),
             )

@@ -17,14 +17,10 @@ import numpy as np
 
 from .attributes import DirectionLabel, LabelRules, chords, classify_direction_arrays
 from .behavior import Safety
-from .core import WITHIN, _bounded, _equal_by_value, _freeze, _json_array
+from .core import _equal_by_value, _json_array, _json_mask, _optional_flag, _reject_extra
 from .errors import NoValidOverlap, NonPositiveSigma, SchemaError
 from .feasibility import FeasTag
 from .instructions import Decision, InstructionRecord
-
-_PREDICTION_FIELDS = frozenset(
-    {"scenario_id", "trajectories", "scores", "valid", "direction", "decision", "with_context"}
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,30 +40,19 @@ class PredictionSet:
     __eq__ = _equal_by_value
 
     def __post_init__(self) -> None:
-        for name in ("trajectories", "scores"):
-            if np.asarray(getattr(self, name)).dtype.kind in "bSU":  # a cast would pass True or "1.5"
-                raise SchemaError(f"{name} must hold finite numbers")
-        _freeze(self, trajectories=float)
-        traj = self.trajectories
+        traj = _json_array(self.trajectories, "trajectories")
         if traj.ndim != 3 or traj.shape[0] < 1 or traj.shape[2] != 2:
             raise SchemaError(f"trajectories must be (M, T, 2) with M >= 1, got {traj.shape}")
-        if self.scores is None:
-            object.__setattr__(self, "scores", np.full(traj.shape[0], 1.0 / traj.shape[0]))
-        _freeze(self, scores=float)
-        if self.scores.shape != (traj.shape[0],):
+        m = traj.shape[0]
+        scores = _json_array(np.full(m, 1.0 / m) if self.scores is None else self.scores, "scores")
+        if scores.shape != (m,):
             raise SchemaError("scores must have one entry per mode")
-        for name in ("trajectories", "scores"):
-            if not _bounded(getattr(self, name)):
-                raise SchemaError(f"{name} must hold finite numbers {WITHIN}")
-        if self.valid is None:
-            object.__setattr__(self, "valid", np.ones(traj.shape[:2], dtype=bool))
-        _freeze(self, valid=None)  # no cast: "no" or 0 must not pass as a flag
-        if self.valid.dtype != bool:
-            raise SchemaError("valid mask must hold booleans")
-        if self.valid.shape != traj.shape[:2]:
+        valid = _json_mask(np.ones(traj.shape[:2], dtype=bool) if self.valid is None else self.valid, "valid mask")
+        if valid.shape != traj.shape[:2]:
             raise SchemaError("valid mask must be (M, T)")
-        if self.with_context is not None and not isinstance(self.with_context, bool):
-            raise SchemaError("with_context must be true, false or null")
+        _optional_flag(self.with_context, "with_context")
+        for name, value in (("trajectories", traj), ("scores", scores), ("valid", valid)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_modes(self) -> int:
@@ -75,25 +60,23 @@ class PredictionSet:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PredictionSet":
-        """One decoded prediction line; every number in it must be a JSON int or float."""
+        """One decoded prediction line; its arrays go to the constructor's checks unconverted."""
         if not isinstance(obj, dict):
             raise SchemaError("prediction line must be an object")
-        unknown = obj.keys() - _PREDICTION_FIELDS
-        if unknown:
-            raise SchemaError(f"unexpected field(s) {sorted(unknown)}")
+        _reject_extra(obj, cls.__dataclass_fields__)
         try:
             if not isinstance(obj["scenario_id"], str):
                 raise TypeError("scenario_id must be a string")
             return cls(
                 scenario_id=obj["scenario_id"],
-                trajectories=_json_array(obj["trajectories"], 3, "trajectories"),
-                scores=_json_array(obj.get("scores"), 1, "scores"),
+                trajectories=obj["trajectories"],
+                scores=obj.get("scores"),
                 valid=obj.get("valid"),
                 direction=DirectionLabel(obj["direction"]) if "direction" in obj else None,
                 decision=Decision(obj["decision"]) if "decision" in obj else None,
                 with_context=obj.get("with_context"),
             )
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise SchemaError(str(exc)) from exc
 
 

@@ -417,6 +417,21 @@ class TestEvaluateCmd:
         dataset.write_text("".join(l + "\n" for l in rows))
         assert "gt_future_xy" in self._evaluate_fails_on_line_2(tmp_path, capsys, dataset, predictions)
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda row: dict(row, gt_future_vaild=row["gt_future_valid"]), "unexpected field(s) ['gt_future_vaild']"),
+            (lambda row: [1, 2], "dataset row must be an object"),
+        ],
+        ids=["unknown_field", "non_object"],
+    )
+    def test_unknown_or_non_object_row_is_a_line_error(self, tmp_path, capsys, change, message):
+        dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
+        rows = dataset.read_text().splitlines()
+        rows[1] = json.dumps(change(json.loads(rows[1])))
+        dataset.write_text("".join(l + "\n" for l in rows))
+        assert self._evaluate_fails_on_line_2(tmp_path, capsys, dataset, predictions).endswith(f": {message}\n")
+
     @pytest.mark.parametrize("field", ["trajectories", "scores"])
     def test_non_finite_prediction_is_a_line_error(self, tmp_path, capsys, field):
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
@@ -773,6 +788,23 @@ class TestStatsCmd:
         assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
         assert capsys.readouterr().err == "error: line 2: gt_future_xy must hold finite numbers\n"
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda row: dict(row, gt_future_vaild=row["gt_future_valid"]), "unexpected field(s) ['gt_future_vaild']"),
+            (lambda row: [1, 2], "dataset row must be an object"),
+        ],
+        ids=["unknown_field", "non_object"],
+    )
+    def test_unknown_or_non_object_row_is_a_line_error(self, tmp_path, capsys, corpus, change, message):
+        corpus_path, _ = corpus
+        rows = tmp_path / "rows.jsonl"
+        assert run("gen-instructions", str(corpus_path), "--out", str(rows)) == 0
+        good = next(json.loads(l) for l in rows.read_text().splitlines() if "gt_future_valid" in l)
+        rows.write_text(json.dumps(good) + "\n\n" + json.dumps(change(good)) + "\n")
+        assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
+        assert capsys.readouterr().err == f"error: line 3: {message}\n"
+
     def test_empty_dataset_all_zero(self, tmp_path):
         rows = tmp_path / "rows.jsonl"
         rows.write_text("")
@@ -846,7 +878,8 @@ class TestConfigHandling:
             ({"feasibility": 3}, "feasibility: must be an object"),
             ({"direction": "x"}, "direction: must be an object"),
             ({"direction_collapse": ["Straight"]}, "direction_collapse: must be an object"),
-            ({"horizon": {"t_select": 5}}, "horizon: 'int' object is not iterable"),
+            ({"horizon": {"t_select": 5}}, "horizon: t_select must be a list of integers, got 5"),
+            ({"horizon": {"t_select": ""}}, 'horizon: t_select must be a list of integers, got ""'),
             ({"speed_thresholds_kmh": 5}, f"speed {BANDS} 5"),
             ({"speed_thresholds_kmh": ["a", "b", "c", "d"]}, f"speed {BANDS} ['a', 'b', 'c', 'd']"),
             ({"speed_thresholds_kmh": [120, 90, 40, 20]}, f"speed {BANDS} [120, 90, 40, 20]"),
@@ -873,6 +906,7 @@ class TestConfigHandling:
             "direction_string",
             "collapse_list",
             "t_select_number",
+            "t_select_empty_string",
             "speed_number",
             "speed_strings",
             "speed_decreasing",

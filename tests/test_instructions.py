@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,51 @@ class TestRecordInvariants:
                 caption_text="c",
                 decision=Decision.ACCEPT,
             )
+
+    GT_ROW = dict(
+        scenario_id="s",
+        focal_agent_id="ego",
+        instruction_text="i",
+        caption_text="c",
+        decision=Decision.ACCEPT,
+        feas_tag=FeasTag.GT,
+        has_gt_trajectory=True,
+    )
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            # a bool or string hidden in a list numpy promotes, or in an object array
+            ({"gt_future_xy": [[True, 0.5], [1, 2]]}, "gt_future_xy must hold finite numbers"),
+            ({"gt_future_xy": np.array([[["1.5", "2"]]], dtype=object)}, "gt_future_xy must hold finite numbers"),
+            ({"gt_future_xy": np.ones((2, 2), dtype=bool)}, "gt_future_xy must hold finite numbers"),
+            ({"gt_future_xy": [[1, np.nan], [1, 2]]}, "gt_future_xy must hold finite numbers of magnitude at most"),
+            ({"gt_future_xy": [[1, 2], [3]]}, "gt_future_xy must nest lists of equal length"),
+            ({"gt_future_xy": [[1, 2, 3]]}, "gt_future_xy must be (T, 2), got (1, 3)"),
+            ({"gt_future_valid": [True, 0]}, "gt_future_valid must hold booleans"),
+            ({"gt_future_valid": [True]}, "gt_future_valid must be (T,)"),
+        ],
+    )
+    def test_rejects_bad_arrays(self, change, message):
+        fields = self.GT_ROW | {"gt_future_xy": [[0, 1], [2, 3]], "gt_future_valid": [True, False]} | change
+        with pytest.raises(errors.SchemaError, match=re.escape(message)):
+            InstructionRecord(**fields)
+
+    @pytest.mark.parametrize(
+        "xy,valid",
+        [
+            (((0, 1.5), (2, 3)), (True, False)),  # tuples, as a caller builds them from .tolist()
+            ([[np.float64(0), np.float64(1.5)], [2, 3]], [np.True_, np.False_]),
+            (np.array([[0, 1], [2, 3]]), np.array([True, False])),
+        ],
+        ids=["tuples", "numpy_scalars", "int_arrays"],
+    )
+    def test_accepts_tuples_numpy_scalars_and_int_arrays(self, xy, valid):
+        row = InstructionRecord(**self.GT_ROW, gt_future_xy=xy, gt_future_valid=valid)
+        assert row.gt_future_xy.tolist() == np.array(xy, dtype=float).tolist()
+        assert row.gt_future_valid.tolist() == [True, False]
+        for array, dtype in ((row.gt_future_xy, float), (row.gt_future_valid, bool)):
+            assert array.dtype == dtype and not array.flags.writeable
 
     def test_roundtrip(self):
         scenario, _ = gen_scenario(SynthSpec(kind="straight", speed=10.0), "s1", H, topology="t_junction")

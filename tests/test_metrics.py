@@ -147,6 +147,16 @@ class TestBatchedAgainstPerModeOracle:
         assert min_fde(gt, gt_valid, preds) == fde
 
 
+# Leaves of a JSON array: numbers in and past MAX_ABS, NaN, infinities, ints past the float
+# range, booleans, strings and null.
+NESTED_LEAVES = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(-MAX_ABS, MAX_ABS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([True, False, "1.5", "", None, 10**400, -(10**400), MAX_ABS * 2]),
+)
+
+
 class TestPredictionSet:
     def test_value_semantics_and_read_only_arrays(self):
         track, label = straight_gt()
@@ -170,12 +180,72 @@ class TestPredictionSet:
             ({"trajectories": np.full((3, 5, 2), "1.5")}, "trajectories must hold finite numbers"),
             ({"scores": np.array([True, False, True])}, "scores must hold finite numbers"),
             ({"scores": ["1", "1", "1"]}, "scores must hold finite numbers"),
+            # a bool or string hidden in a list numpy promotes, or in an object array
+            ({"trajectories": [[[True, 0.5], [1, 2]]]}, "trajectories must hold finite numbers"),
+            ({"trajectories": np.array([[["1.5", "2"]]], dtype=object)}, "trajectories must hold finite numbers"),
+            ({"scores": [1, True, 0.5]}, "scores must hold finite numbers"),
+            ({"trajectories": [[[1, 2]], [[1, 2], [3, 4]]]}, "trajectories must nest lists of equal length"),
+            ({"trajectories": [[[10**400, 0]]]}, "trajectories: int too large to convert to float"),
+            ({"valid": [[True] * 5] * 2 + [[True] * 4]}, "valid mask must nest lists of equal length"),
         ],
     )
     def test_rejects_bad_arrays(self, change, message):
         fields = dict(scenario_id="s", trajectories=np.zeros((3, 5, 2)), scores=np.ones(3)) | change
         with pytest.raises(errors.SchemaError, match=re.escape(message)):
             PredictionSet(**fields)
+
+    @pytest.mark.parametrize(
+        "trajectories,scores,valid",
+        [
+            ((((0, 1.5), (2, 3)),), (1,), ((True, False),)),  # tuples, as a caller builds them from .tolist()
+            ([[[np.float64(0), np.float64(1.5)], [2, 3]]], [np.float64(1)], [[np.True_, np.False_]]),
+            (np.array([[[0, 1], [2, 3]]]), np.array([1]), np.array([[True, False]])),
+        ],
+        ids=["tuples", "numpy_scalars", "int_arrays"],
+    )
+    def test_accepts_tuples_numpy_scalars_and_int_arrays(self, trajectories, scores, valid):
+        preds = PredictionSet(scenario_id="s", trajectories=trajectories, scores=scores, valid=valid)
+        assert preds.trajectories.tolist() == np.array(trajectories, dtype=float).tolist()
+        assert preds.scores.tolist() == [1.0] and preds.valid.tolist() == [[True, False]]
+        for array, dtype in ((preds.trajectories, float), (preds.scores, float), (preds.valid, bool)):
+            assert array.dtype == dtype and not array.flags.writeable
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            # (M, T, 2) with a mixed leaf now and then
+            st.integers(1, 3).flatmap(
+                lambda m: st.integers(1, 3).flatmap(
+                    lambda t: st.lists(
+                        st.lists(
+                            st.lists(st.one_of(st.floats(-10.0, 10.0), NESTED_LEAVES), min_size=2, max_size=2),
+                            min_size=t,
+                            max_size=t,
+                        ),
+                        min_size=m,
+                        max_size=m,
+                    )
+                )
+            ),
+            # any nesting: ragged, too shallow or too deep
+            st.recursive(NESTED_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=10),
+        )
+    )
+    @example([[[True, 0.5], [1, 2]]])
+    @example([[[1, 2]], [[1, 2], [3, 4]]])
+    def test_from_obj_and_the_constructor_agree(self, trajectories):
+        """A decoded line and a direct construction pass the same gate: the same array bits or
+        the same SchemaError message, whatever the leaves or the nesting."""
+
+        def outcome(build):
+            try:
+                preds = build()
+            except errors.SchemaError as exc:
+                return str(exc)
+            return preds.trajectories.shape, preds.trajectories.tobytes()
+
+        line = outcome(lambda: PredictionSet.from_obj({"scenario_id": "s", "trajectories": trajectories}))
+        assert line == outcome(lambda: PredictionSet(scenario_id="s", trajectories=trajectories))
 
     @settings(max_examples=200, deadline=None)
     @given(
