@@ -131,9 +131,11 @@ def _vehicle_scenario(line: str) -> Scenario:
 
 
 def _map_scenarios(args, cfg: Config, *settings) -> list:
-    """The command's worker (``args.worker``, from the parser table) with ``cfg`` and
-    ``settings`` over every line of ``args.input``; the kept payloads in scenario order."""
-    worker = functools.partial(args.worker, cfg, *settings)
+    """The command's worker with ``cfg`` and ``settings`` over every line of ``args.input``; the kept
+    payloads in scenario order. The parser table names the worker (``args.worker``), and the name is
+    looked up here, when the command runs, so that a wrapper bound to it (as perfbench/tracing.py
+    binds one) is the one that runs."""
+    worker = functools.partial(globals()[args.worker], cfg, *settings)
     return _map_lines(worker, _read_lines(args.input), args.jobs or cfg.jobs)
 
 
@@ -355,7 +357,9 @@ def cmd_synth(args, cfg: Config) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     arguments = {
         "input": dict(nargs="?", default="-"),
         "--out": {},
@@ -374,23 +378,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--config": dict(help="JSON config file"),
         "--jobs": dict(type=int, help="parallel worker count"),
     }
-    # (name, help, command, per-scenario worker, arguments before --config and --jobs). The
-    # workers are looked up here, when main runs, so that a wrapper bound to a worker's
-    # module-level name (as perfbench/tracing.py binds one) is the one that runs.
+    # (name, help, command, the name of its per-scenario worker, arguments before --config and --jobs).
     commands = (
-        ("extract", "motion attributes per focal agent", cmd_per_scenario, _extract_worker, "input --out"),
+        ("extract", "motion attributes per focal agent", cmd_per_scenario, "_extract_worker", "input --out"),
         (
             "feasibility",
             "GT/feasible/infeasible direction reports",
             cmd_per_scenario,
-            _feasibility_worker,
+            "_feasibility_worker",
             "input --out",
         ),
         (
             "gen-instructions",
             "instruction/caption dataset rows",
             cmd_gen_instructions,
-            _gen_worker,
+            "_gen_worker",
             "input --out --mode --mix --balanced --seed --draws --guidelines",
         ),
         ("evaluate", "score predictions against a dataset", cmd_evaluate, None, "--dataset --predictions --report"),

@@ -5,6 +5,15 @@ per line). Field names in the schema are normative and documented in the
 README. Angles are radians wrapped to (-pi, pi], speeds are m/s except lane
 ``speed_limit_kmh``, time steps are integers at ``dt`` seconds per step
 (default 0.1 s, i.e. 10 Hz).
+
+A :class:`Scenario` stores its agents as one block: per-agent ids, kinds and
+first t_index, and (A, n) columns of positions, headings, speeds and validity
+flags. :func:`parse_scenario` checks every point of every agent in one column
+pass and builds that block directly; only when the pass finds a problem does
+it read the agents one at a time, to raise the first problem with its field
+path. The labellers read only ``Scenario.focal_track``, an :class:`AgentTrack`
+view of the focal row built once; ``Scenario.agents`` gives every agent's view
+and is built only when read.
 """
 
 from __future__ import annotations
@@ -14,8 +23,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import chain
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -39,13 +49,26 @@ MAX_ABS = 1e9
 WITHIN = f"of magnitude at most {MAX_ABS:g}"
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value, limit: float = sys.float_info.max) -> bool:
+    """A JSON int or float of magnitude at most ``limit`` (MAX_ABS for input files), so never NaN or
+    Infinity; the comparison is exact, so an int too large for a float cannot overflow it."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= limit
+
+
 @dataclass(frozen=True)
 class HorizonConfig:
     """Observed/future step layout of a scenario.
 
     ``t_obs`` observed steps followed by ``t_pred`` future steps; the current
     step is index ``t_obs - 1``. ``t_select`` lists future step indices used by
-    the GMM loss (relative to the start of the future window).
+    the GMM loss (relative to the start of the future window). The step counts
+    and indices are integers, not bools or floats, and ``dt`` is a positive
+    number of magnitude at most MAX_ABS.
     """
 
     t_obs: int = 11
@@ -54,16 +77,21 @@ class HorizonConfig:
     dt: float = 0.1
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.t_obs) and _is_int(self.t_pred)):
+            raise SchemaError("t_obs and t_pred must be integers")
         if self.t_obs < 2:
             raise SchemaError("t_obs must be >= 2 (heading inference needs two points)")
         if self.t_pred < 1:
             raise SchemaError("t_pred must be >= 1")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise SchemaError("dt must be positive and finite")
-        for t in self.t_select:
+        if not (_is_number(self.dt, MAX_ABS) and self.dt > 0):
+            raise SchemaError(f"dt must be a positive number {WITHIN}")
+        t_select = tuple(self.t_select)
+        for t in t_select:
+            if not _is_int(t):
+                raise SchemaError(f"t_select entry {t!r} is not an integer")
             if not 0 <= t < self.t_pred:
                 raise SchemaError(f"t_select entry {t} outside [0, {self.t_pred})")
-        object.__setattr__(self, "t_select", tuple(int(t) for t in self.t_select))
+        object.__setattr__(self, "t_select", t_select)
 
     @property
     def n_steps(self) -> int:
@@ -80,11 +108,22 @@ class HorizonConfig:
 
 
 def _freeze(obj, **dtypes) -> None:
-    """Store each named field as a private, C-ordered, read-only array."""
+    """Store each named field as a C-ordered, read-only array: a private copy, except that an array
+    that is already read-only and of that dtype and layout is kept as it is, so a track can be a
+    view of its scenario's block."""
     for name, dtype in dtypes.items():
-        array = np.array(getattr(obj, name), dtype=dtype, order="C")
+        value = getattr(obj, name)
+        flags = value.flags if isinstance(value, np.ndarray) else None
+        if flags is not None and not flags.writeable and flags.c_contiguous and value.dtype == dtype:
+            continue
+        array = np.array(value, dtype=dtype, order="C")
         array.flags.writeable = False
         object.__setattr__(obj, name, array)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _bounded(a: np.ndarray) -> bool:
@@ -108,7 +147,8 @@ def _equal_by_value(a, b) -> bool:
 class AgentTrack:
     """An agent's full track (observed + future) as per-step columns: step ``i`` has t_index
     ``t0 + i``, ``xy`` is (n, 2) and the rest (n,); the numbers of invalid steps are ignored
-    downstream. The columns are read-only copies of what the constructor was given."""
+    downstream. The columns are read-only: copies of what the constructor was given, or the very
+    arrays when they are already read-only (a scenario's tracks are views of its block)."""
 
     agent_id: str
     agent_kind: str
@@ -157,63 +197,118 @@ class Lane:
             raise GeometryError(f"lane {self.lane_id}: consecutive centerline points must be distinct")
 
 
-@dataclass(frozen=True)
+def _point_count_error(where: str, agent_id: str, count: int, n_steps: int) -> SchemaError:
+    return SchemaError(f"{where}: agent {agent_id} has {count} points, horizon requires {n_steps}")
+
+
+def _check_ids(where: str, focal_agent_id: str, agent_ids, lanes) -> None:
+    """A scenario's id checks: unique agent and lane ids, a focal agent among the agents, and lane
+    references that resolve."""
+    if len(set(agent_ids)) != len(agent_ids):
+        raise ReferenceError(f"{where}: duplicate agent_id")
+    lane_ids = {l.lane_id for l in lanes}
+    if len(lane_ids) != len(lanes):
+        raise ReferenceError(f"{where}: duplicate lane_id")
+    if focal_agent_id not in agent_ids:
+        raise ReferenceError(f"{where}: focal_agent_id {focal_agent_id!r} not among agents")
+    for lane in lanes:
+        for ref in (*lane.successors, lane.left_neighbor, lane.right_neighbor):
+            if ref is not None and ref not in lane_ids:
+                raise ReferenceError(f"{where}: lane {lane.lane_id} references unknown lane {ref!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
+    """One scenario, its agents stored as one block: agent ``a`` is ``agent_ids[a]`` of kind
+    ``agent_kinds[a]``, and its step ``i`` has t_index ``t0[a] + i``, position ``xy[a, i]`` and
+    ``headings``, ``speeds`` and ``valid`` ``[a, i]``. ``xy`` is (A, n, 2) and the other three
+    (A, n), where n is ``horizon.n_steps``; all four are read-only.
+
+    ``focal_track`` and ``agents`` read the block as :class:`AgentTrack` views (no copy): the
+    focal track is built the first time it is read, and the tuple of every agent's track only
+    when it is read, which the labellers never do. :meth:`from_tracks` stacks tracks into a
+    scenario.
+    """
+
     scenario_id: str
     focal_agent_id: str
-    agents: tuple[AgentTrack, ...]
+    agent_ids: tuple[str, ...]
+    agent_kinds: tuple[str, ...]
+    t0: tuple[int, ...]
+    xy: np.ndarray
+    headings: np.ndarray
+    speeds: np.ndarray
+    valid: np.ndarray
     lanes: tuple[Lane, ...]
     horizon: HorizonConfig = field(default_factory=HorizonConfig)
     scenario_type: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        agent_ids = [a.agent_id for a in self.agents]
-        if len(set(agent_ids)) != len(agent_ids):
-            raise ReferenceError(f"scenario {self.scenario_id}: duplicate agent_id")
-        lane_ids = [l.lane_id for l in self.lanes]
-        if len(set(lane_ids)) != len(lane_ids):
-            raise ReferenceError(f"scenario {self.scenario_id}: duplicate lane_id")
-        if self.focal_agent_id not in set(agent_ids):
-            raise ReferenceError(
-                f"scenario {self.scenario_id}: focal_agent_id {self.focal_agent_id!r} not among agents"
-            )
-        lane_set = set(lane_ids)
-        for lane in self.lanes:
-            for ref in (*lane.successors, lane.left_neighbor, lane.right_neighbor):
-                if ref is not None and ref not in lane_set:
-                    raise ReferenceError(
-                        f"scenario {self.scenario_id}: lane {lane.lane_id} references unknown lane {ref!r}"
-                    )
-        n = self.horizon.n_steps
-        for a in self.agents:
-            if len(a.xy) != n:
-                raise SchemaError(
-                    f"scenario {self.scenario_id}: agent {a.agent_id} has {len(a.xy)} points, "
-                    f"horizon requires {n}"
-                )
+    __eq__ = _equal_by_value
 
-    @property
+    def __post_init__(self) -> None:
+        where = f"scenario {self.scenario_id}"
+        if not set(self.agent_kinds) <= AGENT_KINDS:
+            raise SchemaError(f"{where}: unknown agent_kind in {sorted(set(self.agent_kinds))}")
+        _freeze(self, xy=float, headings=float, speeds=float, valid=bool)
+        a = len(self.agent_ids)
+        shape = self.headings.shape
+        if not (
+            len(shape) == 2
+            and len(self.agent_kinds) == len(self.t0) == a == shape[0]
+            and self.xy.shape == (*shape, 2)
+            and self.speeds.shape == self.valid.shape == shape
+        ):
+            raise SchemaError(f"{where}: the block must be xy (A, n, 2) and (A, n) for the rest, for A agents")
+        _check_ids(where, self.focal_agent_id, self.agent_ids, self.lanes)
+        if shape[1] != self.horizon.n_steps:
+            raise _point_count_error(where, self.agent_ids[0], shape[1], self.horizon.n_steps)
+
+    @classmethod
+    def from_tracks(
+        cls,
+        scenario_id: str,
+        focal_agent_id: str,
+        tracks,
+        lanes: tuple[Lane, ...],
+        horizon: HorizonConfig = HorizonConfig(),
+        scenario_type: Optional[str] = None,
+    ) -> "Scenario":
+        """The scenario whose block stacks ``tracks`` in order; each must have ``horizon.n_steps`` points."""
+        for t in tracks:
+            if len(t.xy) != horizon.n_steps:
+                raise _point_count_error(f"scenario {scenario_id}", t.agent_id, len(t.xy), horizon.n_steps)
+        shape = (len(tracks), horizon.n_steps)
+        return cls(
+            scenario_id,
+            focal_agent_id,
+            tuple(t.agent_id for t in tracks),
+            tuple(t.agent_kind for t in tracks),
+            tuple(t.t0 for t in tracks),
+            _read_only(np.array([t.xy for t in tracks]).reshape(*shape, 2)),
+            _read_only(np.array([t.headings for t in tracks]).reshape(shape)),
+            _read_only(np.array([t.speeds for t in tracks]).reshape(shape)),
+            _read_only(np.array([t.valid_mask for t in tracks], dtype=bool).reshape(shape)),
+            lanes=tuple(lanes),
+            horizon=horizon,
+            scenario_type=scenario_type,
+        )
+
+    def _track(self, a: int) -> AgentTrack:
+        columns = (self.xy[a], self.headings[a], self.speeds[a], self.valid[a])
+        return AgentTrack(self.agent_ids[a], self.agent_kinds[a], self.t0[a], *columns)
+
+    @cached_property
     def focal_track(self) -> AgentTrack:
-        for a in self.agents:
-            if a.agent_id == self.focal_agent_id:
-                return a
-        raise ReferenceError(self.focal_agent_id)  # unreachable after validation
+        return self._track(self.agent_ids.index(self.focal_agent_id))
+
+    @cached_property
+    def agents(self) -> tuple[AgentTrack, ...]:
+        return tuple(map(self._track, range(len(self.agent_ids))))
 
 
 # ---------------------------------------------------------------------------
 # JSON parsing / serialization
 # ---------------------------------------------------------------------------
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: an int, not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value, limit: float = sys.float_info.max) -> bool:
-    """A JSON int or float of magnitude at most ``limit`` (MAX_ABS for input files), so never NaN or
-    Infinity; the comparison is exact, so an int too large for a float cannot overflow it."""
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= limit
 
 
 def _require(obj: dict, key: str, kind, where: str):
@@ -292,21 +387,31 @@ def _json_mask(value, name: str) -> np.ndarray:
     return mask
 
 
-def _table(obj: dict, key: str, kinds: dict, where: str) -> tuple[dict, np.ndarray]:
-    """The rows of ``obj[key]`` as one list per field plus the float fields as one (k, n) array;
-    a row that is not an object with exactly these fields of these JSON types, within MAX_ABS
-    and with speed >= 0, raises its first problem as ``{where}.{key}[i]: ...``."""
-    rows = _require(obj, key, list, where)
-    # Rows that each hold every field and together hold len(kinds) * n keys hold no other key.
-    if set(map(type, rows)) <= {dict} and sum(map(len, rows)) == len(kinds) * len(rows):
-        try:
+def _columns(rows: list, kinds: dict) -> Optional[tuple[dict, np.ndarray]]:
+    """``rows`` as one list per field plus the float fields as one (k, len(rows)) array, or None
+    unless every row is an object with exactly these fields of these JSON types, within MAX_ABS
+    and with speed >= 0."""
+    try:
+        # Rows that each hold every field and together hold len(kinds) * n keys hold no other key;
+        # a row that is not an object fails len() or the lookup with a TypeError.
+        if sum(map(len, rows)) == len(kinds) * len(rows):
             columns = {name: [row[name] for row in rows] for name in kinds}
             if all(set(map(type, columns[name])) <= _JSON_TYPES[kind] for name, kind in kinds.items()):
                 floats = np.array([columns[name] for name, kind in kinds.items() if kind is float], dtype=float)
                 if _bounded(floats) and min(columns.get("speed") or [0]) >= 0:
                     return columns, floats
-        except (KeyError, OverflowError):
-            pass
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return None
+
+
+def _table(obj: dict, key: str, kinds: dict, where: str) -> tuple[dict, np.ndarray]:
+    """The :func:`_columns` of the rows of ``obj[key]``; a row that does not pass raises its first
+    problem as ``{where}.{key}[i]: ...``."""
+    rows = _require(obj, key, list, where)
+    table = _columns(rows, kinds)
+    if table is not None:
+        return table
     for i, row in enumerate(rows):
         at = f"{where}.{key}[{i}]"
         if not isinstance(row, dict):
@@ -323,28 +428,84 @@ def _normalize_headings(headings: np.ndarray) -> np.ndarray:
     """Headings wrapped to (-pi, pi], with in-range values kept bit for bit: ``wrap_angle`` loses
     low-order bits even in range (pi - (pi - theta) is not exactly theta), which would break
     parse/serialize round trips."""
-    return np.where((headings > -math.pi) & (headings <= math.pi), headings, wrap_angle(headings))
+    inside = (headings > -math.pi) & (headings <= math.pi)
+    return headings if inside.all() else np.where(inside, headings, wrap_angle(headings))
 
 
-def _parse_agent(obj: dict, where: str) -> AgentTrack:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: agent must be an object")
-    _reject_extra(obj, {"agent_id", "agent_kind", "points"}, where)
-    agent_id = _require(obj, "agent_id", str, where)
-    columns, (x, y, headings, speeds) = _table(obj, "points", _POINT_FIELDS, where)
+_AGENT_FIELDS = frozenset({"agent_id", "agent_kind", "points"})
+
+
+def _agent_block(agents: list) -> Optional[tuple]:
+    """The scenario block of ``agents`` (ids, kinds, t0, xy, headings, speeds, valid; see
+    :class:`Scenario`) in one column pass over every point of every agent, or None when any agent
+    is irregular: not an object with exactly the agent fields, a non-string id or kind, an unknown
+    kind, points that are not a list, unequal or fewer than 2 points, a point that fails
+    :func:`_columns`, or t_index steps other than +1."""
+    if not agents or not all(type(a) is dict and a.keys() == _AGENT_FIELDS for a in agents):
+        return None
+    ids, kinds, tracks = ([a[name] for a in agents] for name in ("agent_id", "agent_kind", "points"))
+    if not (
+        set(map(type, ids)) <= {str}
+        and set(map(type, kinds)) <= {str}
+        and set(kinds) <= AGENT_KINDS
+        and set(map(type, tracks)) <= {list}
+    ):
+        return None
+    lengths = set(map(len, tracks))
+    n = lengths.pop()
+    if lengths or n < 2:
+        return None
+    table = _columns(list(chain.from_iterable(tracks)), _POINT_FIELDS)
+    if table is None:
+        return None
+    columns, floats = table  # rows x, y, heading, speed
+    # One comparison with the expected steps: exact for JSON integers of any size, which an
+    # int64 difference is not.
     t = columns["t"]
-    track = AgentTrack(
-        agent_id=agent_id,
-        agent_kind=_require(obj, "agent_kind", str, where),
-        t0=t[0] if t else 0,
-        xy=np.column_stack((x, y)),
-        headings=_normalize_headings(headings),
-        speeds=speeds,
-        valid_mask=columns["valid"],
+    t0 = t[::n]
+    if t != list(chain.from_iterable(range(start, start + n) for start in t0)):
+        return None
+    shape = (len(agents), n)
+    return (
+        tuple(ids),
+        tuple(kinds),
+        tuple(t0),
+        _read_only(floats[:2].T.copy().reshape(*shape, 2)),
+        _read_only(_normalize_headings(floats[2]).reshape(shape)),
+        _read_only(floats[3].reshape(shape)),
+        _read_only(np.array(columns["valid"]).reshape(shape)),
     )
-    if t != list(range(track.t0, track.t0 + len(t))):
-        raise GeometryError(f"agent {agent_id}: t_index must increase by exactly 1")
-    return track
+
+
+def _raise_agent_error(obj: dict, agents: list, horizon: HorizonConfig, where: str) -> NoReturn:
+    """Raise the problem that kept :func:`_agent_block` from building the block, as reading the
+    agents one at a time raises it: the first agent's first problem, in the order the fields are
+    read, as ``{where}.agents[i]: ...`` (t_index and point-count problems name the agent id). When
+    every agent is well formed on its own (none, or their point counts differ), the lanes and ids
+    are checked first, as :class:`Scenario` checks them before the point counts."""
+    ids, counts = [], []
+    for i, agent in enumerate(agents):
+        at = f"{where}.agents[{i}]"
+        if not isinstance(agent, dict):
+            raise SchemaError(f"{at}: agent must be an object")
+        _reject_extra(agent, _AGENT_FIELDS, at)
+        agent_id = _require(agent, "agent_id", str, at)
+        t = _table(agent, "points", _POINT_FIELDS, at)[0]["t"]
+        kind = _require(agent, "agent_kind", str, at)
+        if kind not in AGENT_KINDS:
+            raise SchemaError(f"unknown agent_kind {kind!r}")
+        if len(t) < 2:
+            raise GeometryError(f"agent {agent_id}: track needs >= 2 points")
+        if t != list(range(t[0], t[0] + len(t))):
+            raise GeometryError(f"agent {agent_id}: t_index must increase by exactly 1")
+        ids.append(agent_id)
+        counts.append(len(t))
+    lanes = _parse_lanes(obj, where)
+    _check_ids(where, _require(obj, "focal_agent_id", str, where), ids, lanes)
+    for agent_id, count in zip(ids, counts):
+        if count != horizon.n_steps:
+            raise _point_count_error(where, agent_id, count, horizon.n_steps)
+    raise AssertionError("unreachable: the agent checks above mirror the block pass")
 
 
 def _parse_lane(obj: dict, where: str) -> Lane:
@@ -356,7 +517,7 @@ def _parse_lane(obj: dict, where: str) -> Lane:
         where,
     )
     lane_id = _require(obj, "lane_id", str, where)
-    _, (x, y, headings) = _table(obj, "centerline", _VERTEX_FIELDS, where)
+    floats = _table(obj, "centerline", _VERTEX_FIELDS, where)[1]  # rows x, y, heading
     limit = None
     if obj.get("speed_limit_kmh") is not None:
         limit = _require(obj, "speed_limit_kmh", float, where)
@@ -374,13 +535,17 @@ def _parse_lane(obj: dict, where: str) -> Lane:
 
     return Lane(
         lane_id=lane_id,
-        xy=np.column_stack((x, y)),
-        headings=_normalize_headings(headings),
+        xy=_read_only(floats[:2].T.copy()),
+        headings=_read_only(_normalize_headings(floats[2])),
         speed_limit_kmh=limit,
         successors=tuple(successors),
         left_neighbor=_opt_str("left_neighbor"),
         right_neighbor=_opt_str("right_neighbor"),
     )
+
+
+def _parse_lanes(obj: dict, where: str) -> tuple[Lane, ...]:
+    return tuple(_parse_lane(l, f"{where}.lanes[{i}]") for i, l in enumerate(_require(obj, "lanes", list, where)))
 
 
 def parse_scenario(text: str | bytes) -> Scenario:
@@ -417,16 +582,15 @@ def parse_scenario(text: str | bytes) -> Scenario:
     scenario_type = obj.get("scenario_type")
     if scenario_type is not None and not isinstance(scenario_type, str):
         raise SchemaError(f"{where}: scenario_type must be a string or null")
-    agents = tuple(
-        _parse_agent(a, f"{where}.agents[{i}]") for i, a in enumerate(_require(obj, "agents", list, where))
-    )
-    lanes = tuple(
-        _parse_lane(l, f"{where}.lanes[{i}]") for i, l in enumerate(_require(obj, "lanes", list, where))
-    )
+    agents = _require(obj, "agents", list, where)
+    block = _agent_block(agents)
+    if block is None:
+        _raise_agent_error(obj, agents, horizon, where)
+    lanes = _parse_lanes(obj, where)
     return Scenario(
-        scenario_id=scenario_id,
-        focal_agent_id=_require(obj, "focal_agent_id", str, where),
-        agents=agents,
+        scenario_id,
+        _require(obj, "focal_agent_id", str, where),
+        *block,
         lanes=lanes,
         horizon=horizon,
         scenario_type=scenario_type,
@@ -445,16 +609,16 @@ def scenario_to_obj(s: Scenario) -> dict:
         },
         "agents": [
             {
-                "agent_id": a.agent_id,
-                "agent_kind": a.agent_kind,
+                "agent_id": agent_id,
+                "agent_kind": kind,
                 "points": [
-                    {"t": a.t0 + i, "x": x, "y": y, "heading": h, "speed": v, "valid": ok}
-                    for i, ((x, y), h, v, ok) in enumerate(
-                        zip(a.xy.tolist(), a.headings.tolist(), a.speeds.tolist(), a.valid_mask.tolist())
-                    )
+                    {"t": t0 + i, "x": x, "y": y, "heading": h, "speed": v, "valid": ok}
+                    for i, ((x, y), h, v, ok) in enumerate(zip(xy, headings, speeds, valid))
                 ],
             }
-            for a in s.agents
+            for agent_id, kind, t0, xy, headings, speeds, valid in zip(
+                s.agent_ids, s.agent_kinds, s.t0, *(c.tolist() for c in (s.xy, s.headings, s.speeds, s.valid))
+            )
         ],
         "lanes": [],
     }

@@ -93,6 +93,9 @@ def render_behavior_caption(safety: Safety, template: str) -> str:
     return f"{token} {template}"
 
 
+_STEP_FIELDS = ("direction", "speed", "acceleration")
+
+
 @dataclass(frozen=True, eq=False)
 class InstructionRecord:
     """One dataset row; exactly one of feas_tag / safety_tag is present. The GT future is a
@@ -125,6 +128,8 @@ class InstructionRecord:
             should_accept = self.safety_tag is Safety.SAFE
         if (self.decision is Decision.ACCEPT) != should_accept:
             raise SchemaError(f"decision {self.decision.value} inconsistent with tag")
+        if self.two_step is not None and len(self.two_step) != 2:
+            raise SchemaError(f"two_step must hold exactly 2 steps, got {len(self.two_step)}")
         if not isinstance(self.has_gt_trajectory, bool):
             raise SchemaError("has_gt_trajectory must be true or false")
         if self.has_gt_trajectory and self.gt_future_xy is None:
@@ -181,6 +186,10 @@ class InstructionRecord:
                 raise TypeError("scenario_id must be a string")
             two_step = None
             if "two_step" in obj:
+                for i, step in enumerate(obj["two_step"]):
+                    if not isinstance(step, dict):
+                        raise TypeError(f"two_step[{i}] must be an object")
+                    _reject_extra(step, _STEP_FIELDS, f"two_step[{i}]")
                 two_step = tuple(
                     (DirectionLabel(s["direction"]), SpeedCategory(s["speed"]), AccelCategory(s["acceleration"]))
                     for s in obj["two_step"]

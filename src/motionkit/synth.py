@@ -472,14 +472,7 @@ def gen_scenario(
     lanes: tuple[Lane, ...] = ()
     if topology is not None:
         lanes = gen_lane_graph(topology).lanes
-    scenario = Scenario(
-        scenario_id=scenario_id,
-        focal_agent_id=track.agent_id,
-        agents=(track,),
-        lanes=lanes,
-        horizon=horizon,
-        scenario_type=scenario_type,
-    )
+    scenario = Scenario.from_tracks(scenario_id, track.agent_id, (track,), lanes, horizon, scenario_type)
     return scenario, expected
 
 
@@ -643,9 +636,7 @@ def build_corpus(
     out = []
     for i, spec in enumerate(default_suite(n, seed, horizon)):
         track, expected = gen_trajectory(spec, horizon)
-        scenario = Scenario(
-            f"synth-{i:06d}", focal_agent_id=track.agent_id, agents=(track,), lanes=lanes, horizon=horizon
-        )
+        scenario = Scenario.from_tracks(f"synth-{i:06d}", track.agent_id, (track,), lanes, horizon)
         out.append((scenario, expected))
     return out
 

@@ -19,6 +19,16 @@ from motionkit.synth import SynthSpec, gen_prediction_set, gen_scenario
 H = HorizonConfig()
 
 
+# Dataset-row edits of a row's two_step and the line error each must raise.
+TWO_STEP_CASES = [
+    (
+        lambda row: dict(row, two_step=[dict(step, extra=1) for step in row["two_step"]]),
+        "two_step[0]: unexpected field(s) ['extra']",
+    ),
+    (lambda row: dict(row, two_step=row["two_step"] * 2), "two_step must hold exactly 2 steps, got 4"),
+]
+
+
 def run(*argv) -> int:
     return main(list(argv))
 
@@ -124,6 +134,26 @@ class TestSynthAndExtract:
         assert run("extract", str(corpus_path), "--out", str(a), "--jobs", "1") == 0
         assert run("extract", str(corpus_path), "--out", str(b), "--jobs", "8") == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command,worker",
+        [("extract", "_extract_worker"), ("feasibility", "_feasibility_worker"), ("gen-instructions", "_gen_worker")],
+    )
+    def test_a_worker_rebound_after_the_parser_is_built_runs(self, tmp_path, monkeypatch, command, worker):
+        src = tmp_path / "corpus.jsonl"
+        assert run("synth", "--n", "3", "--seed", "5", "--out", str(src)) == 0
+        assert run(command, str(src), "--out", str(tmp_path / "first.jsonl")) == 0
+        assert cli.build_parser() is cli.build_parser()
+        original, seen = getattr(cli, worker), []
+
+        def recording(*args):
+            seen.append(args[-1][0])
+            return original(*args)
+
+        monkeypatch.setattr(cli, worker, recording)
+        assert run(command, str(src), "--out", str(tmp_path / "second.jsonl")) == 0
+        assert seen == [1, 2, 3]
+        assert (tmp_path / "second.jsonl").read_bytes() == (tmp_path / "first.jsonl").read_bytes()
 
     def test_pool_has_no_more_workers_than_lines(self, tmp_path, monkeypatch):
         src = tmp_path / "corpus.jsonl"
@@ -426,6 +456,14 @@ class TestEvaluateCmd:
         ids=["unknown_field", "non_object"],
     )
     def test_unknown_or_non_object_row_is_a_line_error(self, tmp_path, capsys, change, message):
+        dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
+        rows = dataset.read_text().splitlines()
+        rows[1] = json.dumps(change(json.loads(rows[1])))
+        dataset.write_text("".join(l + "\n" for l in rows))
+        assert self._evaluate_fails_on_line_2(tmp_path, capsys, dataset, predictions).endswith(f": {message}\n")
+
+    @pytest.mark.parametrize("change,message", TWO_STEP_CASES, ids=["extra_key", "four_steps"])
+    def test_bad_two_step_is_a_line_error(self, tmp_path, capsys, change, message):
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
         rows = dataset.read_text().splitlines()
         rows[1] = json.dumps(change(json.loads(rows[1])))
@@ -804,6 +842,16 @@ class TestStatsCmd:
         rows.write_text(json.dumps(good) + "\n\n" + json.dumps(change(good)) + "\n")
         assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
         assert capsys.readouterr().err == f"error: line 3: {message}\n"
+
+    @pytest.mark.parametrize("change,message", TWO_STEP_CASES, ids=["extra_key", "four_steps"])
+    def test_bad_two_step_is_a_line_error(self, tmp_path, capsys, corpus, change, message):
+        corpus_path, _ = corpus
+        rows = tmp_path / "rows.jsonl"
+        assert run("gen-instructions", str(corpus_path), "--out", str(rows)) == 0
+        good = next(json.loads(l) for l in rows.read_text().splitlines() if "two_step" in l)
+        rows.write_text(json.dumps(good) + "\n" + json.dumps(change(good)) + "\n")
+        assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
     def test_empty_dataset_all_zero(self, tmp_path):
         rows = tmp_path / "rows.jsonl"

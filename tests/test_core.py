@@ -1,7 +1,10 @@
 """Scenario schema, ego-frame rotation, and angle wrapping."""
 
+import copy
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from motionkit.geometry import (
     wrap_angle,
 )
 from motionkit.synth import build_corpus
+
+from agent_oracle import parse_scenario_per_agent
 
 
 def normalize_heading(theta: float) -> float:
@@ -193,6 +198,208 @@ class TestColumnarRoundTrip:
         assert not lane.xy.flags.writeable and not lane.headings.flags.writeable
 
 
+_AGENT_KEYS = ("agent_id", "agent_kind", "points")
+_POINT_KEYS = ("t", "x", "y", "heading", "speed", "valid")
+_FLOAT_KEYS = ("x", "y", "heading", "speed")
+_OTHER_TYPES = st.sampled_from([None, True, "1", [], {}, 1.5, 2])
+
+
+@st.composite
+def three_agent_docs(draw) -> dict:
+    """Valid documents with three agents of 3 to 6 points, each with its own first t_index."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    agents = []
+    for a in range(3):
+        t0 = draw(st.integers(min_value=-5, max_value=5))
+        points = [dict(draw(_POINT), t=t0 + i) for i in range(n)]
+        kind = draw(st.sampled_from(["vehicle", "cyclist"]))
+        agents.append({"agent_id": f"a{a}", "agent_kind": kind, "points": points})
+    horizon = {"t_obs": 2, "t_pred": n - 2, "t_select": [0], "dt": 0.1}
+    return minimal_doc(agents=agents, focal_agent_id="a0", horizon=horizon)
+
+
+@st.composite
+def agent_mutations(draw):
+    """One edit of one agent of a valid document: ``(name, edit)``, where ``edit(agent)`` mutates it."""
+    kind = draw(
+        st.sampled_from(
+            [
+                "drop_agent_key", "add_agent_key", "agent_not_object", "drop_point_key", "add_point_key",
+                "point_not_object", "swap_agent_type", "swap_point_type", "nan", "1e308", "huge_int",
+                "negative_speed", "t_gap", "short_track", "unknown_kind", "big_t0",
+            ]
+        )
+    )
+    j = draw(st.integers(min_value=0, max_value=2))  # every drawn track has at least 3 points
+    key = draw(st.sampled_from(_POINT_KEYS))
+    fkey = draw(st.sampled_from(_FLOAT_KEYS))
+    akey = draw(st.sampled_from(_AGENT_KEYS))
+    other = draw(_OTHER_TYPES)
+    sign = draw(st.sampled_from([1, -1]))
+    step = draw(st.sampled_from([-1, 1, 2, 7]))
+    keep = draw(st.integers(min_value=0, max_value=2))
+    offset = draw(st.sampled_from([2**63 - 2, 2**64, -(2**70)]))
+    huge_key = draw(st.sampled_from(("t",) + _FLOAT_KEYS))
+
+    def edit(agent):
+        points = agent["points"]
+        if kind == "drop_agent_key":
+            del agent[akey]
+        elif kind == "add_agent_key":
+            agent["extra"] = 1
+        elif kind == "agent_not_object":
+            return other
+        elif kind == "drop_point_key":
+            del points[j][key]
+        elif kind == "add_point_key":
+            points[j]["extra"] = 0
+        elif kind == "point_not_object":
+            points[j] = other
+        elif kind == "swap_agent_type":
+            agent[akey] = other
+        elif kind == "swap_point_type":
+            points[j][key] = other
+        elif kind == "nan":
+            points[j][fkey] = float("nan")
+        elif kind == "1e308":
+            points[j][fkey] = sign * 1e308
+        elif kind == "huge_int":
+            points[j][huge_key] = sign * 10**400
+        elif kind == "negative_speed":
+            points[j]["speed"] = -0.5
+        elif kind == "t_gap":
+            points[j]["t"] += step
+        elif kind == "short_track":
+            del points[keep:]
+        elif kind == "unknown_kind":
+            agent["agent_kind"] = "truck"
+        elif kind == "big_t0":
+            for p in points:
+                p["t"] += offset
+        return agent
+
+    return kind, edit
+
+
+def _set(key, value):
+    return lambda obj: obj.__setitem__(key, value)
+
+
+def _on_point(i, edit):
+    return lambda agent: edit(agent["points"][i])
+
+
+# Single edits of one agent of minimal_doc(), each a different problem.
+_AGENT_EDITS = {
+    "extra_key": _set("extra", 1),
+    "id_type": _set("agent_id", 7),
+    "no_id": lambda agent: agent.pop("agent_id"),
+    "kind_type": _set("agent_kind", None),
+    "no_kind": lambda agent: agent.pop("agent_kind"),
+    "unknown_kind": _set("agent_kind", "truck"),
+    "points_type": _set("points", {}),
+    "no_points": lambda agent: agent.pop("points"),
+    "point_not_object": lambda agent: agent["points"].__setitem__(3, 5),
+    "string_x": _on_point(1, _set("x", "1")),
+    "nan_y": _on_point(2, _set("y", float("nan"))),
+    "huge_heading": _on_point(0, _set("heading", 10**400)),
+    "point_extra": _on_point(0, _set("extra", 0)),
+    "no_valid": _on_point(4, lambda point: point.pop("valid")),
+    "negative_speed": _on_point(1, _set("speed", -1.0)),
+    "t_gap": _on_point(2, _set("t", 7)),
+    "four_points": lambda agent: agent["points"].pop(),
+    "one_point": lambda agent: agent.__setitem__("points", agent["points"][:1]),
+}
+
+
+def _outcome(parse, text: str):
+    """The parsed scenario, or the type and message of the error parsing raised."""
+    try:
+        return parse(text)
+    except errors.MotionKitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestBlockParse:
+    """The one column pass over all agents against the per-agent oracle (tests/agent_oracle.py)."""
+
+    @given(three_agent_docs(), st.integers(min_value=0, max_value=2), agent_mutations())
+    @settings(max_examples=300, deadline=None)
+    def test_one_mutation_raises_what_the_per_agent_reader_raises(self, doc, k, mutation):
+        _, edit = mutation
+        doc["agents"][k] = edit(doc["agents"][k])
+        text = json.dumps(doc)
+        assert _outcome(parse_scenario, text) == _outcome(parse_scenario_per_agent, text)
+
+    def test_two_problems_in_one_agent_raise_the_first_in_reading_order(self):
+        """Every pair of these edits on agent 1: the reading order (keys, agent_id, points, kind,
+        unknown kind, point count, t_index) decides which problem is raised, as it did."""
+        for (name_a, edit_a), (name_b, edit_b) in itertools.permutations(_AGENT_EDITS.items(), 2):
+            doc = minimal_doc()
+            doc["agents"] += [dict(copy.deepcopy(doc["agents"][0]), agent_id=f"other-{i}") for i in range(2)]
+            try:
+                edit_a(doc["agents"][1])
+                edit_b(doc["agents"][1])
+            except (KeyError, TypeError, IndexError):  # the first edit removed what the second edits
+                continue
+            text = json.dumps(doc)
+            assert _outcome(parse_scenario, text) == _outcome(parse_scenario_per_agent, text), (name_a, name_b)
+
+    @given(three_agent_docs())
+    @settings(max_examples=50, deadline=None)
+    def test_valid_documents_build_the_same_tracks(self, doc):
+        text = json.dumps(doc)
+        s = parse_scenario(text)
+        assert s == parse_scenario_per_agent(text)
+        assert s.agents == parse_scenario_per_agent(text).agents
+        assert s.xy.shape == (3, len(doc["agents"][0]["points"]), 2)
+
+    @staticmethod
+    def _four_agents() -> dict:
+        scenario, _ = build_corpus(1, seed=3)[0]
+        doc = json.loads(serialize_scenario(scenario))
+        ego = doc["agents"][0]
+        doc["agents"] += [dict(ego, agent_id=f"other-{i}", points=[dict(p) for p in ego["points"]]) for i in range(3)]
+        return doc
+
+    def test_a_field_error_wins_over_an_earlier_short_track(self):
+        doc = self._four_agents()
+        doc["agents"][1]["points"].pop()  # 90 points where the horizon asks for 91
+        doc["agents"][3]["points"][5]["x"] = "bad"
+        text = json.dumps(doc)
+        message = "scenario synth-000000.agents[3].points[5]: field 'x' must be a finite number"
+        with pytest.raises(errors.SchemaError, match=re.escape(message)):
+            parse_scenario(text)
+        assert _outcome(parse_scenario, text) == _outcome(parse_scenario_per_agent, text)
+
+    def test_a_lane_error_wins_over_unequal_point_counts(self):
+        doc = self._four_agents()
+        doc["agents"][1]["points"].pop()
+        doc["lanes"][0]["successors"] = ["nowhere"]
+        text = json.dumps(doc)
+        with pytest.raises(errors.ReferenceError, match="references unknown lane 'nowhere'"):
+            parse_scenario(text)
+        assert _outcome(parse_scenario, text) == _outcome(parse_scenario_per_agent, text)
+        doc["lanes"][0]["successors"] = []
+        with pytest.raises(errors.SchemaError, match="agent other-0 has 90 points, horizon requires 91"):
+            parse_scenario(json.dumps(doc))
+
+    def test_no_agents_is_a_missing_focal_agent(self):
+        doc = minimal_doc(agents=[])
+        with pytest.raises(errors.ReferenceError, match="focal_agent_id 'ego' not among agents"):
+            parse_scenario(json.dumps(doc))
+
+    def test_tracks_are_views_of_the_block(self):
+        s = parse_scenario(json.dumps(self._four_agents()))
+        assert s.focal_track is s.focal_track and s.focal_track == s.agents[0]
+        for a, track in enumerate(s.agents):
+            assert track.agent_id == s.agent_ids[a]
+            columns = (track.xy, track.headings, track.speeds, track.valid_mask)
+            for column, block in zip(columns, (s.xy, s.headings, s.speeds, s.valid)):
+                assert np.shares_memory(column, block)
+                assert not column.flags.writeable and not block.flags.writeable
+
+
 class TestHorizonConfig:
     def test_t_select_bounds(self):
         with pytest.raises(errors.SchemaError):
@@ -206,6 +413,28 @@ class TestHorizonConfig:
     def test_dt_positive_and_finite(self, dt):
         with pytest.raises(errors.SchemaError):
             HorizonConfig(dt=dt)
+
+    @pytest.mark.parametrize("dt", [True, 1e10, "0.1"])
+    def test_dt_must_be_a_number_within_the_limit(self, dt):
+        with pytest.raises(errors.SchemaError, match="dt must be a positive number of magnitude at most 1e"):
+            HorizonConfig(dt=dt)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"t_select": (True, 2.7)}, "t_select entry True is not an integer"),
+            ({"t_select": (29, 2.0)}, "t_select entry 2.0 is not an integer"),
+            ({"t_obs": 11.0}, "t_obs and t_pred must be integers"),
+            ({"t_pred": True}, "t_obs and t_pred must be integers"),
+        ],
+        ids=["bool_select", "float_select", "float_t_obs", "bool_t_pred"],
+    )
+    def test_step_fields_must_be_integers(self, kwargs, message):
+        with pytest.raises(errors.SchemaError, match=message):
+            HorizonConfig(**kwargs)
+
+    def test_t_select_is_stored_as_given(self):
+        assert HorizonConfig(t_select=[2, 5]).t_select == (2, 5)
 
 
 class TestEgoFrame:

@@ -52,13 +52,7 @@ class TestAssociation:
             Lane(lane_id=l.lane_id, xy=l.xy + (0.0, 10.0), headings=l.headings, successors=l.successors)
             for l in single
         )
-        s = Scenario(
-            scenario_id="s",
-            focal_agent_id=scenario.focal_agent_id,
-            agents=scenario.agents,
-            lanes=moved,
-            horizon=H,
-        )
+        s = Scenario.from_tracks("s", scenario.focal_agent_id, scenario.agents, moved, H)
         assert associate_lanes(s) == []
 
     def test_between_parallel_pair_returns_both(self):
@@ -73,13 +67,7 @@ class TestAssociation:
         from motionkit.core import Lane, Scenario
 
         reversed_lane = Lane(lane_id="lane_r", xy=[(50.0, 0.0), (25.0, 0.0), (0.0, 0.0)], headings=[math.pi] * 3)
-        s2 = Scenario(
-            scenario_id="s2",
-            focal_agent_id=s.focal_agent_id,
-            agents=s.agents,
-            lanes=(reversed_lane,),
-            horizon=H,
-        )
+        s2 = Scenario.from_tracks("s2", s.focal_agent_id, s.agents, (reversed_lane,), H)
         assert associate_lanes(s2, tight) == []
 
 
@@ -262,7 +250,7 @@ def lane_maps(draw):
     pose = (main[entry][0] + draw(st.floats(-1.0, 1.0)), main[entry][1] + draw(st.floats(-1.0, 1.0)))
     n = H.n_steps
     track = make_track([pose] * n, speeds=[draw(st.floats(0.0, 30.0))] * n, headings=[wrap_angle(heading)] * n)
-    return Scenario(scenario_id="s", focal_agent_id="ego", agents=(track,), lanes=lanes, horizon=H)
+    return Scenario.from_tracks("s", "ego", (track,), lanes, H)
 
 
 class TestCandidateGridOracle:
@@ -297,7 +285,7 @@ class TestCandidateGridOracle:
         )
         n = H.n_steps
         track = make_track([(0.0, 0.0)] * n, speeds=[10.0] * n)
-        scenario = Scenario(scenario_id="s", focal_agent_id="ego", agents=(track,), lanes=lanes, horizon=H)
+        scenario = Scenario.from_tracks("s", "ego", (track,), lanes, H)
         params = FeasibilityParams(sample_spacing_m=0.7, lane_assoc_radius_m=2.0)
         cands = enumerate_candidates(scenario, params)
         assert math.floor(hop / 0.7) + 1 == 3
@@ -374,13 +362,7 @@ class TestFeasibilitySet:
         ped = s.agents[0]
         from dataclasses import replace
 
-        s2 = Scenario(
-            scenario_id="s",
-            focal_agent_id="ego",
-            agents=(replace(ped, agent_kind="pedestrian"),),
-            lanes=s.lanes,
-            horizon=H,
-        )
+        s2 = Scenario.from_tracks("s", "ego", (replace(ped, agent_kind="pedestrian"),), s.lanes, H)
         with pytest.raises(errors.SchemaError):
             feasibility_set(s2)
 
