@@ -2,8 +2,9 @@
 
 All commands read/write JSONL (or JSON reports) on paths or stdin/stdout
 (``-``). Outputs are byte-identical across runs and across ``--jobs`` settings:
-the scenario commands shard work per line and merge it in ascending scenario_id
-order; evaluate, stats and synth run in one process.
+the scenario commands split their lines into contiguous blocks, one per job,
+and merge the results in ascending scenario_id order; evaluate, stats and
+synth run in one process.
 Exit codes: 0 success, 1 input error, 2 config error.
 """
 
@@ -93,22 +94,67 @@ def _apply(worker, item: tuple[int, str]):
         return "error", type(exc)(f"line {item[0]}: {exc}")
 
 
+def _send_block(call, block: list[tuple[int, str]], sender) -> None:
+    """A child's whole block: the list of its outcomes, or the unexpected exception that stopped it."""
+    try:
+        outcomes = [call(item) for item in block]
+    except Exception as exc:  # re-raised by the parent, as the in-process loop would raise it
+        outcomes = exc
+    sender.send(outcomes)
+
+
+def _fork_join(call, items: list[tuple[int, str]], jobs: int) -> list:
+    """``call`` over ``items`` split into ``jobs`` contiguous blocks: block 0 in this process, each
+    other block in a forked child, which inherits its lines and sends back one list of outcomes.
+
+    The outcomes come back in item order. A child's unexpected exception is raised here; a child
+    that exits without sending raises RuntimeError. No child outlives the call.
+    """
+    bounds = [len(items) * k // jobs for k in range(jobs + 1)]
+    fork = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            receiver, sender = fork.Pipe(duplex=False)
+            child = fork.Process(target=_send_block, args=(call, items[lo:hi], sender))
+            child.start()
+            children.append((child, receiver, lo, hi))
+            sender.close()  # the child holds the only write end, so its exit ends the pipe
+        outcomes = [call(item) for item in items[: bounds[1]]]
+        for child, receiver, lo, hi in children:
+            try:
+                block = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"the process for lines {items[lo][0]}-{items[hi - 1][0]} exited with code "
+                    f"{child.exitcode} before sending its outcomes"
+                ) from None
+            if isinstance(block, Exception):
+                raise block
+            outcomes += block
+        return outcomes
+    finally:
+        for child, receiver, _, _ in children:
+            receiver.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
+
+
 def _map_lines(worker, items: list[tuple[int, str]], jobs: int) -> list:
     """Run ``worker`` on every ``(line number, line)`` item and merge the outcomes.
 
-    Runs in-process at one job and otherwise through ``Pool.map``, with no more
-    workers than items; ``worker`` carries its settings (config, guideline
-    book) as a ``functools.partial``. Returns the kept payloads in
-    key (``scenario_id``) order. The input error with the lowest line number is raised, whatever the
-    job count; skips are summarised on stderr, one line per reason.
+    Runs in-process at one job. At more, :func:`_fork_join` splits the items into that many
+    contiguous blocks, no more than there are items; this process runs the first and forked
+    children the others. ``worker`` carries its settings (config, guideline book) as a
+    ``functools.partial``. Returns the kept payloads in key (``scenario_id``) order. The input
+    error with the lowest line number is raised, whatever the job count; skips are summarised
+    on stderr, one line per reason.
     """
     call = functools.partial(_apply, worker)
     jobs = min(jobs, len(items))
-    if jobs <= 1:
-        outcomes = [call(item) for item in items]
-    else:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            outcomes = pool.map(call, items, chunksize=max(1, len(items) // (jobs * 8)))
+    outcomes = [call(item) for item in items] if jobs <= 1 else _fork_join(call, items, jobs)
     kept, skipped = [], {}  # skipped: the line numbers of each skip reason
     for item, (status, value) in zip(items, outcomes):
         if status == "error":

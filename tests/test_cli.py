@@ -3,6 +3,10 @@
 import collections
 import math
 import json
+import multiprocessing
+import os
+import signal
+import time
 import types
 
 import numpy as np
@@ -39,6 +43,15 @@ def corpus(tmp_path):
     expected = tmp_path / "expected.jsonl"
     assert run("synth", "--n", "40", "--seed", "5", "--out", str(path), "--expected", str(expected)) == 0
     return path, expected
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The child processes a command starts, recorded at the fork context's ``Process.start``."""
+    process = multiprocessing.get_context("fork").Process
+    start, children = process.start, []
+    monkeypatch.setattr(process, "start", lambda child: (children.append(child), start(child)))
+    return children
 
 
 def assert_matches_sidecar(attrs_path, expected_path):
@@ -155,22 +168,122 @@ class TestSynthAndExtract:
         assert seen == [1, 2, 3]
         assert (tmp_path / "second.jsonl").read_bytes() == (tmp_path / "first.jsonl").read_bytes()
 
-    def test_pool_has_no_more_workers_than_lines(self, tmp_path, monkeypatch):
+    def test_jobs_start_no_more_children_than_lines(self, tmp_path, started):
         src = tmp_path / "corpus.jsonl"
         assert run("synth", "--n", "3", "--seed", "5", "--out", str(src)) == 0
-        started = []
-        pool = cli.multiprocessing.Pool
-
-        def recording_pool(processes):
-            started.append(processes)
-            return pool(processes)
-
-        monkeypatch.setattr(cli.multiprocessing, "Pool", recording_pool)
         outs = {jobs: tmp_path / f"o{jobs}.jsonl" for jobs in (1, 4)}
         for jobs, out in outs.items():
             assert run("feasibility", str(src), "--out", str(out), "--jobs", str(jobs)) == 0
-        assert started == [3]
+        assert len(started) == 2  # 3 blocks of one line: the parent runs the first
         assert outs[1].read_bytes() == outs[4].read_bytes()
+
+
+def edited_corpus(tmp_path, edits: dict) -> tuple:
+    """A 160-line synth corpus with line ``k + 1`` replaced by ``edits[k](doc)``; its path and out path."""
+    src = tmp_path / "corpus.jsonl"
+    assert run("synth", "--n", "160", "--seed", "3", "--out", str(src)) == 0
+    lines = src.read_text().splitlines()
+    for k, edit in edits.items():
+        lines[k] = edit(json.loads(lines[k]))
+    src.write_text("".join(line + "\n" for line in lines))
+    return src, tmp_path / "o.jsonl"
+
+
+def no_valid_future(doc: dict) -> str:
+    for point in doc["agents"][0]["points"][H.t_obs + 1 :]:
+        point["valid"] = False
+    return json.dumps(doc)
+
+
+class TestBlockBoundaries:
+    """At --jobs J the 160 lines split at ``160 * k // J``: lines 1-80 and 81-160 at two jobs,
+    1-53, 54-106 and 107-160 at three. The parent runs the first block."""
+
+    @staticmethod
+    def errors_at_jobs(capsys, src, out) -> list:
+        errs = []
+        for jobs in ("1", "2", "3"):
+            rc = run("extract", str(src), "--out", str(out), "--jobs", jobs)
+            errs.append((rc, capsys.readouterr().err))
+        assert errs[0] == errs[1] == errs[2]
+        return errs[0]
+
+    @pytest.mark.parametrize("split", [2, 3])
+    def test_bad_lines_either_side_of_the_parent_block_end(self, tmp_path, capsys, split):
+        end = 160 // split  # the parent's block at --jobs split is lines 1..end
+        edits = {end - 1: lambda doc: "{broken", end: lambda doc: '{"scenario_id": 3}'}
+        rc, err = self.errors_at_jobs(capsys, *edited_corpus(tmp_path, edits))
+        assert rc == 1
+        assert err.startswith(f"error: line {end}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("split", [2, 3])
+    def test_a_bad_line_in_a_child_block_beats_a_skip_in_the_parent_block(self, tmp_path, capsys, split):
+        first = 160 // split + 1  # the first line of the first child's block at --jobs split
+        edits = {1: no_valid_future, first - 1: lambda doc: "{broken"}
+        rc, err = self.errors_at_jobs(capsys, *edited_corpus(tmp_path, edits))
+        assert rc == 1
+        assert err.startswith(f"error: line {first}: ")
+        assert "skipped" not in err
+
+
+class TestForkJoinFailures:
+    """Failures other than input errors at --jobs 2 on 12 lines: the parent runs lines 1-6 and one
+    child lines 7-12. The parent raises, and no child process is left."""
+
+    @pytest.fixture
+    def src(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        assert run("synth", "--n", "12", "--seed", "5", "--out", str(path)) == 0
+        return path
+
+    @staticmethod
+    def fail_on_lines(monkeypatch, lines: set, fail) -> None:
+        original = cli._extract_worker
+
+        def worker(cfg, item):
+            if item[0] in lines:
+                fail(item)
+            return original(cfg, item)
+
+        monkeypatch.setattr(cli, "_extract_worker", worker)
+
+    def test_a_child_exception_is_raised_in_the_parent(self, tmp_path, monkeypatch, capfd, src):
+        def boom(item):
+            raise ValueError(f"boom at line {item[0]}")
+
+        self.fail_on_lines(monkeypatch, {10}, boom)
+        for jobs in ("1", "2"):
+            with pytest.raises(ValueError, match=r"^boom at line 10$"):
+                run("extract", str(src), "--out", str(tmp_path / "o.jsonl"), "--jobs", jobs)
+        assert capfd.readouterr().err == ""  # the child printed no traceback
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_exits_without_sending_makes_the_parent_raise(self, tmp_path, monkeypatch, src):
+        parent = os.getpid()
+
+        def exit_in_child(item):
+            if os.getpid() != parent:
+                os._exit(1)
+
+        self.fail_on_lines(monkeypatch, {10}, exit_in_child)
+        with pytest.raises(RuntimeError, match=r"^the process for lines 7-12 exited with code 1 before sending"):
+            run("extract", str(src), "--out", str(tmp_path / "o.jsonl"), "--jobs", "2")
+        assert multiprocessing.active_children() == []
+
+    def test_an_exception_in_the_parent_block_ends_the_running_child(self, tmp_path, monkeypatch, src, started):
+        parent = os.getpid()
+
+        def hang_in_child_fail_in_parent(item):
+            if os.getpid() != parent:
+                time.sleep(60)  # line 8: the child is still running when line 2 fails
+            raise ValueError("parent block failed")
+
+        self.fail_on_lines(monkeypatch, {2, 8}, hang_in_child_fail_in_parent)
+        with pytest.raises(ValueError, match="^parent block failed$"):
+            run("extract", str(src), "--out", str(tmp_path / "o.jsonl"), "--jobs", "2")
+        assert [child.exitcode for child in started] == [-signal.SIGTERM]
+        assert multiprocessing.active_children() == []
 
 
 class TestSkipReasons:
