@@ -9,6 +9,7 @@ window.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -277,42 +278,27 @@ def classify_direction_fine(
     return _classify_windows(track, [window], th)[0][0]
 
 
+_SPEED_BANDS = tuple(SpeedCategory)
+# The |dv| bands for a gain and for a loss of speed; both start at Constant.
+_ACCEL_BANDS = tuple(AccelCategory)[:5]
+_DECEL_BANDS = (AccelCategory.CONSTANT, *tuple(AccelCategory)[5:])
+
+
 def classify_speed(
     mean_speed_kmh: float, thresholds: tuple[float, ...] = SPEED_THRESHOLDS_KMH
 ) -> SpeedCategory:
     """Bucket a km/h speed; bands are half-open [lower, upper)."""
     if mean_speed_kmh < 0:
         raise NegativeSpeed(f"mean speed {mean_speed_kmh} km/h")
-    for threshold, category in zip(thresholds, SpeedCategory):
-        if mean_speed_kmh < threshold:
-            return category
-    return SpeedCategory.VERY_FAST
+    return _SPEED_BANDS[bisect.bisect_right(thresholds, mean_speed_kmh)]
 
 
 def classify_acceleration(
     delta_v_kmh: float, thresholds: tuple[float, ...] = ACCEL_THRESHOLDS_KMH
 ) -> AccelCategory:
     """Bucket a signed km/h-per-8s speed change; |dv| bands are half-open."""
-    magnitude = abs(delta_v_kmh)
-    if magnitude < thresholds[0]:
-        return AccelCategory.CONSTANT
-    levels_accel = (
-        AccelCategory.MILD_ACCEL,
-        AccelCategory.MODERATE_ACCEL,
-        AccelCategory.AGGRESSIVE_ACCEL,
-        AccelCategory.EXTREME_ACCEL,
-    )
-    levels_decel = (
-        AccelCategory.MILD_DECEL,
-        AccelCategory.MODERATE_DECEL,
-        AccelCategory.AGGRESSIVE_DECEL,
-        AccelCategory.EXTREME_DECEL,
-    )
-    levels = levels_accel if delta_v_kmh > 0 else levels_decel
-    for threshold, category in zip(thresholds[1:], levels):
-        if magnitude < threshold:
-            return category
-    return levels[-1]
+    bands = _ACCEL_BANDS if delta_v_kmh > 0 else _DECEL_BANDS
+    return bands[bisect.bisect_right(thresholds, abs(delta_v_kmh))]
 
 
 StepAttributes = tuple[DirectionLabel, SpeedCategory, AccelCategory]

@@ -111,10 +111,10 @@ def _fork_join(call, items: list[tuple[int, str]], jobs: int) -> list:
     that exits without sending raises RuntimeError. No child outlives the call.
     """
     bounds = [len(items) * k // jobs for k in range(jobs + 1)]
-    fork = multiprocessing.get_context("fork")
     children = []
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
+            fork = multiprocessing.get_context("fork")  # asked for only here: one job needs no fork
             receiver, sender = fork.Pipe(duplex=False)
             child = fork.Process(target=_send_block, args=(call, items[lo:hi], sender))
             child.start()
@@ -145,16 +145,15 @@ def _fork_join(call, items: list[tuple[int, str]], jobs: int) -> list:
 def _map_lines(worker, items: list[tuple[int, str]], jobs: int) -> list:
     """Run ``worker`` on every ``(line number, line)`` item and merge the outcomes.
 
-    Runs in-process at one job. At more, :func:`_fork_join` splits the items into that many
-    contiguous blocks, no more than there are items; this process runs the first and forked
-    children the others. ``worker`` carries its settings (config, guideline book) as a
+    :func:`_fork_join` splits the items into ``jobs`` contiguous blocks, no more than there are
+    items; this process runs the first and forked children the others, so one job starts no
+    child. ``worker`` carries its settings (config, guideline book) as a
     ``functools.partial``. Returns the kept payloads in key (``scenario_id``) order. The input
     error with the lowest line number is raised, whatever the job count; skips are summarised
     on stderr, one line per reason.
     """
     call = functools.partial(_apply, worker)
-    jobs = min(jobs, len(items))
-    outcomes = [call(item) for item in items] if jobs <= 1 else _fork_join(call, items, jobs)
+    outcomes = _fork_join(call, items, max(1, min(jobs, len(items))))
     kept, skipped = [], {}  # skipped: the line numbers of each skip reason
     for item, (status, value) in zip(items, outcomes):
         if status == "error":

@@ -568,17 +568,18 @@ def parse_scenario(text: str | bytes) -> Scenario:
     )
     scenario_id = _require(obj, "scenario_id", str, "scenario")
     where = f"scenario {scenario_id}"
+    at = f"{where}.horizon"
     horizon_raw = _require(obj, "horizon", dict, where)
-    _reject_extra(horizon_raw, {"t_obs", "t_pred", "t_select", "dt"}, f"{where}.horizon")
-    t_select = _require(horizon_raw, "t_select", list, f"{where}.horizon")
+    _reject_extra(horizon_raw, {"t_obs", "t_pred", "t_select", "dt"}, at)
+    t_select = _require(horizon_raw, "t_select", list, at)
     if not all(map(_is_int, t_select)):
-        raise SchemaError(f"{where}.horizon: t_select must be a list of integers")
-    horizon = HorizonConfig(
-        t_obs=_require(horizon_raw, "t_obs", int, f"{where}.horizon"),
-        t_pred=_require(horizon_raw, "t_pred", int, f"{where}.horizon"),
-        t_select=tuple(t_select),
-        dt=_require(horizon_raw, "dt", float, f"{where}.horizon"),
-    )
+        raise SchemaError(f"{at}: t_select must be a list of integers")
+    t_obs, t_pred = _require(horizon_raw, "t_obs", int, at), _require(horizon_raw, "t_pred", int, at)
+    dt = _require(horizon_raw, "dt", float, at)
+    try:  # only the constructor: the field errors above carry their path already
+        horizon = HorizonConfig(t_obs, t_pred, tuple(t_select), dt)
+    except SchemaError as exc:
+        raise SchemaError(f"{at}: {exc}") from exc
     scenario_type = obj.get("scenario_type")
     if scenario_type is not None and not isinstance(scenario_type, str):
         raise SchemaError(f"{where}: scenario_type must be a string or null")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,9 +78,7 @@ class SynthSpec:
     angle_deg: float = 90.0
     dwell_s: float = 2.0
     rest_s: float = 1.5
-    shift: Optional[float] = None
     phases: tuple[Phase, ...] = ()
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -214,13 +212,9 @@ def _u_turn_phases(spec: SynthSpec, span: float) -> tuple[Phase, ...]:
     c_s = 2.0 * phi / (2.0 * (1.0 - math.cos(phi)))  # shift-to-arclength factor of the S-curve
     loop_len = spec.radius * theta
     budget = v * span
-    shift = spec.shift
-    if shift is None:
-        # endpoint lateral: -shift + r*(1 - cos theta) + tail*sin(theta); require <= -(d_u + 3).
-        need = 5.0 + 3.0 + spec.radius * (1.0 - math.cos(theta)) + max(0.0, (budget - loop_len)) * max(
-            0.0, math.sin(theta)
-        )
-        shift = need / (1.0 + c_s * max(0.0, math.sin(theta)))
+    # endpoint lateral: -shift + r*(1 - cos theta) + tail*sin(theta); require <= -(d_u + 3).
+    need = 5.0 + 3.0 + spec.radius * (1.0 - math.cos(theta)) + max(0.0, (budget - loop_len)) * max(0.0, math.sin(theta))
+    shift = need / (1.0 + c_s * max(0.0, math.sin(theta)))
     s_len = c_s * shift
     if s_len + loop_len > budget + 1e-9:
         raise InvalidSpec("u_turn geometry does not fit the window; raise speed or shrink the radius")
@@ -352,7 +346,7 @@ def _expected_behavior(profile: _Profile) -> BehaviorLabel:
 # -- convenience spec constructors ---------------------------------------------
 
 
-def veer_spec(shift: float, speed: float = 8.0, left: bool = True, seed: int = 0) -> SynthSpec:
+def veer_spec(shift: float, speed: float = 8.0, left: bool = True) -> SynthSpec:
     """Piecewise S-curve shifting laterally by ``shift`` meters (a veer case)."""
     phi = math.radians(_S_CURVE_DEG)
     s_len = 2.0 * phi * shift / (2.0 * (1.0 - math.cos(phi)))
@@ -361,7 +355,6 @@ def veer_spec(shift: float, speed: float = 8.0, left: bool = True, seed: int = 0
     return SynthSpec(
         kind="piecewise",
         speed=speed,
-        seed=seed,
         phases=(
             Phase(half, speed, speed, sign * _S_CURVE_DEG),
             Phase(half, speed, speed, -sign * _S_CURVE_DEG),
@@ -380,7 +373,6 @@ class LaneGraphFixture:
     Stationary additionally joins whenever the ego speed is below the cap.
     """
 
-    topology: str
     lanes: tuple[Lane, ...]
     expected_feasible: frozenset[DirectionLabel]
 
@@ -439,12 +431,9 @@ def gen_lane_graph(topology: str) -> LaneGraphFixture:
         )
         expected = {DirectionLabel.STRAIGHT}
     elif topology == "u_loop":
-        shift = 10.0
-        phi = math.radians(_S_CURVE_DEG)
-        s_len = 2.0 * phi * shift / (2.0 * (1.0 - math.cos(phi)))
-        s_phases = (_unit(s_len / 2.0, -_S_CURVE_DEG), _unit(s_len / 2.0, _S_CURVE_DEG))
+        s_phases = veer_spec(10.0, speed=1.0, left=False).phases
         loop_radius, loop_deg = 1.5, 178.0
-        # lane_loop starts where lane_a ends (shifted right by `shift`, heading +x).
+        # lane_loop starts where lane_a ends (shifted 10 m right, heading +x).
         lanes = (
             _lane_from_phases("lane_a", s_phases, successors=("lane_loop",), step_m=1.0),
             _lane_from_phases(
@@ -457,7 +446,7 @@ def gen_lane_graph(topology: str) -> LaneGraphFixture:
         expected = {DirectionLabel.STRAIGHT, DirectionLabel.LEFT_U_TURN}
     else:
         raise InvalidSpec(f"unknown topology {topology!r}; expected one of {TOPOLOGIES}")
-    return LaneGraphFixture(topology=topology, lanes=lanes, expected_feasible=frozenset(expected))
+    return LaneGraphFixture(lanes=lanes, expected_feasible=frozenset(expected))
 
 
 def gen_scenario(
@@ -618,7 +607,7 @@ def default_suite(n: int = 500, seed: int = 7, horizon: HorizonConfig = HorizonC
             except InvalidSpec:
                 continue
             if _comfortably_off_thresholds(profile):
-                specs.append(replace(spec, seed=i))
+                specs.append(spec)
                 break
         else:  # pragma: no cover - parameter ranges are chosen to converge fast
             raise InvalidSpec(f"could not draw a margin-safe spec for family {i % len(makers)}")

@@ -97,21 +97,6 @@ class TestSynthAndExtract:
         assert run("extract", str(src), "--out", str(tmp_path / "o.jsonl")) == 1
         assert "line 2" in capsys.readouterr().err
 
-    def test_lowest_bad_line_is_reported_at_any_jobs(self, tmp_path, capsys):
-        src = tmp_path / "corpus.jsonl"
-        assert run("synth", "--n", "160", "--seed", "3", "--out", str(src)) == 0
-        lines = src.read_text().splitlines()
-        chunk = len(lines) // (2 * 8)  # the pool's chunk size at --jobs 2
-        lines[chunk - 1] = "{broken"  # last line of the first chunk
-        lines[chunk] = '{"scenario_id": 3}'  # first line of the second chunk
-        src.write_text("".join(l + "\n" for l in lines))
-        errs = []
-        for jobs in ("1", "2"):
-            assert run("extract", str(src), "--out", str(tmp_path / "o.jsonl"), "--jobs", jobs) == 1
-            errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1]
-        assert errs[0].startswith(f"error: line {chunk}: ")
-
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize(
         "path,field,named",
@@ -225,6 +210,25 @@ class TestBlockBoundaries:
         assert rc == 1
         assert err.startswith(f"error: line {first}: ")
         assert "skipped" not in err
+
+    def test_lowest_bad_line_is_reported_at_any_jobs(self, tmp_path, capsys):
+        # Lines 150 and 151 both lie in the last child's block at two and at three jobs.
+        edits = {149: lambda doc: "{broken", 150: lambda doc: '{"scenario_id": 3}'}
+        rc, err = self.errors_at_jobs(capsys, *edited_corpus(tmp_path, edits))
+        assert rc == 1
+        assert err.startswith("error: line 150: ")
+        assert err.count("\n") == 1
+
+    def test_a_horizon_error_names_its_line_and_field_path(self, tmp_path, capsys):
+        def one_observed_step(doc: dict) -> str:
+            doc["horizon"]["t_obs"] = 1
+            return json.dumps(doc)
+
+        rc, err = self.errors_at_jobs(capsys, *edited_corpus(tmp_path, {119: one_observed_step}))
+        assert rc == 1
+        assert err == (
+            "error: line 120: scenario synth-000119.horizon: t_obs must be >= 2 (heading inference needs two points)\n"
+        )
 
 
 class TestForkJoinFailures:

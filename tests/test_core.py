@@ -130,6 +130,115 @@ class TestParse:
             assert again == scenario
 
 
+def _edit(path: tuple, value):
+    """A ``minimal_doc`` with the field at ``path`` set to ``value``."""
+
+    def edited() -> dict:
+        doc = minimal_doc()
+        *parents, key = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        return doc
+
+    return edited
+
+
+def _duplicate(key: str):
+    """A ``minimal_doc`` whose first ``key`` entry appears twice."""
+
+    def edited() -> dict:
+        doc = minimal_doc()
+        doc[key].append(copy.deepcopy(doc[key][0]))
+        return doc
+
+    return edited
+
+
+class TestScenarioRejections:
+    """Each scenario-level rejection: its error class and its whole message, field path included."""
+
+    @pytest.mark.parametrize(
+        "make,error,message",
+        [
+            (_duplicate("agents"), errors.ReferenceError, "scenario s1: duplicate agent_id"),
+            (_duplicate("lanes"), errors.ReferenceError, "scenario s1: duplicate lane_id"),
+            (_edit(("lanes", 0), 5), errors.SchemaError, "scenario s1.lanes[0]: lane must be an object"),
+            (
+                _edit(("lanes", 0, "speed_limit_kmh"), -1.0),
+                errors.SchemaError,
+                "scenario s1.lanes[0]: speed_limit_kmh must be >= 0",
+            ),
+            (
+                _edit(("lanes", 0, "successors"), "lane_b"),
+                errors.SchemaError,
+                "scenario s1.lanes[0]: successors must be a list of lane ids",
+            ),
+            (
+                _edit(("lanes", 0, "successors"), [1]),
+                errors.SchemaError,
+                "scenario s1.lanes[0]: successors must be a list of lane ids",
+            ),
+            (
+                _edit(("lanes", 0, "left_neighbor"), 3),
+                errors.SchemaError,
+                "scenario s1.lanes[0]: left_neighbor must be a string or null",
+            ),
+            (_edit(("scenario_type",), 3), errors.SchemaError, "scenario s1: scenario_type must be a string or null"),
+            (lambda: [], errors.SchemaError, "scenario document must be a JSON object"),
+            (
+                _edit(("horizon", "t_select"), [2.5]),
+                errors.SchemaError,
+                "scenario s1.horizon: t_select must be a list of integers",
+            ),
+            (_edit(("lanes",), {}), errors.SchemaError, "scenario s1: field 'lanes' has wrong type dict"),
+            (
+                _edit(("horizon", "t_obs"), 1),
+                errors.SchemaError,
+                "scenario s1.horizon: t_obs must be >= 2 (heading inference needs two points)",
+            ),
+            (
+                _edit(("horizon", "t_select"), [3]),
+                errors.SchemaError,
+                "scenario s1.horizon: t_select entry 3 outside [0, 3)",
+            ),
+            (
+                _edit(("horizon", "dt"), 0),
+                errors.SchemaError,
+                "scenario s1.horizon: dt must be a positive number of magnitude at most 1e+09",
+            ),
+            (
+                _edit(("horizon", "dt"), "0.1"),
+                errors.SchemaError,
+                "scenario s1.horizon: field 'dt' must be a finite number of magnitude at most 1e+09",
+            ),
+        ],
+        ids=[
+            "duplicate_agent_id",
+            "duplicate_lane_id",
+            "lane_not_object",
+            "negative_speed_limit",
+            "successors_not_list",
+            "successors_not_strings",
+            "left_neighbor_not_string",
+            "scenario_type_not_string",
+            "document_not_object",
+            "t_select_not_integers",
+            "lanes_not_list",
+            "horizon_t_obs_1",
+            "horizon_t_select_out_of_range",
+            "horizon_dt_0",
+            "horizon_dt_not_number",
+        ],
+    )
+    def test_rejection_message(self, make, error, message):
+        with pytest.raises(errors.SchemaError) as info:
+            parse_scenario(json.dumps(make()))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 _COORD = st.one_of(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     st.integers(min_value=-1000, max_value=1000),

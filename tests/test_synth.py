@@ -154,8 +154,8 @@ PINNED_SHA256 = {
     "corpus:t_junction": "472f275954073d540f29b8b72d0a6eff16f20ba115b9cffcb739ee5c21540ea4",
     "corpus:parallel_pair": "83c93d85125daab38133bb4a3cb5977793f51be0033c41ab7f252036d7d462c2",
     "corpus:u_loop": "cbb1987ac791e517f377d15d155d3251e49d58626a69a08dd833097d3ab95e45",
-    "suite:1": "404ccfdb1c38a4f95d7d06da16e212692decc0283660d61f80f34395ad45d49c",
-    "suite:2": "d4f65f74439ab0bf28944ca8d38cad857c553fa14eb787b82df9d82b64b6fbde",
+    "suite:1": "3f405c3bf9f64c90e869a4f420e002f93c3b72cedb7ce9c97b035fe17275a50e",
+    "suite:2": "aeb88e834963a71c37a842244e30e4c62c46ce9e137366c21bd711ca93f0089d",
     "predictions:none": "b722c2fd2b554962af6ccc8b9a84bcc38a6c3866321cecbb99428d9f76c14733",
     "predictions:jitter": "97da9e1576e1cb1b38a9569a58fc4f566e257bcbd613a960a9a50b7115a44754",
     "trajectory:t_pred_120": "659b1147c9f6fce25c92aa396085b515c3045f7822cd3854b01918a48423a370",
