@@ -40,10 +40,14 @@ from .synth import build_corpus, expectation_to_obj
 _JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 
-def _read_text(path: str) -> str:
-    """The text of ``path`` (``-``: stdin); a file that cannot be read or is not UTF-8 is an input error."""
+def _read_text(path: str) -> tuple[str, Optional[bytes]]:
+    """The text of ``path`` (``-``: stdin) and the bytes it was decoded from (None for stdin); a
+    file that cannot be read or is not UTF-8 is an input error."""
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_bytes().decode("utf-8")
+        if path == "-":
+            return sys.stdin.read(), None
+        data = Path(path).read_bytes()
+        return data.decode("utf-8"), data
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
@@ -62,14 +66,14 @@ def _numbered_lines(text: str) -> list[tuple[int, str]]:
 
 def _read_lines(path: str) -> list[tuple[int, str]]:
     """The numbered non-blank lines of ``path`` (``-``: stdin)."""
-    return _numbered_lines(_read_text(path))
+    return _numbered_lines(_read_text(path)[0])
 
 
 def _read_input(path: str) -> tuple[list[tuple[int, str]], dict[str, str]]:
     """The numbered lines of a report's input and its entry in the report: the path and the
-    sha256 of the file's bytes, which the UTF-8 text encodes back to ("stdin" for stdin)."""
-    text = _read_text(path)
-    digest = "stdin" if path == "-" else hashlib.sha256(text.encode("utf-8")).hexdigest()
+    sha256 of the bytes read ("stdin" for stdin)."""
+    text, data = _read_text(path)
+    digest = "stdin" if data is None else hashlib.sha256(data).hexdigest()
     return _numbered_lines(text), {"path": path, "sha256": digest}
 
 
@@ -243,7 +247,7 @@ def _load_book(cfg: Config, flag_path: Optional[str]) -> GuidelineBook:
     path = flag_path or cfg.guidelines
     if path is None:
         return load_default_guidelines()
-    return load_guidelines(_read_text(path))
+    return load_guidelines(_read_text(path)[0])
 
 
 def cmd_gen_instructions(args, cfg: Config) -> int:

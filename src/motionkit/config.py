@@ -62,18 +62,7 @@ class Config:
         }
 
 
-_KEYS = {
-    "horizon",
-    "direction",
-    "speed_thresholds_kmh",
-    "accel_thresholds_kmh",
-    "direction_collapse",
-    "feasibility",
-    "behavior",
-    "sampler",
-    "jobs",
-    "guidelines",
-}
+_KEYS = frozenset(Config().to_obj())
 
 
 def _section(obj: dict, key: str) -> dict:

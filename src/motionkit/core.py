@@ -9,11 +9,11 @@ README. Angles are radians wrapped to (-pi, pi], speeds are m/s except lane
 A :class:`Scenario` stores its agents as one block: per-agent ids, kinds and
 first t_index, and (A, n) columns of positions, headings, speeds and validity
 flags. :func:`parse_scenario` checks every point of every agent in one column
-pass and builds that block directly; only when the pass finds a problem does
-it read the agents one at a time, to raise the first problem with its field
-path. The labellers read only ``Scenario.focal_track``, an :class:`AgentTrack`
-view of the focal row built once; ``Scenario.agents`` gives every agent's view
-and is built only when read.
+pass and builds that block directly. Agents the pass declines are read one at
+a time by ``_read_agent``, which raises the first problem with its field path
+and is also the tests' reference for the pass. The labellers read only
+``Scenario.focal_track``, an :class:`AgentTrack` view of the focal row built
+once; ``Scenario.agents`` gives every agent's view and is built only when read.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
-from typing import NoReturn, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -477,35 +477,27 @@ def _agent_block(agents: list) -> Optional[tuple]:
     )
 
 
-def _raise_agent_error(obj: dict, agents: list, horizon: HorizonConfig, where: str) -> NoReturn:
-    """Raise the problem that kept :func:`_agent_block` from building the block, as reading the
-    agents one at a time raises it: the first agent's first problem, in the order the fields are
-    read, as ``{where}.agents[i]: ...`` (t_index and point-count problems name the agent id). When
-    every agent is well formed on its own (none, or their point counts differ), the lanes and ids
-    are checked first, as :class:`Scenario` checks them before the point counts."""
-    ids, counts = [], []
-    for i, agent in enumerate(agents):
-        at = f"{where}.agents[{i}]"
-        if not isinstance(agent, dict):
-            raise SchemaError(f"{at}: agent must be an object")
-        _reject_extra(agent, _AGENT_FIELDS, at)
-        agent_id = _require(agent, "agent_id", str, at)
-        t = _table(agent, "points", _POINT_FIELDS, at)[0]["t"]
-        kind = _require(agent, "agent_kind", str, at)
-        if kind not in AGENT_KINDS:
-            raise SchemaError(f"unknown agent_kind {kind!r}")
-        if len(t) < 2:
-            raise GeometryError(f"agent {agent_id}: track needs >= 2 points")
-        if t != list(range(t[0], t[0] + len(t))):
-            raise GeometryError(f"agent {agent_id}: t_index must increase by exactly 1")
-        ids.append(agent_id)
-        counts.append(len(t))
-    lanes = _parse_lanes(obj, where)
-    _check_ids(where, _require(obj, "focal_agent_id", str, where), ids, lanes)
-    for agent_id, count in zip(ids, counts):
-        if count != horizon.n_steps:
-            raise _point_count_error(where, agent_id, count, horizon.n_steps)
-    raise AssertionError("unreachable: the agent checks above mirror the block pass")
+def _read_agent(agent, at: str) -> AgentTrack:
+    """One agent read on its own: its first problem, in the order the fields are read, raises as
+    ``{at}: ...`` (a track of fewer than 2 points or with a t_index gap names the agent id).
+    :func:`parse_scenario` reads the agents this way when :func:`_agent_block` declines them, and
+    the tests use it as the reference that the block pass must agree with."""
+    if not isinstance(agent, dict):
+        raise SchemaError(f"{at}: agent must be an object")
+    _reject_extra(agent, _AGENT_FIELDS, at)
+    agent_id = _require(agent, "agent_id", str, at)
+    columns, (x, y, headings, speeds) = _table(agent, "points", _POINT_FIELDS, at)
+    kind = _require(agent, "agent_kind", str, at)
+    if kind not in AGENT_KINDS:
+        raise SchemaError(f"{at}: unknown agent_kind {kind!r}")
+    t = columns["t"]
+    t0 = t[0] if t else 0
+    track = AgentTrack(
+        agent_id, kind, t0, np.column_stack((x, y)), _normalize_headings(headings), speeds, columns["valid"]
+    )
+    if t != list(range(t0, t0 + len(t))):
+        raise GeometryError(f"agent {agent_id}: t_index must increase by exactly 1")
+    return track
 
 
 def _parse_lane(obj: dict, where: str) -> Lane:
@@ -586,16 +578,13 @@ def parse_scenario(text: str | bytes) -> Scenario:
     agents = _require(obj, "agents", list, where)
     block = _agent_block(agents)
     if block is None:
-        _raise_agent_error(obj, agents, horizon, where)
+        tracks = [_read_agent(agent, f"{where}.agents[{i}]") for i, agent in enumerate(agents)]
     lanes = _parse_lanes(obj, where)
-    return Scenario(
-        scenario_id,
-        _require(obj, "focal_agent_id", str, where),
-        *block,
-        lanes=lanes,
-        horizon=horizon,
-        scenario_type=scenario_type,
-    )
+    focal_agent_id = _require(obj, "focal_agent_id", str, where)
+    if block is not None:
+        return Scenario(scenario_id, focal_agent_id, *block, lanes=lanes, horizon=horizon, scenario_type=scenario_type)
+    _check_ids(where, focal_agent_id, [t.agent_id for t in tracks], lanes)
+    return Scenario.from_tracks(scenario_id, focal_agent_id, tracks, lanes, horizon, scenario_type)
 
 
 def scenario_to_obj(s: Scenario) -> dict:

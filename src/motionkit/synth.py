@@ -501,7 +501,8 @@ def gen_prediction_set(
     transform anchored at the same start pose. Returns a
     :class:`~motionkit.metrics.PredictionSet`.
     """
-    from .metrics import PredictionSet  # local import avoids a module cycle
+    # Imported here so that building a corpus, as benchmark set-up does, need not import the evaluation modules.
+    from .metrics import PredictionSet
 
     if not 0 <= match_count <= n_modes:
         raise InvalidSpec("match_count must lie in [0, n_modes]")

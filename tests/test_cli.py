@@ -1,16 +1,22 @@
 """End-to-end command tests: pipelines, determinism, exit codes."""
 
 import collections
+import contextlib
+import io
 import math
 import json
 import multiprocessing
 import os
 import signal
+import tempfile
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionkit import cli
 from motionkit.attributes import DirectionLabel
@@ -19,6 +25,8 @@ from motionkit.config import load_config
 from motionkit.core import HorizonConfig, serialize_scenario
 from motionkit.metrics import classify_prediction
 from motionkit.synth import SynthSpec, gen_prediction_set, gen_scenario
+
+from agent_docs import agent_mutations, three_agent_docs
 
 H = HorizonConfig()
 
@@ -229,6 +237,53 @@ class TestBlockBoundaries:
         assert err == (
             "error: line 120: scenario synth-000119.horizon: t_obs must be >= 2 (heading inference needs two points)\n"
         )
+
+
+class TestMutatedAgentLine:
+    """Four scenario lines with one agent of line 3 edited, run through ``extract`` in process. At
+    --jobs 2 the parent runs lines 1-2 and the child lines 3-4, so the edited line crosses a process
+    boundary; the outcome must not depend on it."""
+
+    def test_an_unknown_agent_kind_names_its_line_and_field_path(self, tmp_path, capsys):
+        src = tmp_path / "corpus.jsonl"
+        assert run("synth", "--n", "4", "--seed", "5", "--out", str(src)) == 0
+        lines = src.read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc["agents"][0]["agent_kind"] = "robot"
+        lines[2] = json.dumps(doc)
+        src.write_text("".join(line + "\n" for line in lines))
+        for jobs in ("1", "2"):
+            assert run("extract", str(src), "--out", str(tmp_path / "o.jsonl"), "--jobs", jobs) == 1
+            err = capsys.readouterr().err
+            assert err == "error: line 3: scenario synth-000002.agents[0]: unknown agent_kind 'robot'\n"
+
+    # Lines 1, 2 and 4: scenarios that extract labels, so the output bytes are compared too.
+    LABELLED = [
+        serialize_scenario(gen_scenario(SynthSpec(kind="straight", speed=10.0), f"s{i}", H)[0]) for i in (0, 1, 3)
+    ]
+
+    @given(three_agent_docs(), st.integers(min_value=0, max_value=2), agent_mutations())
+    @settings(max_examples=60, deadline=None)
+    def test_one_mutation_gives_the_same_outcome_at_one_and_two_jobs(self, doc, k, mutation):
+        _, edit = mutation
+        doc["agents"][k] = edit(doc["agents"][k])
+        lines = self.LABELLED[:2] + [json.dumps(dict(doc, scenario_id="s2"))] + self.LABELLED[2:]
+        outcomes = []
+        with tempfile.TemporaryDirectory() as tmp:  # not tmp_path: hypothesis rejects function-scoped fixtures
+            src = Path(tmp) / "corpus.jsonl"
+            src.write_text("".join(line + "\n" for line in lines))
+            for jobs in ("1", "2"):
+                out, err = Path(tmp) / f"o{jobs}.jsonl", io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    rc = main(["extract", str(src), "--out", str(out), "--jobs", jobs])
+                outcomes.append((rc, err.getvalue(), out.read_bytes() if out.exists() else None))
+        assert outcomes[0] == outcomes[1]
+        rc, err, out = outcomes[0]
+        assert rc in (0, 1)
+        if rc == 1:
+            assert err.startswith("error: line 3: ") and err.count("\n") == 1
+        else:  # line 3 is labelled or skipped
+            assert {json.loads(row)["scenario_id"] for row in out.splitlines()} - {"s2"} == {"s0", "s1", "s3"}
 
 
 class TestForkJoinFailures:

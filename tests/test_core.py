@@ -5,13 +5,14 @@ import itertools
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionkit import errors
+from motionkit import core, errors
 from motionkit.core import HorizonConfig, parse_scenario, serialize_scenario
 from motionkit.geometry import (
     point_along_polyline,
@@ -21,39 +22,12 @@ from motionkit.geometry import (
 )
 from motionkit.synth import build_corpus
 
-from agent_oracle import parse_scenario_per_agent
+from agent_docs import HEADING, POINT, agent_mutations, minimal_doc, three_agent_docs
 
 
 def normalize_heading(theta: float) -> float:
     """Test oracle: the scalar form of ``core._normalize_headings``, which parse applies."""
     return theta if -math.pi < theta <= math.pi else wrap_angle(theta)
-
-
-def minimal_doc(**overrides) -> dict:
-    doc = {
-        "scenario_id": "s1",
-        "focal_agent_id": "ego",
-        "horizon": {"t_obs": 2, "t_pred": 3, "t_select": [2], "dt": 0.1},
-        "agents": [
-            {
-                "agent_id": "ego",
-                "agent_kind": "vehicle",
-                "points": [
-                    {"t": i, "x": float(i), "y": 0.0, "heading": 0.0, "speed": 10.0, "valid": True}
-                    for i in range(5)
-                ],
-            }
-        ],
-        "lanes": [
-            {
-                "lane_id": "lane_a",
-                "successors": [],
-                "centerline": [{"x": 0.0, "y": 0.0, "heading": 0.0}, {"x": 50.0, "y": 0.0, "heading": 0.0}],
-            }
-        ],
-    }
-    doc.update(overrides)
-    return doc
 
 
 class TestParse:
@@ -213,6 +187,11 @@ class TestScenarioRejections:
                 errors.SchemaError,
                 "scenario s1.horizon: field 'dt' must be a finite number of magnitude at most 1e+09",
             ),
+            (
+                _edit(("agents", 0, "agent_kind"), "robot"),
+                errors.SchemaError,
+                "scenario s1.agents[0]: unknown agent_kind 'robot'",
+            ),
         ],
         ids=[
             "duplicate_agent_id",
@@ -230,6 +209,7 @@ class TestScenarioRejections:
             "horizon_t_select_out_of_range",
             "horizon_dt_0",
             "horizon_dt_not_number",
+            "unknown_agent_kind",
         ],
     )
     def test_rejection_message(self, make, error, message):
@@ -237,25 +217,6 @@ class TestScenarioRejections:
             parse_scenario(json.dumps(make()))
         assert type(info.value) is error
         assert str(info.value) == message
-
-
-_COORD = st.one_of(
-    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    st.integers(min_value=-1000, max_value=1000),
-    st.just(-0.0),
-)
-_HEADING = st.one_of(
-    st.floats(min_value=-20.0, max_value=20.0), st.integers(-7, 7), st.sampled_from([-math.pi, math.pi])
-)
-_POINT = st.fixed_dictionaries(
-    {
-        "x": _COORD,
-        "y": _COORD,
-        "heading": _HEADING,
-        "speed": st.one_of(st.floats(min_value=0.0, max_value=100.0), st.integers(0, 50)),
-        "valid": st.booleans(),
-    }
-)
 
 
 @st.composite
@@ -266,12 +227,12 @@ def scenario_docs(draw) -> dict:
     t0 = draw(st.integers(min_value=-5, max_value=5))
     agents = []
     for a in range(draw(st.integers(min_value=1, max_value=3))):
-        points = [dict(draw(_POINT), t=t0 + i) for i in range(n)]
+        points = [dict(draw(POINT), t=t0 + i) for i in range(n)]
         kind = draw(st.sampled_from(["vehicle", "cyclist"]))
         agents.append({"agent_id": f"a{a}", "agent_kind": kind, "points": points})
     steps = draw(st.lists(st.floats(min_value=0.5, max_value=20.0), min_size=1, max_size=5))
     xs = np.concatenate(([0.0], np.cumsum(steps))).tolist()
-    centerline = [{"x": x, "y": 0.0, "heading": draw(_HEADING)} for x in xs]
+    centerline = [{"x": x, "y": 0.0, "heading": draw(HEADING)} for x in xs]
     return {
         "scenario_id": "h",
         "focal_agent_id": "a0",
@@ -307,89 +268,6 @@ class TestColumnarRoundTrip:
         assert not lane.xy.flags.writeable and not lane.headings.flags.writeable
 
 
-_AGENT_KEYS = ("agent_id", "agent_kind", "points")
-_POINT_KEYS = ("t", "x", "y", "heading", "speed", "valid")
-_FLOAT_KEYS = ("x", "y", "heading", "speed")
-_OTHER_TYPES = st.sampled_from([None, True, "1", [], {}, 1.5, 2])
-
-
-@st.composite
-def three_agent_docs(draw) -> dict:
-    """Valid documents with three agents of 3 to 6 points, each with its own first t_index."""
-    n = draw(st.integers(min_value=3, max_value=6))
-    agents = []
-    for a in range(3):
-        t0 = draw(st.integers(min_value=-5, max_value=5))
-        points = [dict(draw(_POINT), t=t0 + i) for i in range(n)]
-        kind = draw(st.sampled_from(["vehicle", "cyclist"]))
-        agents.append({"agent_id": f"a{a}", "agent_kind": kind, "points": points})
-    horizon = {"t_obs": 2, "t_pred": n - 2, "t_select": [0], "dt": 0.1}
-    return minimal_doc(agents=agents, focal_agent_id="a0", horizon=horizon)
-
-
-@st.composite
-def agent_mutations(draw):
-    """One edit of one agent of a valid document: ``(name, edit)``, where ``edit(agent)`` mutates it."""
-    kind = draw(
-        st.sampled_from(
-            [
-                "drop_agent_key", "add_agent_key", "agent_not_object", "drop_point_key", "add_point_key",
-                "point_not_object", "swap_agent_type", "swap_point_type", "nan", "1e308", "huge_int",
-                "negative_speed", "t_gap", "short_track", "unknown_kind", "big_t0",
-            ]
-        )
-    )
-    j = draw(st.integers(min_value=0, max_value=2))  # every drawn track has at least 3 points
-    key = draw(st.sampled_from(_POINT_KEYS))
-    fkey = draw(st.sampled_from(_FLOAT_KEYS))
-    akey = draw(st.sampled_from(_AGENT_KEYS))
-    other = draw(_OTHER_TYPES)
-    sign = draw(st.sampled_from([1, -1]))
-    step = draw(st.sampled_from([-1, 1, 2, 7]))
-    keep = draw(st.integers(min_value=0, max_value=2))
-    offset = draw(st.sampled_from([2**63 - 2, 2**64, -(2**70)]))
-    huge_key = draw(st.sampled_from(("t",) + _FLOAT_KEYS))
-
-    def edit(agent):
-        points = agent["points"]
-        if kind == "drop_agent_key":
-            del agent[akey]
-        elif kind == "add_agent_key":
-            agent["extra"] = 1
-        elif kind == "agent_not_object":
-            return other
-        elif kind == "drop_point_key":
-            del points[j][key]
-        elif kind == "add_point_key":
-            points[j]["extra"] = 0
-        elif kind == "point_not_object":
-            points[j] = other
-        elif kind == "swap_agent_type":
-            agent[akey] = other
-        elif kind == "swap_point_type":
-            points[j][key] = other
-        elif kind == "nan":
-            points[j][fkey] = float("nan")
-        elif kind == "1e308":
-            points[j][fkey] = sign * 1e308
-        elif kind == "huge_int":
-            points[j][huge_key] = sign * 10**400
-        elif kind == "negative_speed":
-            points[j]["speed"] = -0.5
-        elif kind == "t_gap":
-            points[j]["t"] += step
-        elif kind == "short_track":
-            del points[keep:]
-        elif kind == "unknown_kind":
-            agent["agent_kind"] = "truck"
-        elif kind == "big_t0":
-            for p in points:
-                p["t"] += offset
-        return agent
-
-    return kind, edit
-
-
 def _set(key, value):
     return lambda obj: obj.__setitem__(key, value)
 
@@ -421,6 +299,14 @@ _AGENT_EDITS = {
 }
 
 
+def parse_scenario_per_agent(text: str):
+    """The reference: ``parse_scenario`` with the column pass declining every document, so each
+    agent is read on its own by ``core._read_agent``. A patch, not a fixture: hypothesis rejects
+    function-scoped fixtures."""
+    with mock.patch.object(core, "_agent_block", return_value=None):
+        return parse_scenario(text)
+
+
 def _outcome(parse, text: str):
     """The parsed scenario, or the type and message of the error parsing raised."""
     try:
@@ -430,7 +316,7 @@ def _outcome(parse, text: str):
 
 
 class TestBlockParse:
-    """The one column pass over all agents against the per-agent oracle (tests/agent_oracle.py)."""
+    """The one column pass over all agents against the per-agent reader ``core._read_agent``."""
 
     @given(three_agent_docs(), st.integers(min_value=0, max_value=2), agent_mutations())
     @settings(max_examples=300, deadline=None)
