@@ -234,37 +234,34 @@ def classify_direction_arrays(
     return labels
 
 
+def _label_window(
+    track: AgentTrack, window: tuple[int, int], th: DirectionThresholds
+) -> tuple[FineDirection, np.ndarray]:
+    """The fine direction of the half-open [start, stop) ``window`` of ``track``
+    and its valid speeds, packed, from one :func:`classify_direction_arrays`
+    call on the window's own steps. Raises :class:`InsufficientPoints` when
+    fewer than two steps are valid."""
+    start, stop = window
+    valid = track.valid_mask[start:stop]
+    speeds = track.speeds[start:stop][valid]
+    fallback = track.headings[start + int(valid.argmax())] if valid.size else 0.0
+    xy, max_speed = track.xy[None, start:stop], [speeds.max(initial=-np.inf)]
+    [label] = classify_direction_arrays(xy, max_speed, valid[None], [fallback], th)
+    if label is None:
+        raise InsufficientPoints(f"window [{start}, {stop}) has {speeds.size} valid points")
+    return label, speeds
+
+
 def _classify_windows(
     track: AgentTrack, windows: Sequence[tuple[int, int]], th: DirectionThresholds
 ) -> list[tuple[FineDirection, float, float]]:
-    """One labelling pass over half-open [start, stop) windows of ``track``:
-    each window's fine direction, the mean of its valid speeds in km/h, and
-    its last-minus-first valid speed change in m/s. Raises
-    :class:`InsufficientPoints` for the first window with fewer than two
-    valid points.
-
-    The windows' points are stacked into one (N, T) array, a window shorter
-    than the widest padded with invalid trailing steps, and labelled by one
-    :func:`classify_direction_arrays` call. Each window's valid speeds are
-    packed straight from the track and give its max, mean and change; a
-    packed sum matches ``np.mean`` bit for bit where a row sum over the
-    padding could not.
-    """
-    valid = [track.valid_mask[start:stop] for start, stop in windows]
-    speeds = [track.speeds[start:stop][v] for (start, stop), v in zip(windows, valid)]
-    shape = (len(windows), max(v.size for v in valid))
-    xy, mask = np.zeros((*shape, 2)), np.zeros(shape, bool)
-    for i, ((start, stop), v) in enumerate(zip(windows, valid)):
-        n = v.size
-        xy[i, :n], mask[i, :n] = track.xy[start:stop], v
-    fallback = [track.headings[start + int(v.argmax())] if v.size else 0.0 for (start, _), v in zip(windows, valid)]
-    labels = classify_direction_arrays(xy, [row.max(initial=-np.inf) for row in speeds], mask, fallback, th)
-    out = []
-    for (start, stop), row, label in zip(windows, speeds, labels):
-        if label is None:
-            raise InsufficientPoints(f"window [{start}, {stop}) has {row.size} valid points")
-        out.append((label, float(row.sum()) / row.size * MPS_TO_KMH, float(row[-1] - row[0])))
-    return out
+    """Each half-open [start, stop) window of ``track``: its fine direction,
+    the mean of its valid speeds in km/h, and its last-minus-first valid speed
+    change in m/s. Raises :class:`InsufficientPoints` for the first window
+    with fewer than two valid points. A sum over the packed valid speeds
+    matches ``np.mean`` bit for bit."""
+    labelled = [_label_window(track, window, th) for window in windows]
+    return [(label, float(row.sum()) / row.size * MPS_TO_KMH, float(row[-1] - row[0])) for label, row in labelled]
 
 
 def classify_direction_fine(
@@ -275,7 +272,7 @@ def classify_direction_fine(
     """Classify the motion over ``window`` (half-open [start, stop) step
     indices), ignoring invalid steps; see :func:`classify_direction_arrays`
     for the rules."""
-    return _classify_windows(track, [window], th)[0][0]
+    return _label_window(track, window, th)[0]
 
 
 _SPEED_BANDS = tuple(SpeedCategory)
@@ -307,7 +304,7 @@ StepAttributes = tuple[DirectionLabel, SpeedCategory, AccelCategory]
 def _window_attributes(
     track: AgentTrack, windows: Sequence[tuple[int, int]], dt: float, rules: LabelRules
 ) -> list[tuple[FineDirection, SpeedCategory, AccelCategory]]:
-    """Each window's fine direction and its speed and acceleration bands, from one labelling pass."""
+    """Each window's fine direction and its speed and acceleration bands."""
     speed, accel = rules.speed_kmh, rules.accel_kmh
     return [
         (fine, classify_speed(mean, speed), classify_acceleration(speed_change_kmh(dv, b - a, dt), accel))
@@ -326,7 +323,7 @@ def classify_two_step(
     track: AgentTrack, horizon: HorizonConfig, rules: LabelRules = LabelRules()
 ) -> tuple[StepAttributes, StepAttributes]:
     """Split the future window at its midpoint and classify each half
-    independently, both halves in one labelling pass."""
+    independently."""
     labels = _window_attributes(track, _halves(horizon), horizon.dt, rules)
     first, second = ((rules.collapse[f], s, a) for f, s, a in labels)
     return first, second
@@ -346,7 +343,7 @@ class MotionAttributes:
 def extract_motion_attributes(
     track: AgentTrack, horizon: HorizonConfig, rules: LabelRules = LabelRules()
 ) -> MotionAttributes:
-    """The future window and both of its halves, labelled in one pass."""
+    """The future window and both of its halves, each labelled on its own steps."""
     windows = (horizon.future_window, *_halves(horizon))
     (fine, speed, accel), *halves = _window_attributes(track, windows, horizon.dt, rules)
     return MotionAttributes(

@@ -10,8 +10,10 @@ A :class:`Scenario` stores its agents as one block: per-agent ids, kinds and
 first t_index, and (A, n) columns of positions, headings, speeds and validity
 flags. :func:`parse_scenario` checks every point of every agent in one column
 pass and builds that block directly. Agents the pass declines are read one at
-a time by ``_read_agent``, which raises the first problem with its field path
-and is also the tests' reference for the pass. The labellers read only
+a time by ``_read_agent``, and rows (points, centerline vertices) that the
+column reader ``_columns`` declines one at a time by ``_read_row``; each
+raises the first problem with its field path, and the two are also the tests'
+reference for the column passes. The labellers read only
 ``Scenario.focal_track``, an :class:`AgentTrack` view of the focal row built
 once; ``Scenario.agents`` gives every agent's view and is built only when read.
 """
@@ -195,6 +197,14 @@ class Lane:
         seg = np.linalg.norm(np.diff(self.xy, axis=0), axis=1)
         if np.any(seg <= 0.0):
             raise GeometryError(f"lane {self.lane_id}: consecutive centerline points must be distinct")
+
+
+def _built(at: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, with a constructor error raised again, of its class, as ``{at}: ...``."""
+    try:
+        return cls(*args, **kwargs)
+    except (SchemaError, GeometryError) as exc:
+        raise type(exc)(f"{at}: {exc}") from exc
 
 
 def _point_count_error(where: str, agent_id: str, count: int, n_steps: int) -> SchemaError:
@@ -405,23 +415,31 @@ def _columns(rows: list, kinds: dict) -> Optional[tuple[dict, np.ndarray]]:
     return None
 
 
+def _read_row(row, kinds: dict, at: str) -> list:
+    """One row read on its own: its values in ``kinds`` order, or its first problem raised as
+    ``{at}: ...``. :func:`_table` reads the rows this way when :func:`_columns` declines them."""
+    if not isinstance(row, dict):
+        raise SchemaError(f"{at}: must be an object")
+    _reject_extra(row, kinds, at)
+    values = []
+    for name, kind in kinds.items():
+        values.append(_require(row, name, kind, at))
+        if name == "speed" and values[-1] < 0:
+            raise SchemaError(f"{at}: speed must be >= 0")
+    return values
+
+
 def _table(obj: dict, key: str, kinds: dict, where: str) -> tuple[dict, np.ndarray]:
-    """The :func:`_columns` of the rows of ``obj[key]``; a row that does not pass raises its first
-    problem as ``{where}.{key}[i]: ...``."""
+    """The :func:`_columns` of the rows of ``obj[key]``; when it declines them, the same columns
+    from :func:`_read_row`, so that a row that does not pass raises its first problem as
+    ``{where}.{key}[i]: ...``."""
     rows = _require(obj, key, list, where)
     table = _columns(rows, kinds)
     if table is not None:
         return table
-    for i, row in enumerate(rows):
-        at = f"{where}.{key}[{i}]"
-        if not isinstance(row, dict):
-            raise SchemaError(f"{at}: must be an object")
-        _reject_extra(row, kinds, at)
-        for name, kind in kinds.items():
-            value = _require(row, name, kind, at)
-            if name == "speed" and value < 0:
-                raise SchemaError(f"{at}: speed must be >= 0")
-    raise AssertionError("unreachable: the row checks above mirror the column checks")
+    read = [_read_row(row, kinds, f"{where}.{key}[{i}]") for i, row in enumerate(rows)]
+    columns = {name: [values[j] for values in read] for j, name in enumerate(kinds)}
+    return columns, np.array([columns[name] for name, kind in kinds.items() if kind is float], dtype=float)
 
 
 def _normalize_headings(headings: np.ndarray) -> np.ndarray:
@@ -479,7 +497,7 @@ def _agent_block(agents: list) -> Optional[tuple]:
 
 def _read_agent(agent, at: str) -> AgentTrack:
     """One agent read on its own: its first problem, in the order the fields are read, raises as
-    ``{at}: ...`` (a track of fewer than 2 points or with a t_index gap names the agent id).
+    ``{at}: ...`` (a track of fewer than 2 points or with a t_index gap also names the agent id).
     :func:`parse_scenario` reads the agents this way when :func:`_agent_block` declines them, and
     the tests use it as the reference that the block pass must agree with."""
     if not isinstance(agent, dict):
@@ -492,11 +510,10 @@ def _read_agent(agent, at: str) -> AgentTrack:
         raise SchemaError(f"{at}: unknown agent_kind {kind!r}")
     t = columns["t"]
     t0 = t[0] if t else 0
-    track = AgentTrack(
-        agent_id, kind, t0, np.column_stack((x, y)), _normalize_headings(headings), speeds, columns["valid"]
-    )
+    xy = np.column_stack((x, y))
+    track = _built(at, AgentTrack, agent_id, kind, t0, xy, _normalize_headings(headings), speeds, columns["valid"])
     if t != list(range(t0, t0 + len(t))):
-        raise GeometryError(f"agent {agent_id}: t_index must increase by exactly 1")
+        raise GeometryError(f"{at}: agent {agent_id}: t_index must increase by exactly 1")
     return track
 
 
@@ -525,7 +542,9 @@ def _parse_lane(obj: dict, where: str) -> Lane:
             raise SchemaError(f"{where}: {key} must be a string or null")
         return value
 
-    return Lane(
+    return _built(
+        where,
+        Lane,
         lane_id=lane_id,
         xy=_read_only(floats[:2].T.copy()),
         headings=_read_only(_normalize_headings(floats[2])),
@@ -568,10 +587,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
         raise SchemaError(f"{at}: t_select must be a list of integers")
     t_obs, t_pred = _require(horizon_raw, "t_obs", int, at), _require(horizon_raw, "t_pred", int, at)
     dt = _require(horizon_raw, "dt", float, at)
-    try:  # only the constructor: the field errors above carry their path already
-        horizon = HorizonConfig(t_obs, t_pred, tuple(t_select), dt)
-    except SchemaError as exc:
-        raise SchemaError(f"{at}: {exc}") from exc
+    horizon = _built(at, HorizonConfig, t_obs, t_pred, tuple(t_select), dt)
     scenario_type = obj.get("scenario_type")
     if scenario_type is not None and not isinstance(scenario_type, str):
         raise SchemaError(f"{where}: scenario_type must be a string or null")

@@ -1,5 +1,6 @@
 """Scenario documents as JSON objects, for the parse and CLI tests: a minimal valid document,
-hypothesis strategies for valid three-agent documents, and one-agent edits that break them."""
+hypothesis strategies for valid three-agent documents, and one-agent or one-lane edits that break
+them."""
 
 from __future__ import annotations
 
@@ -62,12 +63,17 @@ _OTHER_TYPES = st.sampled_from([None, True, "1", [], {}, 1.5, 2])
 
 @st.composite
 def three_agent_docs(draw) -> dict:
-    """Valid documents with three agents of 3 to 6 points, each with its own first t_index."""
-    n = draw(st.integers(min_value=3, max_value=6))
+    """Valid documents with three agents of 4 to 8 points, each with its own first t_index. The
+    focal agent ``a0`` has an all-valid future of 2 to 6 points, so ``extract`` labels a vehicle
+    focal agent whose future halves hold 2 points each (a future of 4 or more)."""
+    n = draw(st.integers(min_value=4, max_value=8))
     agents = []
     for a in range(3):
         t0 = draw(st.integers(min_value=-5, max_value=5))
         points = [dict(draw(POINT), t=t0 + i) for i in range(n)]
+        if a == 0:
+            for point in points[2:]:
+                point["valid"] = True
         kind = draw(st.sampled_from(["vehicle", "cyclist"]))
         agents.append({"agent_id": f"a{a}", "agent_kind": kind, "points": points})
     horizon = {"t_obs": 2, "t_pred": n - 2, "t_select": [0], "dt": 0.1}
@@ -133,5 +139,53 @@ def agent_mutations(draw):
             for p in points:
                 p["t"] += offset
         return agent
+
+    return kind, edit
+
+
+_VERTEX_KEYS = ("x", "y", "heading")
+
+
+@st.composite
+def centerline_mutations(draw):
+    """One edit of one lane's centerline: ``(name, edit)``, where ``edit(lane)`` mutates the lane
+    and returns it."""
+    kind = draw(
+        st.sampled_from(
+            [
+                "drop_vertex_key", "add_vertex_key", "vertex_not_object", "swap_vertex_type", "nan", "1e308",
+                "huge_int", "repeat_vertex", "short_centerline", "centerline_not_list",
+            ]
+        )
+    )
+    j = draw(st.integers(min_value=0, max_value=1))  # every centerline has at least 2 vertices
+    key = draw(st.sampled_from(_VERTEX_KEYS))
+    other = draw(_OTHER_TYPES)
+    sign = draw(st.sampled_from([1, -1]))
+    keep = draw(st.integers(min_value=0, max_value=1))
+
+    def edit(lane):
+        vertices = lane["centerline"]
+        if kind == "drop_vertex_key":
+            del vertices[j][key]
+        elif kind == "add_vertex_key":
+            vertices[j]["extra"] = 0
+        elif kind == "vertex_not_object":
+            vertices[j] = other
+        elif kind == "swap_vertex_type":
+            vertices[j][key] = other
+        elif kind == "nan":
+            vertices[j][key] = float("nan")
+        elif kind == "1e308":
+            vertices[j][key] = sign * 1e308
+        elif kind == "huge_int":
+            vertices[j][key] = sign * 10**400
+        elif kind == "repeat_vertex":
+            vertices.insert(j, dict(vertices[j]))
+        elif kind == "short_centerline":
+            del vertices[keep:]
+        elif kind == "centerline_not_list":
+            lane["centerline"] = other
+        return lane
 
     return kind, edit

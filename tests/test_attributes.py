@@ -379,7 +379,8 @@ class TestOnePass:
         assert classify_two_step(track, horizon) == collapsed
         assert classify_direction_fine(track, windows[0]) is expected[0][0]
 
-    def test_one_kernel_call_per_track(self, horizon, monkeypatch):
+    def test_one_kernel_call_per_window(self, horizon, monkeypatch):
+        """The future window and both halves: each its own one-row kernel call, unpadded."""
         calls = []
 
         def counting(*args):
@@ -391,4 +392,4 @@ class TestOnePass:
         for spec in default_suite(8, seed=3):
             track, _ = gen_trajectory(spec, horizon)
             extract_motion_attributes(track, horizon)
-        assert calls == [3] * 8
+        assert calls == [1, 1, 1] * 8

@@ -26,7 +26,7 @@ from motionkit.core import HorizonConfig, serialize_scenario
 from motionkit.metrics import classify_prediction
 from motionkit.synth import SynthSpec, gen_prediction_set, gen_scenario
 
-from agent_docs import agent_mutations, three_agent_docs
+from agent_docs import agent_mutations, centerline_mutations, three_agent_docs
 
 H = HorizonConfig()
 
@@ -240,9 +240,10 @@ class TestBlockBoundaries:
 
 
 class TestMutatedAgentLine:
-    """Four scenario lines with one agent of line 3 edited, run through ``extract`` in process. At
-    --jobs 2 the parent runs lines 1-2 and the child lines 3-4, so the edited line crosses a process
-    boundary; the outcome must not depend on it."""
+    """Four scenario lines with one agent or the centerline of line 3 edited, run through
+    ``extract`` in process. At --jobs 2 the parent runs lines 1-2 and the child lines 3-4, and at
+    --jobs 3 the parent line 1 and the two children lines 2 and 3-4, so the edited line crosses a
+    process boundary; the outcome must not depend on it."""
 
     def test_an_unknown_agent_kind_names_its_line_and_field_path(self, tmp_path, capsys):
         src = tmp_path / "corpus.jsonl"
@@ -252,7 +253,7 @@ class TestMutatedAgentLine:
         doc["agents"][0]["agent_kind"] = "robot"
         lines[2] = json.dumps(doc)
         src.write_text("".join(line + "\n" for line in lines))
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             assert run("extract", str(src), "--out", str(tmp_path / "o.jsonl"), "--jobs", jobs) == 1
             err = capsys.readouterr().err
             assert err == "error: line 3: scenario synth-000002.agents[0]: unknown agent_kind 'robot'\n"
@@ -262,22 +263,28 @@ class TestMutatedAgentLine:
         serialize_scenario(gen_scenario(SynthSpec(kind="straight", speed=10.0), f"s{i}", H)[0]) for i in (0, 1, 3)
     ]
 
-    @given(three_agent_docs(), st.integers(min_value=0, max_value=2), agent_mutations())
-    @settings(max_examples=60, deadline=None)
-    def test_one_mutation_gives_the_same_outcome_at_one_and_two_jobs(self, doc, k, mutation):
-        _, edit = mutation
-        doc["agents"][k] = edit(doc["agents"][k])
+    @given(
+        three_agent_docs(),
+        st.one_of(
+            st.tuples(st.just("agents"), st.integers(min_value=0, max_value=2), agent_mutations()),
+            st.tuples(st.just("lanes"), st.just(0), centerline_mutations()),
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_one_mutation_gives_the_same_outcome_at_one_two_and_three_jobs(self, doc, mutation):
+        key, k, (_, edit) = mutation
+        doc[key][k] = edit(doc[key][k])
         lines = self.LABELLED[:2] + [json.dumps(dict(doc, scenario_id="s2"))] + self.LABELLED[2:]
         outcomes = []
         with tempfile.TemporaryDirectory() as tmp:  # not tmp_path: hypothesis rejects function-scoped fixtures
             src = Path(tmp) / "corpus.jsonl"
             src.write_text("".join(line + "\n" for line in lines))
-            for jobs in ("1", "2"):
+            for jobs in ("1", "2", "3"):
                 out, err = Path(tmp) / f"o{jobs}.jsonl", io.StringIO()
                 with contextlib.redirect_stderr(err):
                     rc = main(["extract", str(src), "--out", str(out), "--jobs", jobs])
                 outcomes.append((rc, err.getvalue(), out.read_bytes() if out.exists() else None))
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
         rc, err, out = outcomes[0]
         assert rc in (0, 1)
         if rc == 1:

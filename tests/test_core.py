@@ -22,7 +22,7 @@ from motionkit.geometry import (
 )
 from motionkit.synth import build_corpus
 
-from agent_docs import HEADING, POINT, agent_mutations, minimal_doc, three_agent_docs
+from agent_docs import HEADING, POINT, agent_mutations, centerline_mutations, minimal_doc, three_agent_docs
 
 
 def normalize_heading(theta: float) -> float:
@@ -192,6 +192,26 @@ class TestScenarioRejections:
                 errors.SchemaError,
                 "scenario s1.agents[0]: unknown agent_kind 'robot'",
             ),
+            (
+                _edit(("agents", 0, "points", 2, "t"), 0),
+                errors.GeometryError,
+                "scenario s1.agents[0]: agent ego: t_index must increase by exactly 1",
+            ),
+            (
+                _edit(("agents", 0, "points"), [{"t": 0, "x": 0, "y": 0, "heading": 0, "speed": 0, "valid": True}]),
+                errors.GeometryError,
+                "scenario s1.agents[0]: agent ego: track needs >= 2 points",
+            ),
+            (
+                _edit(("lanes", 0, "centerline"), [{"x": 0.0, "y": 0.0, "heading": 0.0}]),
+                errors.GeometryError,
+                "scenario s1.lanes[0]: lane lane_a: centerline needs >= 2 points",
+            ),
+            (
+                _edit(("lanes", 0, "centerline"), [{"x": 1.0, "y": 2.0, "heading": 0.0}] * 2),
+                errors.GeometryError,
+                "scenario s1.lanes[0]: lane lane_a: consecutive centerline points must be distinct",
+            ),
         ],
         ids=[
             "duplicate_agent_id",
@@ -210,10 +230,14 @@ class TestScenarioRejections:
             "horizon_dt_0",
             "horizon_dt_not_number",
             "unknown_agent_kind",
+            "t_index_gap",
+            "one_point_track",
+            "one_vertex_centerline",
+            "repeated_centerline_vertex",
         ],
     )
     def test_rejection_message(self, make, error, message):
-        with pytest.raises(errors.SchemaError) as info:
+        with pytest.raises(errors.MotionKitError) as info:
             parse_scenario(json.dumps(make()))
         assert type(info.value) is error
         assert str(info.value) == message
@@ -307,6 +331,14 @@ def parse_scenario_per_agent(text: str):
         return parse_scenario(text)
 
 
+def parse_scenario_per_row(text: str):
+    """The reference for both column passes: ``parse_scenario`` with ``core._columns`` declining
+    every list of rows, which also declines ``core._agent_block``, so every agent is read by
+    ``core._read_agent`` and every point and centerline vertex by ``core._read_row``."""
+    with mock.patch.object(core, "_columns", return_value=None):
+        return parse_scenario(text)
+
+
 def _outcome(parse, text: str):
     """The parsed scenario, or the type and message of the error parsing raised."""
     try:
@@ -315,16 +347,47 @@ def _outcome(parse, text: str):
         return type(exc).__name__, str(exc)
 
 
+def _same_outcome_everywhere(text: str):
+    """The outcome of ``text``, after checking that both references give it too."""
+    outcome = _outcome(parse_scenario, text)
+    assert outcome == _outcome(parse_scenario_per_agent, text) == _outcome(parse_scenario_per_row, text)
+    return outcome
+
+
+_T_JUNCTION_DOCS = [json.loads(serialize_scenario(s)) for s, _ in build_corpus(6, seed=2, topology="t_junction")]
+
+
 class TestBlockParse:
-    """The one column pass over all agents against the per-agent reader ``core._read_agent``."""
+    """The column passes against the per-agent reader ``core._read_agent`` and the per-row reader
+    ``core._read_row``."""
 
     @given(three_agent_docs(), st.integers(min_value=0, max_value=2), agent_mutations())
     @settings(max_examples=300, deadline=None)
     def test_one_mutation_raises_what_the_per_agent_reader_raises(self, doc, k, mutation):
         _, edit = mutation
         doc["agents"][k] = edit(doc["agents"][k])
-        text = json.dumps(doc)
-        assert _outcome(parse_scenario, text) == _outcome(parse_scenario_per_agent, text)
+        _same_outcome_everywhere(json.dumps(doc))
+
+    @given(
+        st.sampled_from(_T_JUNCTION_DOCS),
+        st.one_of(
+            st.tuples(st.just("agents"), st.just(0), agent_mutations()),
+            st.tuples(st.just("lanes"), st.integers(min_value=0, max_value=2), centerline_mutations()),
+            st.just(None),
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_point_and_lane_edits_read_alike_row_by_row(self, doc, mutation):
+        """t_junction documents (one 91-point agent, three lanes), as built or with one agent or one
+        centerline edited: the per-row reader builds what the column passes build, or raises what
+        they raise."""
+        doc = copy.deepcopy(doc)
+        if mutation is not None:
+            key, k, (_, edit) = mutation
+            doc[key][k] = edit(doc[key][k])
+        outcome = _same_outcome_everywhere(json.dumps(doc))
+        if mutation is None:
+            assert isinstance(outcome, core.Scenario) and len(outcome.lanes) == 3
 
     def test_two_problems_in_one_agent_raise_the_first_in_reading_order(self):
         """Every pair of these edits on agent 1: the reading order (keys, agent_id, points, kind,
@@ -338,15 +401,15 @@ class TestBlockParse:
             except (KeyError, TypeError, IndexError):  # the first edit removed what the second edits
                 continue
             text = json.dumps(doc)
-            assert _outcome(parse_scenario, text) == _outcome(parse_scenario_per_agent, text), (name_a, name_b)
+            _same_outcome_everywhere(text)
 
     @given(three_agent_docs())
     @settings(max_examples=50, deadline=None)
     def test_valid_documents_build_the_same_tracks(self, doc):
         text = json.dumps(doc)
         s = parse_scenario(text)
-        assert s == parse_scenario_per_agent(text)
-        assert s.agents == parse_scenario_per_agent(text).agents
+        assert s == parse_scenario_per_agent(text) == parse_scenario_per_row(text)
+        assert s.agents == parse_scenario_per_agent(text).agents == parse_scenario_per_row(text).agents
         assert s.xy.shape == (3, len(doc["agents"][0]["points"]), 2)
 
     @staticmethod
@@ -365,7 +428,7 @@ class TestBlockParse:
         message = "scenario synth-000000.agents[3].points[5]: field 'x' must be a finite number"
         with pytest.raises(errors.SchemaError, match=re.escape(message)):
             parse_scenario(text)
-        assert _outcome(parse_scenario, text) == _outcome(parse_scenario_per_agent, text)
+        _same_outcome_everywhere(text)
 
     def test_a_lane_error_wins_over_unequal_point_counts(self):
         doc = self._four_agents()
@@ -374,7 +437,7 @@ class TestBlockParse:
         text = json.dumps(doc)
         with pytest.raises(errors.ReferenceError, match="references unknown lane 'nowhere'"):
             parse_scenario(text)
-        assert _outcome(parse_scenario, text) == _outcome(parse_scenario_per_agent, text)
+        _same_outcome_everywhere(text)
         doc["lanes"][0]["successors"] = []
         with pytest.raises(errors.SchemaError, match="agent other-0 has 90 points, horizon requires 91"):
             parse_scenario(json.dumps(doc))
