@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import hashlib
 import io
 import math
 import json
@@ -395,6 +396,51 @@ class TestSkipReasons:
         assert runs[0] == runs[1]
         assert runs[0][1] == summary
         assert [json.loads(line)["scenario_id"] for line in runs[0][0].splitlines()] == kept
+
+
+class TestPinnedRows:
+    """sha256 of the rows extract, feasibility and gen-instructions write for the corpus of
+    ``synth --n 40 --seed 11``. Behavior mode reads a copy of it in which every line but each
+    fifth carries a guideline-book scenario_type. A change to how rows are built or encoded must
+    leave these bytes unchanged."""
+
+    PINNED = {
+        "extract": "261b6791a6db88017335094b4c395456aed082113172f5a459a26a7ee41945e8",
+        "feasibility": "ea6c980de8d6deea81b083df84d134343491dc2afbeacc1c96dbb240bcf78d53",
+        "gen-instructions": "75a6bfd9996848b71a97a8571c00a536bbffef01ed56128ca00909a4bd40df61",
+        "gen-instructions-mix": "6eb0484c89ecb9b3179d0c1d195fd9ad850e083d5d2c54bc1fbcd04aa6a50310",
+        "gen-instructions-behavior": "d8e3148f45526206c06d2a25a029a1fd5db8715c164e524dd0c099befaf2e99e",
+    }
+    ARGV = {
+        "extract": ("extract", "corpus"),
+        "feasibility": ("feasibility", "corpus"),
+        "gen-instructions": ("gen-instructions", "corpus"),
+        "gen-instructions-mix": ("gen-instructions", "corpus", "--mix", "0.7:0.3", "--seed", "3"),
+        "gen-instructions-behavior": ("gen-instructions", "typed", "--mode", "behavior"),
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        from motionkit.behavior import load_default_guidelines
+
+        tmp = tmp_path_factory.mktemp("pinned")
+        corpus = tmp / "corpus.jsonl"
+        assert run("synth", "--n", "40", "--seed", "11", "--out", str(corpus)) == 0
+        types = sorted(load_default_guidelines().defaults)
+        docs = [json.loads(line) for line in corpus.read_text().splitlines()]
+        for i, doc in enumerate(docs):
+            if i % 5 != 4:
+                doc["scenario_type"] = types[i % len(types)]
+        typed = tmp / "typed.jsonl"
+        typed.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        return {"corpus": str(corpus), "typed": str(typed)}
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_rows_are_pinned(self, tmp_path, inputs, case):
+        command, src, *flags = self.ARGV[case]
+        out = tmp_path / "rows.jsonl"
+        assert run(command, inputs[src], "--out", str(out), *flags) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[case]
 
 
 class TestFeasibilityCmd:
