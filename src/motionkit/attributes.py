@@ -13,7 +13,7 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -298,7 +298,13 @@ def classify_acceleration(
     return bands[bisect.bisect_right(thresholds, abs(delta_v_kmh))]
 
 
-StepAttributes = tuple[DirectionLabel, SpeedCategory, AccelCategory]
+class StepAttributes(NamedTuple):
+    """The labels of one half of the future window; the field names are the keys of a two_step
+    entry in extract and dataset rows."""
+
+    direction: DirectionLabel
+    speed: SpeedCategory
+    acceleration: AccelCategory
 
 
 def _window_attributes(
@@ -325,7 +331,7 @@ def classify_two_step(
     """Split the future window at its midpoint and classify each half
     independently."""
     labels = _window_attributes(track, _halves(horizon), horizon.dt, rules)
-    first, second = ((rules.collapse[f], s, a) for f, s, a in labels)
+    first, second = (StepAttributes(rules.collapse[f], s, a) for f, s, a in labels)
     return first, second
 
 
@@ -351,5 +357,5 @@ def extract_motion_attributes(
         direction=rules.collapse[fine],
         speed=speed,
         acceleration=accel,
-        two_step=tuple((rules.collapse[f], s, a) for f, s, a in halves),
+        two_step=tuple(StepAttributes(rules.collapse[f], s, a) for f, s, a in halves),
     )

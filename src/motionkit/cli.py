@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 from .attributes import extract_motion_attributes
 from .behavior import GuidelineBook, load_default_guidelines, load_guidelines
 from .config import Config, load_config
-from .core import Scenario, parse_scenario, serialize_scenario
+from .core import Scenario, _record_obj, parse_scenario, serialize_scenario
 from .errors import ConfigError, InsufficientPoints, InvalidAnchor, MotionKitError, SchemaError
 from .feasibility import feasibility_set
 from .instructions import (
@@ -194,31 +194,14 @@ def _map_scenarios(args, cfg: Config, *settings) -> list:
 def _extract_worker(cfg: Config, item: tuple[int, str]) -> tuple[str, str]:
     scenario = _vehicle_scenario(item[1])
     attrs = extract_motion_attributes(scenario.focal_track, scenario.horizon, cfg.rules)
-    obj = {
-        "scenario_id": scenario.scenario_id,
-        "focal_agent_id": scenario.focal_agent_id,
-        "fine_direction": attrs.fine_direction.value,
-        "direction": attrs.direction.value,
-        "speed": attrs.speed.value,
-        "acceleration": attrs.acceleration.value,
-        "two_step": [
-            {"direction": d.value, "speed": s.value, "acceleration": a.value} for d, s, a in attrs.two_step
-        ],
-    }
+    obj = _record_obj(attrs, scenario_id=scenario.scenario_id, focal_agent_id=scenario.focal_agent_id)
     return scenario.scenario_id, json.dumps(obj, **_JSON_COMPACT)
 
 
 def _feasibility_worker(cfg: Config, item: tuple[int, str]) -> tuple[str, str]:
     scenario = _vehicle_scenario(item[1])
     report = feasibility_set(scenario, cfg.feasibility, cfg.rules)
-    obj = {
-        "scenario_id": scenario.scenario_id,
-        "focal_agent_id": scenario.focal_agent_id,
-        "gt_direction": report.gt_direction.value,
-        "feasible": sorted(d.value for d in report.feasible),
-        "infeasible": sorted(d.value for d in report.infeasible),
-        "candidates_examined": report.candidates_examined,
-    }
+    obj = _record_obj(report, scenario_id=scenario.scenario_id, focal_agent_id=scenario.focal_agent_id)
     return scenario.scenario_id, json.dumps(obj, **_JSON_COMPACT)
 
 

@@ -21,6 +21,7 @@ once; ``Scenario.agents`` gives every agent's view and is built only when read.
 from __future__ import annotations
 
 import array
+import enum
 import json
 import math
 import sys
@@ -397,6 +398,33 @@ def _json_mask(value, name: str) -> np.ndarray:
     return mask
 
 
+_JSON_SCALARS = frozenset({str, int, float, bool})
+
+
+def _record_obj(record, **head) -> dict:
+    """``head`` plus each field of the dataclass ``record`` that is not None, as its JSON value:
+    str, int, float and bool as they are, an enum by its value, an array by ``tolist()``, a
+    frozenset of labels as its sorted values, a NamedTuple as the object of its fields, and a
+    tuple of NamedTuples as a list of those objects."""
+    for name in record.__dataclass_fields__:
+        value = getattr(record, name)
+        if value is not None:
+            head[name] = value if type(value) in _JSON_SCALARS else _json_value(value)
+    return head
+
+
+def _json_value(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, frozenset):
+        return sorted(label.value for label in value)
+    if hasattr(value, "_fields"):
+        return {name: _json_value(v) for name, v in zip(value._fields, value)}
+    return [_json_value(v) for v in value]
+
+
 def _columns(rows: list, kinds: dict) -> Optional[tuple[dict, np.ndarray]]:
     """``rows`` as one list per field plus the float fields as one (k, len(rows)) array, or None
     unless every row is an object with exactly these fields of these JSON types, within MAX_ABS
@@ -506,8 +534,6 @@ def _read_agent(agent, at: str) -> AgentTrack:
     agent_id = _require(agent, "agent_id", str, at)
     columns, (x, y, headings, speeds) = _table(agent, "points", _POINT_FIELDS, at)
     kind = _require(agent, "agent_kind", str, at)
-    if kind not in AGENT_KINDS:
-        raise SchemaError(f"{at}: unknown agent_kind {kind!r}")
     t = columns["t"]
     t0 = t[0] if t else 0
     xy = np.column_stack((x, y))

@@ -2,8 +2,9 @@
 
 Rows come in two modes. Direction mode carries a feasibility tag (GT / F / IF)
 and accepts feasible instructions; behavior mode carries a safety tag and
-accepts safe ones. The English templates below are normative for this
-repository's golden tests.
+accepts safe ones. :func:`decision_for` is that rule, for the rows built here
+and for the accuracies a model's decisions are scored by. The English
+templates below are normative for this repository's golden tests.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .behavior import (
     classify_behavior,
     label_safety,
 )
-from .core import Scenario, _equal_by_value, _json_array, _json_mask, _optional_flag, _reject_extra
+from .core import Scenario, _equal_by_value, _json_array, _json_mask, _optional_flag, _record_obj, _reject_extra
 from .errors import EmptyClass, SchemaError
 from .feasibility import FeasibilityParams, FeasibilityReport, FeasTag, feasibility_set, tag_instruction
 
@@ -69,6 +70,15 @@ class Decision(enum.Enum):
     REJECT = "Reject"
 
 
+_ACCEPTED = frozenset({FeasTag.GT, FeasTag.F, Safety.SAFE})
+
+
+def decision_for(tag: FeasTag | Safety) -> Decision:
+    """The decision a row tagged ``tag`` carries: Accept for a feasible direction (GT or F) or a
+    safe behavior, Reject otherwise."""
+    return Decision.ACCEPT if tag in _ACCEPTED else Decision.REJECT
+
+
 def render_instruction(direction: DirectionLabel) -> str:
     return f"Reach the final direction: {DIRECTION_PHRASE[direction]}."
 
@@ -89,18 +99,14 @@ def render_reject_caption(direction: DirectionLabel) -> str:
 
 
 def render_behavior_caption(safety: Safety, template: str) -> str:
-    token = "[Accept]" if safety is Safety.SAFE else "[Reject]"
-    return f"{token} {template}"
-
-
-_STEP_FIELDS = ("direction", "speed", "acceleration")
+    return f"[{decision_for(safety).value}] {template}"
 
 
 @dataclass(frozen=True, eq=False)
 class InstructionRecord:
-    """One dataset row; exactly one of feas_tag / safety_tag is present. The GT future is a
-    read-only (T, 2) float array of finite numbers (at most ``core.MAX_ABS`` in magnitude) with an
-    optional (T,) bool validity mask."""
+    """One dataset row; exactly one of feas_tag / safety_tag is present, and the decision is
+    :func:`decision_for` of it. The GT future is a read-only (T, 2) float array of finite numbers
+    (at most ``core.MAX_ABS`` in magnitude) with an optional (T,) bool validity mask."""
 
     scenario_id: str
     focal_agent_id: str
@@ -120,16 +126,17 @@ class InstructionRecord:
     __eq__ = _equal_by_value
 
     def __post_init__(self) -> None:
+        for name in ("scenario_id", "focal_agent_id", "instruction_text", "caption_text"):
+            if not isinstance(getattr(self, name), str):
+                raise SchemaError(f"{name} must be a string")
         if (self.feas_tag is None) == (self.safety_tag is None):
             raise SchemaError("exactly one of feas_tag / safety_tag must be present")
-        if self.feas_tag is not None:
-            should_accept = self.feas_tag in (FeasTag.GT, FeasTag.F)
-        else:
-            should_accept = self.safety_tag is Safety.SAFE
-        if (self.decision is Decision.ACCEPT) != should_accept:
+        if self.decision is not decision_for(self.feas_tag if self.safety_tag is None else self.safety_tag):
             raise SchemaError(f"decision {self.decision.value} inconsistent with tag")
-        if self.two_step is not None and len(self.two_step) != 2:
-            raise SchemaError(f"two_step must hold exactly 2 steps, got {len(self.two_step)}")
+        if self.two_step is not None:
+            if len(self.two_step) != 2:
+                raise SchemaError(f"two_step must hold exactly 2 steps, got {len(self.two_step)}")
+            object.__setattr__(self, "two_step", tuple(map(StepAttributes._make, self.two_step)))
         if not isinstance(self.has_gt_trajectory, bool):
             raise SchemaError("has_gt_trajectory must be true or false")
         if self.has_gt_trajectory and self.gt_future_xy is None:
@@ -147,33 +154,7 @@ class InstructionRecord:
         _optional_flag(self.with_context, "with_context")
 
     def to_obj(self) -> dict:
-        obj: dict = {
-            "scenario_id": self.scenario_id,
-            "focal_agent_id": self.focal_agent_id,
-            "instruction_text": self.instruction_text,
-            "caption_text": self.caption_text,
-            "decision": self.decision.value,
-            "has_gt_trajectory": self.has_gt_trajectory,
-        }
-        if self.feas_tag is not None:
-            obj["feas_tag"] = self.feas_tag.value
-        if self.safety_tag is not None:
-            obj["safety_tag"] = self.safety_tag.value
-        if self.direction is not None:
-            obj["direction"] = self.direction.value
-        if self.behavior is not None:
-            obj["behavior"] = self.behavior.value
-        if self.two_step is not None:
-            obj["two_step"] = [
-                {"direction": d.value, "speed": s.value, "acceleration": a.value} for d, s, a in self.two_step
-            ]
-        if self.gt_future_xy is not None:
-            obj["gt_future_xy"] = self.gt_future_xy.tolist()
-        if self.gt_future_valid is not None:
-            obj["gt_future_valid"] = self.gt_future_valid.tolist()
-        if self.with_context is not None:
-            obj["with_context"] = self.with_context
-        return obj
+        return _record_obj(self)
 
     @classmethod
     def from_obj(cls, obj: dict) -> "InstructionRecord":
@@ -182,14 +163,12 @@ class InstructionRecord:
             raise SchemaError("dataset row must be an object")
         _reject_extra(obj, cls.__dataclass_fields__)
         try:
-            if not isinstance(obj["scenario_id"], str):
-                raise TypeError("scenario_id must be a string")
             two_step = None
             if "two_step" in obj:
                 for i, step in enumerate(obj["two_step"]):
                     if not isinstance(step, dict):
                         raise TypeError(f"two_step[{i}] must be an object")
-                    _reject_extra(step, _STEP_FIELDS, f"two_step[{i}]")
+                    _reject_extra(step, StepAttributes._fields, f"two_step[{i}]")
                 two_step = tuple(
                     (DirectionLabel(s["direction"]), SpeedCategory(s["speed"]), AccelCategory(s["acceleration"]))
                     for s in obj["two_step"]
@@ -238,6 +217,7 @@ def build_direction_row(
         scenario_id=scenario.scenario_id,
         focal_agent_id=scenario.focal_agent_id,
         instruction_text=render_instruction(instructed),
+        decision=decision_for(tag),
         feas_tag=tag,
         direction=instructed,
     )
@@ -246,7 +226,6 @@ def build_direction_row(
         xy, valid = _gt_future(scenario)
         return InstructionRecord(
             caption_text=render_caption(instructed, two_step),
-            decision=Decision.ACCEPT,
             two_step=two_step,
             has_gt_trajectory=True,
             gt_future_xy=xy,
@@ -254,8 +233,8 @@ def build_direction_row(
             **common,
         )
     if tag is FeasTag.F:
-        return InstructionRecord(caption_text=render_caption(instructed), decision=Decision.ACCEPT, **common)
-    return InstructionRecord(caption_text=render_reject_caption(instructed), decision=Decision.REJECT, **common)
+        return InstructionRecord(caption_text=render_caption(instructed), **common)
+    return InstructionRecord(caption_text=render_reject_caption(instructed), **common)
 
 
 def build_direction_rows(
@@ -285,17 +264,18 @@ def build_behavior_row(
         raise SchemaError(f"scenario {scenario.scenario_id} has no scenario_type for behavior mode")
     behavior = classify_behavior(scenario.focal_track, scenario.horizon, params)
     safety, template = label_safety(scenario.scenario_type, behavior, book)
-    safe = safety is Safety.SAFE
-    xy, valid = _gt_future(scenario) if safe else (None, None)
+    decision = decision_for(safety)
+    accepted = decision is Decision.ACCEPT
+    xy, valid = _gt_future(scenario) if accepted else (None, None)
     return InstructionRecord(
         scenario_id=scenario.scenario_id,
         focal_agent_id=scenario.focal_agent_id,
         instruction_text=template,
         caption_text=render_behavior_caption(safety, template),
-        decision=Decision.ACCEPT if safe else Decision.REJECT,
+        decision=decision,
         safety_tag=safety,
         behavior=behavior,
-        has_gt_trajectory=safe,
+        has_gt_trajectory=accepted,
         gt_future_xy=xy,
         gt_future_valid=valid,
     )

@@ -20,7 +20,7 @@ from .behavior import Safety
 from .core import _equal_by_value, _json_array, _json_mask, _optional_flag, _reject_extra
 from .errors import NoValidOverlap, NonPositiveSigma, SchemaError
 from .feasibility import FeasTag
-from .instructions import Decision, InstructionRecord
+from .instructions import Decision, InstructionRecord, decision_for
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,11 +233,8 @@ def _per_row(best: np.ndarray):
 
 
 def detection_accuracy(decisions: Sequence[tuple[Decision, FeasTag]]) -> dict[FeasTag, float]:
-    """Per-tag accuracy: GT/F rows are correct when accepted, IF when rejected."""
-    hits = _grouped(
-        (tag, decision == (Decision.ACCEPT if tag in (FeasTag.GT, FeasTag.F) else Decision.REJECT))
-        for decision, tag in decisions
-    )
+    """Per-tag accuracy: a decision is correct when it is :func:`decision_for` its tag."""
+    hits = _grouped((tag, decision == decision_for(tag)) for decision, tag in decisions)
     return {tag: sum(h) / len(h) for tag, h in hits.items()}
 
 
@@ -245,10 +242,7 @@ def safety_accuracy(
     decisions: Sequence[tuple[Decision, Safety, bool]]
 ) -> dict[tuple[Safety, bool], float]:
     """Accuracy split four ways by (safety tag, with/without context)."""
-    hits = _grouped(
-        ((safety, bool(ctx)), decision == (Decision.ACCEPT if safety is Safety.SAFE else Decision.REJECT))
-        for decision, safety, ctx in decisions
-    )
+    hits = _grouped(((safety, bool(ctx)), decision == decision_for(safety)) for decision, safety, ctx in decisions)
     return {key: sum(h) / len(h) for key, h in hits.items()}
 
 

@@ -1,6 +1,6 @@
 """Scenario documents as JSON objects, for the parse and CLI tests: a minimal valid document,
-hypothesis strategies for valid three-agent documents, and one-agent or one-lane edits that break
-them."""
+hypothesis strategies for valid three-agent documents, and one-agent, one-lane or one top-level
+field edits that break them."""
 
 from __future__ import annotations
 
@@ -189,3 +189,35 @@ def centerline_mutations(draw):
         return lane
 
     return kind, edit
+
+
+_TOP_LEVEL_PATHS = (
+    "scenario_id", "focal_agent_id", "scenario_type", "horizon", "horizon.t_obs", "horizon.t_pred",
+    "horizon.t_select", "horizon.dt", "agents", "lanes",
+)
+_TOP_LEVEL_VALUES = st.one_of(
+    _OTHER_TYPES,
+    st.sampled_from([0, -1, 3, 0.2, math.nan, 10**400, "a1", "traversing_intersection", [0], [99]]),
+)
+
+
+@st.composite
+def top_level_mutations(draw):
+    """One edit of a top-level field of a document or of one key of its horizon: ``(name, edit)``,
+    where ``edit(doc)`` deletes the field or sets it to another JSON value and returns the document."""
+    path = draw(st.sampled_from(_TOP_LEVEL_PATHS))
+    delete = draw(st.booleans())
+    value = draw(_TOP_LEVEL_VALUES)
+    *parents, key = path.split(".")
+
+    def edit(doc):
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        if delete:
+            target.pop(key, None)
+        else:
+            target[key] = value
+        return doc
+
+    return f"{'drop' if delete else 'set'} {path}", edit

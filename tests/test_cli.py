@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import functools
 import hashlib
 import io
 import math
@@ -27,7 +28,7 @@ from motionkit.core import HorizonConfig, serialize_scenario
 from motionkit.metrics import classify_prediction
 from motionkit.synth import SynthSpec, gen_prediction_set, gen_scenario
 
-from agent_docs import agent_mutations, centerline_mutations, three_agent_docs
+from agent_docs import agent_mutations, centerline_mutations, three_agent_docs, top_level_mutations
 
 H = HorizonConfig()
 
@@ -39,6 +40,20 @@ TWO_STEP_CASES = [
         "two_step[0]: unexpected field(s) ['extra']",
     ),
     (lambda row: dict(row, two_step=row["two_step"] * 2), "two_step must hold exactly 2 steps, got 4"),
+]
+
+
+# Dataset-row edits of a whole row or one of its fields and the line error each must raise.
+ROW_CASES = [
+    pytest.param(
+        lambda row: dict(row, gt_future_vaild=row["gt_future_valid"]),
+        "unexpected field(s) ['gt_future_vaild']",
+        id="unknown_field",
+    ),
+    pytest.param(lambda row: [1, 2], "dataset row must be an object", id="non_object"),
+    pytest.param(lambda row: dict(row, focal_agent_id=7), "focal_agent_id must be a string", id="int_focal_agent_id"),
+    pytest.param(lambda row: dict(row, instruction_text=None), "instruction_text must be a string", id="null_text"),
+    pytest.param(lambda row: dict(row, caption_text=["c"]), "caption_text must be a string", id="list_caption"),
 ]
 
 
@@ -241,10 +256,10 @@ class TestBlockBoundaries:
 
 
 class TestMutatedAgentLine:
-    """Four scenario lines with one agent or the centerline of line 3 edited, run through
-    ``extract`` in process. At --jobs 2 the parent runs lines 1-2 and the child lines 3-4, and at
-    --jobs 3 the parent line 1 and the two children lines 2 and 3-4, so the edited line crosses a
-    process boundary; the outcome must not depend on it."""
+    """Four scenario lines with one agent, the centerline or one top-level field of line 3
+    edited, run through ``extract`` in process. At --jobs 2 the parent runs lines 1-2 and the
+    child lines 3-4, and at --jobs 3 the parent line 1 and the two children lines 2 and 3-4, so
+    the edited line crosses a process boundary; the outcome must not depend on it."""
 
     def test_an_unknown_agent_kind_names_its_line_and_field_path(self, tmp_path, capsys):
         src = tmp_path / "corpus.jsonl"
@@ -269,13 +284,18 @@ class TestMutatedAgentLine:
         st.one_of(
             st.tuples(st.just("agents"), st.integers(min_value=0, max_value=2), agent_mutations()),
             st.tuples(st.just("lanes"), st.just(0), centerline_mutations()),
+            st.tuples(st.none(), st.none(), top_level_mutations()),
         ),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_one_mutation_gives_the_same_outcome_at_one_two_and_three_jobs(self, doc, mutation):
         key, k, (_, edit) = mutation
-        doc[key][k] = edit(doc[key][k])
-        lines = self.LABELLED[:2] + [json.dumps(dict(doc, scenario_id="s2"))] + self.LABELLED[2:]
+        doc["scenario_id"] = "s2"
+        if key is None:
+            doc = edit(doc)
+        else:
+            doc[key][k] = edit(doc[key][k])
+        lines = self.LABELLED[:2] + [json.dumps(doc)] + self.LABELLED[2:]
         outcomes = []
         with tempfile.TemporaryDirectory() as tmp:  # not tmp_path: hypothesis rejects function-scoped fixtures
             src = Path(tmp) / "corpus.jsonl"
@@ -290,8 +310,9 @@ class TestMutatedAgentLine:
         assert rc in (0, 1)
         if rc == 1:
             assert err.startswith("error: line 3: ") and err.count("\n") == 1
-        else:  # line 3 is labelled or skipped
-            assert {json.loads(row)["scenario_id"] for row in out.splitlines()} - {"s2"} == {"s0", "s1", "s3"}
+        else:  # line 3 is labelled, maybe under another scenario_id, or skipped
+            ids = [json.loads(row)["scenario_id"] for row in out.splitlines()]
+            assert {"s0", "s1", "s3"} <= set(ids) and len(ids) in (3, 4)
 
 
 class TestForkJoinFailures:
@@ -672,14 +693,7 @@ class TestEvaluateCmd:
         dataset.write_text("".join(l + "\n" for l in rows))
         assert "gt_future_xy" in self._evaluate_fails_on_line_2(tmp_path, capsys, dataset, predictions)
 
-    @pytest.mark.parametrize(
-        "change,message",
-        [
-            (lambda row: dict(row, gt_future_vaild=row["gt_future_valid"]), "unexpected field(s) ['gt_future_vaild']"),
-            (lambda row: [1, 2], "dataset row must be an object"),
-        ],
-        ids=["unknown_field", "non_object"],
-    )
+    @pytest.mark.parametrize("change,message", ROW_CASES)
     def test_unknown_or_non_object_row_is_a_line_error(self, tmp_path, capsys, change, message):
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
         rows = dataset.read_text().splitlines()
@@ -777,6 +791,99 @@ class TestEvaluateCmd:
         bad_file.write_text("".join(l + "\n" for l in lines))
         err = self._evaluate_fails_on_line_2(tmp_path, capsys, dataset, predictions, where=where)
         assert self.BAD_LINES[case] in err
+
+    # Each top-level field of a dataset and of a prediction line as the README gives it: its JSON
+    # type, whether a line may leave it out, and whether null leaves it out.
+    RECORD_FIELDS = {
+        "dataset": {
+            "scenario_id": (str, False, False),
+            "focal_agent_id": (str, False, False),
+            "instruction_text": (str, False, False),
+            "caption_text": (str, False, False),
+            "decision": (str, False, False),
+            "has_gt_trajectory": (bool, True, False),
+            "feas_tag": (str, False, False),
+            "safety_tag": (str, True, False),
+            "direction": (str, True, False),
+            "behavior": (str, True, False),
+            "two_step": (list, True, False),
+            "gt_future_xy": (list, True, True),
+            "gt_future_valid": (list, True, True),
+            "with_context": (bool, True, True),
+        },
+        "predictions": {
+            "scenario_id": (str, False, False),
+            "trajectories": (list, False, False),
+            "scores": (list, True, True),
+            "valid": (list, True, True),
+            "direction": (str, True, False),
+            "decision": (str, True, False),
+            "with_context": (bool, True, True),
+        },
+    }
+
+    @functools.cached_property
+    def eval_lines(self) -> dict[str, list[str]]:
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset, predictions = self._build_eval_inputs(Path(tmp), [6, 2, 1])
+            return {"dataset": dataset.read_text().splitlines(), "predictions": predictions.read_text().splitlines()}
+
+    @given(
+        st.sampled_from([(where, name) for where, fields in RECORD_FIELDS.items() for name in fields]),
+        st.one_of(
+            st.just(("delete", None)),
+            st.tuples(
+                st.just("set"),
+                st.one_of(
+                    st.none(),
+                    st.just(True),
+                    st.integers(min_value=-3, max_value=3),
+                    st.floats(min_value=-10.0, max_value=10.0),
+                    st.just(10**400),
+                    st.just(math.nan),
+                    st.sampled_from(["", "x", "1.5", "Accept", "GT", "Straight"]),
+                    st.sampled_from([[], [1], ["x"], [[0.0, 0.0]]]),
+                    st.sampled_from([{}, {"a": 1}]),
+                ),
+            ),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_edited_field_is_kept_only_where_the_readme_allows_it(self, target, edit):
+        """Line 2 of the dataset or of the predictions with one top-level field deleted or set to
+        one JSON value, run through evaluate, and stats for a dataset edit, in process. Exit 1
+        prints one line naming line 2; exit 0 needs a value of the field's type, a null the
+        field reads as absent, or the deletion of an optional field."""
+        where, name = target
+        kind, optional, nullable = self.RECORD_FIELDS[where][name]
+        action, value = edit
+        lines = {w: list(ls) for w, ls in self.eval_lines.items()}
+        obj = json.loads(lines[where][1])
+        if action == "delete":
+            obj.pop(name, None)
+            allowed = optional
+        else:
+            obj[name] = value
+            allowed = nullable if value is None else type(value) is kind
+        lines[where][1] = json.dumps(obj)
+        with tempfile.TemporaryDirectory() as tmp:  # not tmp_path: hypothesis rejects function-scoped fixtures
+            paths = {w: Path(tmp) / f"{w}.jsonl" for w in lines}
+            for w, ls in lines.items():
+                paths[w].write_text("".join(line + "\n" for line in ls))
+            dataset, predictions, out = str(paths["dataset"]), str(paths["predictions"]), str(Path(tmp) / "out.json")
+            evaluate = ["evaluate", "--dataset", dataset, "--predictions", predictions, "--report", out]
+            runs = [(f"error: {where} line 2: ", evaluate)]
+            if where == "dataset":
+                runs.append(("error: line 2: ", ["stats", dataset, "--out", out]))
+            for prefix, argv in runs:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    rc = main(argv)
+                message = err.getvalue()
+                if rc == 1:
+                    assert message.startswith(prefix) and message.count("\n") == 1, message
+                else:
+                    assert rc == 0 and allowed, (argv[0], rc, message)
 
     def test_each_line_is_decoded_once(self, tmp_path, monkeypatch):
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
@@ -1051,14 +1158,7 @@ class TestStatsCmd:
         assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
         assert capsys.readouterr().err == "error: line 2: gt_future_xy must hold finite numbers\n"
 
-    @pytest.mark.parametrize(
-        "change,message",
-        [
-            (lambda row: dict(row, gt_future_vaild=row["gt_future_valid"]), "unexpected field(s) ['gt_future_vaild']"),
-            (lambda row: [1, 2], "dataset row must be an object"),
-        ],
-        ids=["unknown_field", "non_object"],
-    )
+    @pytest.mark.parametrize("change,message", ROW_CASES)
     def test_unknown_or_non_object_row_is_a_line_error(self, tmp_path, capsys, corpus, change, message):
         corpus_path, _ = corpus
         rows = tmp_path / "rows.jsonl"

@@ -20,6 +20,7 @@ from motionkit.instructions import (
     build_behavior_row,
     build_direction_row,
     build_direction_rows,
+    decision_for,
     render_caption,
     render_instruction,
     render_reject_caption,
@@ -80,6 +81,19 @@ class TestRecordInvariants:
                 feas_tag=FeasTag.GT,
             )
 
+    @pytest.mark.parametrize(
+        "tag,decision",
+        [
+            (FeasTag.GT, Decision.ACCEPT),
+            (FeasTag.F, Decision.ACCEPT),
+            (FeasTag.IF, Decision.REJECT),
+            (Safety.SAFE, Decision.ACCEPT),
+            (Safety.UNSAFE, Decision.REJECT),
+        ],
+    )
+    def test_decision_for_accepts_feasible_and_safe_tags(self, tag, decision):
+        assert decision_for(tag) is decision
+
     def test_exactly_one_tag(self):
         with pytest.raises(errors.SchemaError):
             InstructionRecord(
@@ -128,6 +142,18 @@ class TestRecordInvariants:
         fields = self.GT_ROW | {"gt_future_xy": [[0, 1], [2, 3]], "gt_future_valid": [True, False]} | change
         with pytest.raises(errors.SchemaError, match=re.escape(message)):
             InstructionRecord(**fields)
+
+    @pytest.mark.parametrize("name", ["scenario_id", "focal_agent_id", "instruction_text", "caption_text"])
+    def test_text_fields_must_be_strings(self, name):
+        with pytest.raises(errors.SchemaError, match=f"^{name} must be a string$"):
+            InstructionRecord(**(self.GT_ROW | {name: 7}), gt_future_xy=[[0, 1], [2, 3]])
+
+    def test_two_step_built_from_plain_tuples_encodes_as_decoded(self):
+        step = (DirectionLabel.STRAIGHT, SpeedCategory.SLOW, AccelCategory.CONSTANT)
+        row = InstructionRecord(**self.GT_ROW, two_step=(step, step), gt_future_xy=[[0, 1], [2, 3]])
+        obj = row.to_obj()
+        assert obj["two_step"] == [{"direction": "Straight", "speed": "Slow", "acceleration": "Constant"}] * 2
+        assert InstructionRecord.from_obj(obj) == row
 
     @pytest.mark.parametrize(
         "xy,valid",
