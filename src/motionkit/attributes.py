@@ -234,34 +234,35 @@ def classify_direction_arrays(
     return labels
 
 
-def _label_window(
-    track: AgentTrack, window: tuple[int, int], th: DirectionThresholds
-) -> tuple[FineDirection, np.ndarray]:
-    """The fine direction of the half-open [start, stop) ``window`` of ``track``
-    and its valid speeds, packed, from one :func:`classify_direction_arrays`
-    call on the window's own steps. Raises :class:`InsufficientPoints` when
-    fewer than two steps are valid."""
-    start, stop = window
-    valid = track.valid_mask[start:stop]
-    speeds = track.speeds[start:stop][valid]
-    fallback = track.headings[start + int(valid.argmax())] if valid.size else 0.0
-    xy, max_speed = track.xy[None, start:stop], [speeds.max(initial=-np.inf)]
-    [label] = classify_direction_arrays(xy, max_speed, valid[None], [fallback], th)
-    if label is None:
-        raise InsufficientPoints(f"window [{start}, {stop}) has {speeds.size} valid points")
-    return label, speeds
-
-
 def _classify_windows(
     track: AgentTrack, windows: Sequence[tuple[int, int]], th: DirectionThresholds
 ) -> list[tuple[FineDirection, float, float]]:
     """Each half-open [start, stop) window of ``track``: its fine direction,
     the mean of its valid speeds in km/h, and its last-minus-first valid speed
-    change in m/s. Raises :class:`InsufficientPoints` for the first window
+    change in m/s. Windows of one width are labelled by one
+    :func:`classify_direction_arrays` call on the stack of their own steps,
+    without padding. Raises :class:`InsufficientPoints` for the first window
     with fewer than two valid points. A sum over the packed valid speeds
     matches ``np.mean`` bit for bit."""
-    labelled = [_label_window(track, window, th) for window in windows]
-    return [(label, float(row.sum()) / row.size * MPS_TO_KMH, float(row[-1] - row[0])) for label, row in labelled]
+    valid = [track.valid_mask[start:stop] for start, stop in windows]
+    speeds = [track.speeds[start:stop][ok] for (start, stop), ok in zip(windows, valid)]
+    labels: list[Optional[FineDirection]] = [None] * len(windows)
+    by_width: dict[int, list[int]] = {}
+    for i, ok in enumerate(valid):
+        by_width.setdefault(ok.size, []).append(i)
+    for members in by_width.values():
+        xy = np.array([track.xy[slice(*windows[i])] for i in members])
+        max_speed = [speeds[i].max(initial=-np.inf) for i in members]
+        fallback = [track.headings[windows[i][0] + int(valid[i].argmax())] if valid[i].size else 0.0 for i in members]
+        found = classify_direction_arrays(xy, max_speed, np.array([valid[i] for i in members]), fallback, th)
+        for i, label in zip(members, found):
+            labels[i] = label
+    out = []
+    for (start, stop), label, row in zip(windows, labels, speeds):
+        if label is None:
+            raise InsufficientPoints(f"window [{start}, {stop}) has {row.size} valid points")
+        out.append((label, float(row.sum()) / row.size * MPS_TO_KMH, float(row[-1] - row[0])))
+    return out
 
 
 def classify_direction_fine(
@@ -272,7 +273,7 @@ def classify_direction_fine(
     """Classify the motion over ``window`` (half-open [start, stop) step
     indices), ignoring invalid steps; see :func:`classify_direction_arrays`
     for the rules."""
-    return _label_window(track, window, th)[0]
+    return _classify_windows(track, [window], th)[0][0]
 
 
 _SPEED_BANDS = tuple(SpeedCategory)

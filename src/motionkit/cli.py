@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 from .attributes import extract_motion_attributes
 from .behavior import GuidelineBook, load_default_guidelines, load_guidelines
 from .config import Config, load_config
-from .core import Scenario, _record_obj, parse_scenario, serialize_scenario
+from .core import _JSON_COMPACT, Scenario, _record_obj, parse_scenario, serialize_scenario
 from .errors import ConfigError, InsufficientPoints, InvalidAnchor, MotionKitError, SchemaError
 from .feasibility import feasibility_set
 from .instructions import (
@@ -36,8 +36,6 @@ from .instructions import (
 )
 from .metrics import BLOCK_ROWS, PredictionSet, aggregate, check_t_pred, score_blocks, score_row
 from .synth import build_corpus, expectation_to_obj
-
-_JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 
 def _read_text(path: str) -> tuple[str, Optional[bytes]]:
@@ -60,8 +58,11 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _numbered_lines(text: str) -> list[tuple[int, str]]:
-    """The non-blank lines of ``text`` with their physical (1-based) line numbers."""
-    return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    """The non-blank lines of ``text`` with their physical (1-based) line numbers. Lines break
+    only at ``\n``: U+0085, U+2028 and U+2029 may stand raw inside a JSON string, and ``\r`` is
+    JSON whitespace, so a CRLF ending or a lone ``\r`` between tokens stays part of its line. A
+    blank line holds JSON whitespace alone; one holding other whitespace is read, and fails."""
+    return [(i, line) for i, line in enumerate(text.split("\n"), start=1) if line.strip(" \t\r")]
 
 
 def _read_lines(path: str) -> list[tuple[int, str]]:

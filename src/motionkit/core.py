@@ -351,6 +351,11 @@ def _optional_flag(value, name: str) -> None:
         raise SchemaError(f"{name} must be true, false or null")
 
 
+def _optional_member(value, kind: type[enum.Enum], name: str) -> None:
+    if value is not None and not isinstance(value, kind):
+        raise SchemaError(f"{name} must be a {kind.__name__} or None, got {value!r}")
+
+
 _POINT_FIELDS = {"t": int, "valid": bool, "x": float, "y": float, "heading": float, "speed": float}
 _VERTEX_FIELDS = {"x": float, "y": float, "heading": float}
 _JSON_TYPES = {int: {int}, bool: {bool}, float: {int, float}}
@@ -629,52 +634,54 @@ def parse_scenario(text: str | bytes) -> Scenario:
     return Scenario.from_tracks(scenario_id, focal_agent_id, tracks, lanes, horizon, scenario_type)
 
 
-def scenario_to_obj(s: Scenario) -> dict:
-    obj: dict = {
-        "scenario_id": s.scenario_id,
-        "focal_agent_id": s.focal_agent_id,
-        "horizon": {
-            "t_obs": s.horizon.t_obs,
-            "t_pred": s.horizon.t_pred,
-            "t_select": list(s.horizon.t_select),
-            "dt": s.horizon.dt,
-        },
-        "agents": [
-            {
-                "agent_id": agent_id,
-                "agent_kind": kind,
-                "points": [
-                    {"t": t0 + i, "x": x, "y": y, "heading": h, "speed": v, "valid": ok}
-                    for i, ((x, y), h, v, ok) in enumerate(zip(xy, headings, speeds, valid))
-                ],
-            }
-            for agent_id, kind, t0, xy, headings, speeds, valid in zip(
-                s.agent_ids, s.agent_kinds, s.t0, *(c.tolist() for c in (s.xy, s.headings, s.speeds, s.valid))
-            )
-        ],
-        "lanes": [],
-    }
-    if s.scenario_type is not None:
-        obj["scenario_type"] = s.scenario_type
-    for lane in s.lanes:
-        lane_obj: dict = {
-            "lane_id": lane.lane_id,
-            "successors": list(lane.successors),
-            "centerline": [
-                {"x": x, "y": y, "heading": h} for (x, y), h in zip(lane.xy.tolist(), lane.headings.tolist())
-            ],
-        }
-        if lane.speed_limit_kmh is not None:
-            lane_obj["speed_limit_kmh"] = lane.speed_limit_kmh
-        if lane.left_neighbor is not None:
-            lane_obj["left_neighbor"] = lane.left_neighbor
-        if lane.right_neighbor is not None:
-            lane_obj["right_neighbor"] = lane.right_neighbor
-        obj["lanes"].append(lane_obj)
-    return obj
+_JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
+
+# One point and one centerline vertex, keys in sorted order; %r of a finite float is its JSON
+# number, as json.dumps writes it.
+_POINT = '{"heading":%r,"speed":%r,"t":%d,"valid":%s,"x":%r,"y":%r}'
+_VERTEX = '{"heading":%r,"x":%r,"y":%r}'
+_FLAGS = ("false", "true")
+
+
+def _lane_text(lane: Lane) -> str:
+    """A lane's JSON object: the centerline (the first key) from the vertex template, the rest
+    from ``json.dumps``."""
+    rest: dict = {"lane_id": lane.lane_id, "successors": list(lane.successors)}
+    for name in ("speed_limit_kmh", "left_neighbor", "right_neighbor"):
+        if getattr(lane, name) is not None:
+            rest[name] = getattr(lane, name)
+    vertices = ",".join(map(_VERTEX.__mod__, zip(lane.headings.tolist(), *lane.xy.T.tolist())))
+    return '{"centerline":[%s],%s' % (vertices, json.dumps(rest, **_JSON_COMPACT)[1:])
 
 
 def serialize_scenario(s: Scenario) -> str:
-    """One-line JSON encoding such that ``parse_scenario(serialize_scenario(s)) == s``."""
-    return json.dumps(scenario_to_obj(s), sort_keys=True, separators=(",", ":"))
-
+    """One-line JSON encoding such that ``parse_scenario(serialize_scenario(s)) == s``: keys in
+    sorted order and no spaces, the bytes ``json.dumps(..., sort_keys=True, separators=(",",
+    ":"))`` writes for the document. Each point and centerline vertex is written from one row
+    template; a first t_index that is not an integer, or a number of the agents or lanes that is
+    not finite or exceeds MAX_ABS, raises :class:`SchemaError`, since no line holding it would
+    parse."""
+    limits = [lane.speed_limit_kmh for lane in s.lanes if lane.speed_limit_kmh is not None]
+    columns = (s.xy, s.headings, s.speeds, *(c for lane in s.lanes for c in (lane.xy, lane.headings)))
+    if not (all(map(_bounded, columns)) and all(_is_number(v, MAX_ABS) for v in limits)):
+        raise SchemaError(f"scenario {s.scenario_id}: agents and lanes must hold finite numbers {WITHIN}")
+    if not all(map(_is_int, s.t0)):
+        raise SchemaError(f"scenario {s.scenario_id}: each agent's first t_index must be an integer")
+    agents = []
+    x, y = s.xy[..., 0].tolist(), s.xy[..., 1].tolist()
+    for a, (headings, speeds, valid) in enumerate(zip(s.headings.tolist(), s.speeds.tolist(), s.valid.tolist())):
+        steps = range(s.t0[a], s.t0[a] + len(valid))
+        rows = zip(headings, speeds, steps, map(_FLAGS.__getitem__, valid), x[a], y[a])
+        head = json.dumps(s.agent_ids[a]), json.dumps(s.agent_kinds[a])
+        agents.append('{"agent_id":%s,"agent_kind":%s,"points":[%s]}' % (*head, ",".join(map(_POINT.__mod__, rows))))
+    h = s.horizon
+    horizon = {"t_obs": h.t_obs, "t_pred": h.t_pred, "t_select": list(h.t_select), "dt": h.dt}
+    scenario_type = "" if s.scenario_type is None else ',"scenario_type":' + json.dumps(s.scenario_type)
+    return '{"agents":[%s],"focal_agent_id":%s,"horizon":%s,"lanes":[%s],"scenario_id":%s%s}' % (
+        ",".join(agents),
+        json.dumps(s.focal_agent_id),
+        json.dumps(horizon, **_JSON_COMPACT),
+        ",".join(map(_lane_text, s.lanes)),
+        json.dumps(s.scenario_id),
+        scenario_type,
+    )

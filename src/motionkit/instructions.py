@@ -32,7 +32,16 @@ from .behavior import (
     classify_behavior,
     label_safety,
 )
-from .core import Scenario, _equal_by_value, _json_array, _json_mask, _optional_flag, _record_obj, _reject_extra
+from .core import (
+    Scenario,
+    _equal_by_value,
+    _json_array,
+    _json_mask,
+    _optional_flag,
+    _optional_member,
+    _record_obj,
+    _reject_extra,
+)
 from .errors import EmptyClass, SchemaError
 from .feasibility import FeasibilityParams, FeasibilityReport, FeasTag, feasibility_set, tag_instruction
 
@@ -102,6 +111,16 @@ def render_behavior_caption(safety: Safety, template: str) -> str:
     return f"[{decision_for(safety).value}] {template}"
 
 
+# The enum of each optional label field of a record, and of each label of a two_step entry.
+_LABEL_FIELDS = (
+    ("feas_tag", FeasTag),
+    ("safety_tag", Safety),
+    ("direction", DirectionLabel),
+    ("behavior", BehaviorLabel),
+)
+_STEP_KINDS = (DirectionLabel, SpeedCategory, AccelCategory)
+
+
 @dataclass(frozen=True, eq=False)
 class InstructionRecord:
     """One dataset row; exactly one of feas_tag / safety_tag is present, and the decision is
@@ -129,13 +148,22 @@ class InstructionRecord:
         for name in ("scenario_id", "focal_agent_id", "instruction_text", "caption_text"):
             if not isinstance(getattr(self, name), str):
                 raise SchemaError(f"{name} must be a string")
+        if not isinstance(self.decision, Decision):
+            raise SchemaError(f"decision must be a Decision, got {self.decision!r}")
+        for name, kind in _LABEL_FIELDS:
+            _optional_member(getattr(self, name), kind, name)
         if (self.feas_tag is None) == (self.safety_tag is None):
             raise SchemaError("exactly one of feas_tag / safety_tag must be present")
         if self.decision is not decision_for(self.feas_tag if self.safety_tag is None else self.safety_tag):
             raise SchemaError(f"decision {self.decision.value} inconsistent with tag")
         if self.two_step is not None:
+            if not isinstance(self.two_step, (tuple, list)):
+                raise SchemaError(f"two_step must be a tuple of 2 steps, got {self.two_step!r}")
             if len(self.two_step) != 2:
                 raise SchemaError(f"two_step must hold exactly 2 steps, got {len(self.two_step)}")
+            for step in self.two_step:
+                if not (isinstance(step, (tuple, list)) and len(step) == 3 and all(map(isinstance, step, _STEP_KINDS))):
+                    raise SchemaError(f"a two_step entry must hold a direction, speed and acceleration label: {step!r}")
             object.__setattr__(self, "two_step", tuple(map(StepAttributes._make, self.two_step)))
         if not isinstance(self.has_gt_trajectory, bool):
             raise SchemaError("has_gt_trajectory must be true or false")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .attributes import DirectionLabel, LabelRules, chords, classify_direction_arrays
 from .behavior import Safety
-from .core import _equal_by_value, _json_array, _json_mask, _optional_flag, _reject_extra
+from .core import _equal_by_value, _json_array, _json_mask, _optional_flag, _optional_member, _reject_extra
 from .errors import NoValidOverlap, NonPositiveSigma, SchemaError
 from .feasibility import FeasTag
 from .instructions import Decision, InstructionRecord, decision_for
@@ -40,6 +40,10 @@ class PredictionSet:
     __eq__ = _equal_by_value
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scenario_id, str):
+            raise SchemaError("scenario_id must be a string")
+        _optional_member(self.direction, DirectionLabel, "direction")
+        _optional_member(self.decision, Decision, "decision")
         traj = _json_array(self.trajectories, "trajectories")
         if traj.ndim != 3 or traj.shape[0] < 1 or traj.shape[2] != 2:
             raise SchemaError(f"trajectories must be (M, T, 2) with M >= 1, got {traj.shape}")

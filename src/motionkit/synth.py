@@ -142,8 +142,12 @@ class _PhasePlan:
 
     def sample(self, times) -> list[tuple[float, float, float, float, float]]:
         """(x, y, tangent heading, speed, cumulative distance) at each time."""
+        return self.poses(*self.kinematics(np.asarray(times, dtype=float)))
+
+    def poses(self, rows: np.ndarray, distances: np.ndarray, speeds: np.ndarray) -> list[tuple]:
+        """:meth:`sample` at the times whose :meth:`kinematics` are given."""
         out = []
-        for r, s, v in zip(*(a.tolist() for a in self.kinematics(np.asarray(times, dtype=float)))):
+        for r, s, v in zip(rows.tolist(), distances.tolist(), speeds.tolist()):
             (x, y, h), kappa, s0, sin_h, cos_h = self.rows[r]
             angle = kappa * s  # _advance(pose, s, angle) with the row's sin and cos reused
             if abs(angle) < 1e-12:
@@ -246,19 +250,47 @@ class SynthExpectation:
 # Generated coordinates are rounded to 0.1 um: far below every rule margin,
 # and it keeps serialized corpora compact (short float reprs).
 _ROUND = 7
+_SCALE = 10.0**_ROUND
+
+# Below this magnitude a product v * _SCALE is within 2**-20 (< 1e-6) of its exact value.
+_EXACT_SCALED = 2.0**33
+
+
+def _round7(values) -> np.ndarray:
+    """``round(v, 7)`` of every element, bit for bit, in array passes.
+
+    ``round`` returns the double nearest to ``k / 10**7``, where ``k`` is the
+    exact ``v * 10**7`` rounded half to even. ``rint(v * 1e7)`` is that ``k``
+    unless the computed product lies within its own rounding error of a
+    half-integer, and IEEE division by the exact ``1e7`` then gives the same
+    nearest double. So an element takes the scalar ``round`` only when its
+    product is within 1e-6 of a half-integer or is not below 2**33 in
+    magnitude (about 859 m), where that error could reach 1e-6; NaN,
+    infinities and products that overflow also take it.
+    """
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows takes the scalar round
+        scaled = v * _SCALE
+        k = np.rint(scaled)
+        out = k / _SCALE
+        scalar = (np.abs(np.abs(scaled - k) - 0.5) < 1e-6) | ~(np.abs(scaled) < _EXACT_SCALED)
+    out[scalar] = [round(x, _ROUND) for x in v[scalar].tolist()]
+    return out
 
 
 class _Profile:
-    """A plan's speeds at the horizon's future steps, its poses at the window's
-    ends, and the closed-form quantities the direction, speed, acceleration and
-    behavior rules read."""
+    """A plan's kinematics and speeds at the horizon's future steps, its poses
+    at the window's ends, and the closed-form quantities the direction, speed,
+    acceleration and behavior rules read."""
 
     def __init__(self, plan: _PhasePlan, horizon: HorizonConfig):
         dt, n = horizon.dt, horizon.t_pred
         self.dt = dt
-        self.speeds = plan.kinematics(np.arange(n) * dt)[2].tolist()
+        self.future = plan.kinematics(np.arange(n) * dt)
+        self.speeds = self.future[2].tolist()
         # The first two and last two future poses: the ends and the chords the classifier reads.
-        self.ends = plan.sample([k * dt for k in (0, min(1, n - 1), max(n - 2, 0), n - 1)])
+        ends = [0, min(1, n - 1), max(n - 2, 0), n - 1]
+        self.ends = plan.poses(*(column[ends] for column in self.future))
         (x0, y0, h0, _, s0), _, _, (x1, y1, h1, _, s1) = self.ends
         self.path = s1 - s0
         self.dtheta = wrap_angle(h1 - h0)
@@ -277,20 +309,23 @@ def gen_trajectory(spec: SynthSpec, horizon: HorizonConfig = HorizonConfig()) ->
     plan = _PhasePlan(build_phases(spec, horizon))
     profile = _Profile(plan, horizon)
     dt = horizon.dt
-    future = plan.sample(np.arange(horizon.t_pred) * dt)
+    future = plan.poses(*profile.future)
     x0, y0, h0, v0, _ = future[0]
     # The observed prefix runs straight back from the first future pose at v0.
     backs = [(horizon.t_obs - i) * dt for i in range(horizon.t_obs)]
     poses = [(x0 - b * v0 * math.cos(h0), y0 - b * v0 * math.sin(h0), h0, v0) for b in backs]
     poses += [sample[:4] for sample in future]
+    columns = np.array(poses)  # rows of x, y, heading, speed
+    columns[:, 2] = wrap_angle(columns[:, 2])
+    columns = _round7(columns)
     track = AgentTrack(
         agent_id="ego",
         agent_kind="vehicle",
         t0=0,
-        xy=[(round(x, _ROUND), round(y, _ROUND)) for x, y, _, _ in poses],
-        headings=_normalize_headings(np.array([round(wrap_angle(h), _ROUND) for _, _, h, _ in poses])),
-        speeds=[round(v, _ROUND) for _, _, _, v in poses],
-        valid_mask=[True] * len(poses),
+        xy=columns[:, :2],
+        headings=_normalize_headings(columns[:, 2]),
+        speeds=columns[:, 3],
+        valid_mask=np.ones(len(poses), dtype=bool),
     )
     return track, expected_labels(profile)
 
@@ -393,12 +428,12 @@ def _lane_from_phases(
     arcs = [min(i * step_m, total) for i in range(n)]
     if total - (n - 1) * step_m > 1e-6:
         arcs.append(total)
-    pts = [sample[:3] for sample in plan.sample(arcs)]
+    x, y, h = np.array([sample[:3] for sample in plan.sample(arcs)]).T
     c, s_ = math.cos(start[2]), math.sin(start[2])
     return Lane(
         lane_id=lane_id,
-        xy=[(round(start[0] + c * x - s_ * y, _ROUND), round(start[1] + s_ * x + c * y, _ROUND)) for x, y, _ in pts],
-        headings=_normalize_headings(np.array([round(wrap_angle(h + start[2]), _ROUND) for _, _, h in pts])),
+        xy=_round7(np.column_stack((start[0] + c * x - s_ * y, start[1] + s_ * x + c * y))),
+        headings=_normalize_headings(_round7(wrap_angle(h + start[2]))),
         successors=successors,
         left_neighbor=left_neighbor,
         right_neighbor=right_neighbor,

@@ -379,12 +379,39 @@ class TestOnePass:
         assert classify_two_step(track, horizon) == collapsed
         assert classify_direction_fine(track, windows[0]) is expected[0][0]
 
-    def test_one_kernel_call_per_window(self, horizon, monkeypatch):
-        """The future window and both halves: each its own one-row kernel call, unpadded."""
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 61),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.3, 0.7]),
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 40)), min_size=1, max_size=6),
+    )
+    def test_grouped_windows_equal_the_per_window_oracle(self, n, seed, holes, spans):
+        """Any list of windows, several sharing a width and some repeated, labelled by width group
+        on a holed track: the per-window direction rules and speed functions, or the first short
+        window's error."""
+        track = random_track(n, seed, holes, 0.6)
+        windows = [(min(a, n), min(a + w, n)) for a, w in spans]
+        expected = []
+        for start, stop in windows:
+            steps = start + np.flatnonzero(track.valid_mask[start:stop])
+            if steps.size < 2:
+                message = f"window [{start}, {stop}) has {steps.size} valid points"
+                with pytest.raises(errors.InsufficientPoints, match=re.escape(message)):
+                    attributes._classify_windows(track, windows, TH)
+                return
+            fine = direction_rules_1d(track.xy[steps], track.speeds[steps], TH, float(track.headings[steps[0]]))
+            change = float(track.speeds[steps[-1]] - track.speeds[steps[0]])
+            expected.append((fine, window_mean_speed_kmh(track, (start, stop)), change))
+        assert attributes._classify_windows(track, windows, TH) == expected
+
+    def test_one_kernel_call_per_window_width(self, horizon, monkeypatch):
+        """The future window alone, then both equal halves stacked, unpadded: two kernel calls
+        for extract and one for the two-step labels."""
         calls = []
 
         def counting(*args):
-            calls.append(args[0].shape[0])
+            calls.append(args[0].shape)
             return kernel(*args)
 
         kernel = attributes.classify_direction_arrays
@@ -392,4 +419,6 @@ class TestOnePass:
         for spec in default_suite(8, seed=3):
             track, _ = gen_trajectory(spec, horizon)
             extract_motion_attributes(track, horizon)
-        assert calls == [1, 1, 1] * 8
+            classify_two_step(track, horizon)
+        half = horizon.t_pred // 2
+        assert calls == [(1, horizon.t_pred, 2), (2, half, 2), (2, half, 2)] * 8

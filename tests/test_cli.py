@@ -24,7 +24,7 @@ from motionkit import cli
 from motionkit.attributes import DirectionLabel
 from motionkit.cli import main
 from motionkit.config import load_config
-from motionkit.core import HorizonConfig, serialize_scenario
+from motionkit.core import HorizonConfig, parse_scenario, serialize_scenario
 from motionkit.metrics import classify_prediction
 from motionkit.synth import SynthSpec, gen_prediction_set, gen_scenario
 
@@ -1476,3 +1476,95 @@ class TestCrossCommandAgreement:
         metrics = json.loads(report.read_text())["metrics"]
         assert metrics["n_scored"] == len(extract)
         assert metrics["ifr_micro"] == 1.0
+
+
+# The characters besides \n that str.splitlines() breaks at and that a JSON line may hold raw:
+# U+0085, U+2028 and U+2029 inside strings, and \r as whitespace between tokens.
+RAW_IN_STRINGS = ("\x85", "\u2028", "\u2029")
+
+
+def _raw(line: str) -> str:
+    """``line`` with the JSON escapes of RAW_IN_STRINGS written as the raw characters, and a lone
+    ``\\r`` after its opening brace: the same JSON value on one line."""
+    for ch in RAW_IN_STRINGS:
+        line = line.replace(json.dumps(ch)[1:-1], ch)
+    return "{\r" + line[1:]
+
+
+class TestJsonLinesBreakOnlyAtNewline:
+    # Each scenario's id and type hold one of the characters.
+    LINES = [
+        serialize_scenario(
+            gen_scenario(SynthSpec(kind="straight", speed=10.0 + i), f"s{i}{ch}", H, scenario_type=f"t{ch}")[0]
+        )
+        for i, ch in enumerate(RAW_IN_STRINGS)
+    ]
+
+    @staticmethod
+    def variants(lines: list[str]) -> list[bytes]:
+        """The escaped lines, the raw ones, and the raw ones with CRLF endings."""
+        return [
+            "".join(line + end for line in lines).encode()
+            for lines, end in ((lines, "\n"), ([_raw(l) for l in lines], "\n"), ([_raw(l) for l in lines], "\r\n"))
+        ]
+
+    def test_numbered_lines(self):
+        text = "a\u2028b\x85c\nd\r\n\n \u2029 \ne\rf\n"
+        assert cli._numbered_lines(text) == [(1, "a\u2028b\x85c"), (2, "d\r"), (4, " \u2029 "), (5, "e\rf")]
+
+    def test_extract_reads_raw_characters_and_crlf_alike(self, tmp_path):
+        src, out = tmp_path / "corpus.jsonl", tmp_path / "attrs.jsonl"
+        outputs = []
+        escaped, *raw = self.variants(self.LINES)
+        assert all(ch not in escaped.decode() and all(ch in data.decode() for data in raw) for ch in RAW_IN_STRINGS)
+        for data in (escaped, *raw):
+            src.write_bytes(data)
+            assert run("extract", str(src), "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert [json.loads(line)["scenario_id"] for line in outputs[0].decode().split("\n")[:-1]] == [
+            f"s{i}{ch}" for i, ch in enumerate(RAW_IN_STRINGS)
+        ]
+
+    @pytest.mark.parametrize("blank", [" \t\r", "\u2029", "\x85", "\x0c"])
+    def test_only_json_whitespace_makes_a_blank_line(self, tmp_path, capsys, blank):
+        src = tmp_path / "corpus.jsonl"
+        src.write_bytes((self.LINES[0] + "\n" + blank + "\n" + self.LINES[1] + "\n").encode())
+        code = run("extract", str(src), "--out", str(tmp_path / "o.jsonl"))
+        if blank.strip(" \t\r"):
+            assert code == 1 and capsys.readouterr().err.startswith("error: line 2: invalid JSON")
+        else:
+            assert code == 0
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_line_numbers_after_a_raw_character(self, tmp_path, capsys, end):
+        src = tmp_path / "corpus.jsonl"
+        src.write_bytes("".join(_raw(line) + end for line in self.LINES[:2] + ["{broken"]).encode())
+        assert run("extract", str(src), "--out", str(tmp_path / "o.jsonl")) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: invalid JSON")
+
+    def test_evaluate_and_stats_read_raw_characters_and_crlf_alike(self, tmp_path):
+        corpus, rows = tmp_path / "corpus.jsonl", tmp_path / "rows.jsonl"
+        corpus.write_text("".join(line + "\n" for line in self.LINES))
+        assert run("gen-instructions", str(corpus), "--out", str(rows)) == 0
+        row_lines = rows.read_text().split("\n")[:-1]
+        tracks = {s.scenario_id: s.focal_track for s in map(parse_scenario, self.LINES)}
+        pred_lines = []
+        for row in map(json.loads, row_lines):
+            if row["feas_tag"] == "GT":
+                pset = gen_prediction_set(tracks[row["scenario_id"]], DirectionLabel(row["direction"]), 2, 3, H)
+                pred = {k: row[k] for k in ("scenario_id", "direction")} | {"trajectories": pset.trajectories.tolist()}
+                pred_lines.append(json.dumps(pred))
+        reports, stats = [], []
+        dataset, preds = tmp_path / "d.jsonl", tmp_path / "p.jsonl"
+        report, stats_out = tmp_path / "report.json", tmp_path / "stats.json"
+        for row_data, pred_data in zip(self.variants(row_lines), self.variants(pred_lines)):
+            dataset.write_bytes(row_data)
+            preds.write_bytes(pred_data)
+            assert run("evaluate", "--dataset", str(dataset), "--predictions", str(preds), "--report", str(report)) == 0
+            reports.append(json.loads(report.read_text())["metrics"])
+            assert run("stats", str(dataset), "--out", str(stats_out)) == 0
+            stats.append({k: v for k, v in json.loads(stats_out.read_text()).items() if k != "inputs"})
+        assert reports[0]["n_rows"] == len(row_lines) == 15
+        assert reports[0] == reports[1] == reports[2]
+        assert stats[0] == stats[1] == stats[2]

@@ -1,6 +1,7 @@
 """Scenario schema, ego-frame rotation, and angle wrapping."""
 
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -23,6 +24,7 @@ from motionkit.geometry import (
 from motionkit.synth import build_corpus
 
 from agent_docs import HEADING, POINT, agent_mutations, centerline_mutations, minimal_doc, three_agent_docs
+from scenario_oracle import scenario_to_obj
 
 
 def normalize_heading(theta: float) -> float:
@@ -568,3 +570,122 @@ class TestWrapAngle:
         for theta in np.linspace(-10, 10, 1001):
             w = wrap_angle(float(theta))
             assert -math.pi < w <= math.pi
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 3 * math.pi, -7 * math.pi / 2]),
+            ),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    def test_array_wrap_equals_the_scalar_wrap_bit_for_bit(self, thetas):
+        """``numpy.remainder`` follows Python's float ``%``, so one call on a column gives each
+        element's scalar wrap, bit for bit."""
+        got = wrap_angle(np.array(thetas))
+        assert got.tobytes() == np.array([wrap_angle(theta) for theta in thetas]).tobytes()
+
+
+# Finite numbers a scenario may hold, from subnormals up to MAX_ABS, -0.0 and integral values.
+_FINITE = st.one_of(
+    st.floats(min_value=-core.MAX_ABS, max_value=core.MAX_ABS),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-7, 0.1, 1e9, -1e9, 123456789.12345679]),
+    st.integers(-1000, 1000).map(float),
+)
+# Ids and types: any text, so non-ASCII, quotes, backslashes and U+2028 too.
+_TEXT = st.text(max_size=6)
+
+
+@st.composite
+def scenarios(draw) -> core.Scenario:
+    """Scenarios built in code: 1-20 agents with invalid steps and any first t_index, and 0-3
+    lanes with every optional field present or absent. Each column mixes drawn numbers with
+    seeded ones of magnitudes 1e-12 to 1e8."""
+    horizon = HorizonConfig(
+        t_obs=draw(st.integers(2, 4)), t_pred=draw(st.integers(1, 4)), t_select=(), dt=draw(st.sampled_from([0.1, 2]))
+    )
+    pool = draw(st.lists(_FINITE, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column(*dims):
+        seeded = rng.uniform(-1.0, 1.0, dims) * 10.0 ** rng.integers(-12, 9, dims)
+        return np.where(rng.random(dims) < 0.5, rng.choice(pool, dims), seeded)
+
+    ids = draw(st.lists(_TEXT, min_size=1, max_size=20, unique=True))
+    shape = (len(ids), horizon.n_steps)
+    lane_ids = draw(st.lists(_TEXT, max_size=3, unique=True))
+    lanes = []
+    for lane_id in lane_ids:
+        xs = np.cumsum(rng.uniform(0.5, 1e6, rng.integers(2, 6)))
+        neighbor = st.one_of(st.none(), st.sampled_from(lane_ids))
+        lanes.append(
+            core.Lane(
+                lane_id,
+                np.column_stack((xs, column(len(xs)))),
+                column(len(xs)),
+                speed_limit_kmh=draw(st.one_of(st.none(), st.floats(0.0, 200.0), st.integers(0, 200))),
+                successors=tuple(draw(st.lists(st.sampled_from(lane_ids), max_size=2))),
+                left_neighbor=draw(neighbor),
+                right_neighbor=draw(neighbor),
+            )
+        )
+    return core.Scenario(
+        draw(_TEXT),
+        draw(st.sampled_from(ids)),
+        tuple(ids),
+        tuple(rng.choice(sorted(core.AGENT_KINDS), len(ids)).tolist()),
+        tuple(draw(st.lists(st.integers(-(2**40), 2**40), min_size=len(ids), max_size=len(ids)))),
+        column(*shape, 2),
+        column(*shape),
+        np.abs(column(*shape)),
+        rng.random(shape) < 0.7,
+        tuple(lanes),
+        horizon,
+        draw(st.one_of(st.none(), _TEXT)),
+    )
+
+
+def _dumps(s: core.Scenario) -> str:
+    return json.dumps(scenario_to_obj(s), sort_keys=True, separators=(",", ":"))
+
+
+class TestWriter:
+    @given(scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_row_templates_write_the_json_dumps_bytes(self, s):
+        assert serialize_scenario(s) == _dumps(s)
+
+    def test_synth_corpora_write_the_json_dumps_bytes(self):
+        for topology in ("single", "t_junction", "parallel_pair", "u_loop"):
+            for s, _ in build_corpus(10, seed=4, topology=topology):
+                assert serialize_scenario(s) == _dumps(s)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5e9])
+    @pytest.mark.parametrize("column", ["xy", "headings", "speeds", "lane xy", "lane headings", "speed_limit_kmh"])
+    def test_a_number_no_line_could_hold_raises(self, column, bad):
+        """A number outside ``core._bounded`` raises, naming the scenario, where ``json.dumps``
+        wrote ``NaN``, ``Infinity`` or a number that parse rejects."""
+        s, _ = build_corpus(1, seed=4)[0]
+        lane = s.lanes[0]
+        if column == "speed_limit_kmh":
+            s = dataclasses.replace(s, lanes=(dataclasses.replace(lane, speed_limit_kmh=bad),))
+        elif column.startswith("lane "):
+            values = getattr(lane, column[5:]).copy()
+            values.flat[5] = bad
+            s = dataclasses.replace(s, lanes=(dataclasses.replace(lane, **{column[5:]: values}),))
+        else:
+            values = getattr(s, column).copy()
+            values.flat[5] = bad
+            s = dataclasses.replace(s, **{column: values})
+        message = f"scenario synth-000000: agents and lanes must hold finite numbers {core.WITHIN}"
+        with pytest.raises(errors.SchemaError, match=re.escape(message)):
+            serialize_scenario(s)
+
+    @pytest.mark.parametrize("t0", [2.5, 3.0, True])
+    def test_a_first_t_index_that_is_not_an_integer_raises(self, t0):
+        """``%d`` would write 2.5 as 2; ``json.dumps`` wrote a t that parse rejects."""
+        s, _ = build_corpus(1, seed=4)[0]
+        with pytest.raises(errors.SchemaError, match="first t_index must be an integer"):
+            serialize_scenario(dataclasses.replace(s, t0=(t0,)))

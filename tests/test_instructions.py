@@ -148,6 +148,30 @@ class TestRecordInvariants:
         with pytest.raises(errors.SchemaError, match=f"^{name} must be a string$"):
             InstructionRecord(**(self.GT_ROW | {name: 7}), gt_future_xy=[[0, 1], [2, 3]])
 
+    STEP = (DirectionLabel.STRAIGHT, SpeedCategory.SLOW, AccelCategory.CONSTANT)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"decision": "Accept"}, "decision must be a Decision, got 'Accept'"),
+            ({"decision": None}, "decision must be a Decision, got None"),
+            ({"feas_tag": "GT"}, "feas_tag must be a FeasTag or None, got 'GT'"),
+            ({"feas_tag": Safety.SAFE}, "feas_tag must be a FeasTag or None"),
+            ({"safety_tag": "Safe"}, "safety_tag must be a Safety or None, got 'Safe'"),
+            ({"direction": "Straight"}, "direction must be a DirectionLabel or None, got 'Straight'"),
+            ({"behavior": 3}, "behavior must be a BehaviorLabel or None, got 3"),
+            ({"two_step": 5}, "two_step must be a tuple of 2 steps, got 5"),
+            ({"two_step": (STEP, STEP[:2])}, "a two_step entry must hold a direction, speed and acceleration label"),
+            ({"two_step": (STEP, ("Straight", "Slow", "Constant"))}, "a two_step entry must hold a direction"),
+            ({"two_step": (STEP, (SpeedCategory.SLOW, DirectionLabel.STRAIGHT, AccelCategory.CONSTANT))}, "entry"),
+            ({"two_step": (STEP, DirectionLabel.STRAIGHT)}, "a two_step entry must hold a direction"),
+        ],
+    )
+    def test_a_record_built_in_code_checks_its_labels(self, change, message):
+        """A wrong label type raises SchemaError, never AttributeError or TypeError."""
+        with pytest.raises(errors.SchemaError, match=re.escape(message)):
+            InstructionRecord(**(self.GT_ROW | change), gt_future_xy=[[0, 1], [2, 3]])
+
     def test_two_step_built_from_plain_tuples_encodes_as_decoded(self):
         step = (DirectionLabel.STRAIGHT, SpeedCategory.SLOW, AccelCategory.CONSTANT)
         row = InstructionRecord(**self.GT_ROW, two_step=(step, step), gt_future_xy=[[0, 1], [2, 3]])

@@ -195,6 +195,22 @@ class TestPredictionSet:
             PredictionSet(**fields)
 
     @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"scenario_id": 7}, "scenario_id must be a string"),
+            ({"scenario_id": None}, "scenario_id must be a string"),
+            ({"direction": "Left"}, "direction must be a DirectionLabel or None, got 'Left'"),
+            ({"decision": "Accept"}, "decision must be a Decision or None, got 'Accept'"),
+            ({"decision": DirectionLabel.LEFT}, "decision must be a Decision or None"),
+        ],
+    )
+    def test_rejects_bad_labels(self, change, message):
+        """A prediction set built in code with a wrong id or label type raises SchemaError."""
+        fields = dict(scenario_id="s", trajectories=np.zeros((3, 5, 2))) | change
+        with pytest.raises(errors.SchemaError, match=re.escape(message)):
+            PredictionSet(**fields)
+
+    @pytest.mark.parametrize(
         "trajectories,scores,valid",
         [
             ((((0, 1.5), (2, 3)),), (1,), ((True, False),)),  # tuples, as a caller builds them from .tolist()

@@ -15,6 +15,7 @@ from motionkit.attributes import DirectionLabel, extract_motion_attributes
 from motionkit.behavior import BehaviorLabel, classify_behavior
 from motionkit.core import HorizonConfig, serialize_scenario
 from motionkit.feasibility import feasibility_set
+from motionkit.geometry import wrap_angle
 from motionkit.metrics import ifr_scenario
 from motionkit.synth import (
     Phase,
@@ -318,3 +319,82 @@ class TestPhasePlan:
         expected = [phase_at(phases, t) for t in times]
         assert plan.sample(times) == expected
         assert plan.kinematics(np.array(times))[2].tolist() == [v for _, _, _, v, _ in expected]
+
+
+def _scalar_round7(values: np.ndarray) -> np.ndarray:
+    """The oracle: Python's correctly rounded ``round(v, 7)`` of each element."""
+    return np.array([round(float(v), 7) for v in values.ravel()]).reshape(values.shape)
+
+
+class TestRound7:
+    """``synth._round7`` against ``round(v, 7)``, compared as bits, so -0.0 and 0.0 differ."""
+
+    def assert_bits_equal(self, values) -> None:
+        values = np.asarray(values, dtype=float)
+        assert synth._round7(values).tobytes() == _scalar_round7(values).tobytes()
+
+    def test_signed_zeros_and_tiny_values(self):
+        self.assert_bits_equal([0.0, -0.0, -1e-9, 1e-9, -4.9e-8, 5e-324, -5e-324, 2.2250738585072014e-308])
+
+    @given(st.integers(-(2**36), 2**36), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_constructed_near_ties_and_their_neighbours(self, k, ulps):
+        """``(k + 0.5) / 1e7`` and the doubles up to ``ulps`` steps either side: products that land
+        within rounding error of a half-integer, where ``rint(v * 1e7)`` alone picks the wrong
+        integer for about half of them."""
+        values = [(k + 0.5) / 1e7]
+        for direction in (math.inf, -math.inf):
+            v = values[0]
+            for _ in range(ulps):
+                v = math.nextafter(v, direction)
+                values.append(v)
+        self.assert_bits_equal(values)
+
+    def test_exact_ties_round_half_to_even(self):
+        # 1/256 * 1e7 = 39062.5 exactly, and so on for odd multiples: dyadic values whose scaled product is a tie.
+        self.assert_bits_equal([j / 256 for j in range(-9, 10, 2)] + [3 / 128, 0.0078125 * 5**7])
+
+    def test_values_beyond_859_m(self):
+        """From 2**33 / 1e7 (about 859 m) on, the scalar ``round`` decides."""
+        edge = 2.0**33 / 1e7
+        self.assert_bits_equal(
+            [edge, -edge, math.nextafter(edge, 0.0), 859.0000001, 1e4 + 1e-8, -123456.78901234, 1e9, 1e15, 1e300]
+        )
+        self.assert_bits_equal([math.inf, -math.inf, 1.7976931348623157e308, -1.7976931348623157e308])
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.floats(min_value=-1000.0, max_value=1000.0),
+                st.floats(min_value=-1e-6, max_value=1e-6),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, values):
+        self.assert_bits_equal(values)
+
+    def test_columns_keep_their_shape(self):
+        values = np.array([[0.12345675, -3.5e-8, 1000.0], [1 / 256, 2.0**40, -0.0]])
+        assert synth._round7(values).shape == (2, 3)
+        self.assert_bits_equal(values)
+
+    def test_a_synth_track_is_its_rounded_closed_form(self):
+        """One rounding pass over the x, y, wrapped heading and speed columns, as ``round`` per value."""
+        spec = SynthSpec(kind="u_turn", radius=1.0, angle_deg=170.0, speed=9.0)
+        track, _ = gen_trajectory(spec, H)
+        plan = synth._PhasePlan(synth.build_phases(spec, H))
+        x0, y0, h0, v0, _ = plan.sample([0.0])[0]
+        backs = [(H.t_obs - i) * H.dt for i in range(H.t_obs)]
+        raw = np.array(
+            [(x0 - b * v0 * math.cos(h0), y0 - b * v0 * math.sin(h0), h0, v0) for b in backs]
+            + [s[:4] for s in plan.sample(np.arange(H.t_pred) * H.dt)]
+        )
+        want = _scalar_round7(raw)
+        want[:, 2] = [round(wrap_angle(h), 7) for h in raw[:, 2]]
+        assert track.xy.tobytes() == np.ascontiguousarray(want[:, :2]).tobytes()
+        assert track.headings.tobytes() == want[:, 2].tobytes()
+        assert track.speeds.tobytes() == want[:, 3].tobytes()
