@@ -306,7 +306,7 @@ def _read_predictions(path: str) -> tuple[dict[tuple[str, Optional[str]], Predic
     for i, preds in _decoded(lines, _parse_prediction, "predictions line"):
         key = (preds.scenario_id, preds.direction.value if preds.direction else None)
         if key in predictions:
-            raise SchemaError(f"predictions line {i}: duplicate key {key}")
+            raise SchemaError(f"predictions line {i}: duplicate key {key} of scenario_id and direction")
         predictions[key] = preds
     return predictions, entry
 

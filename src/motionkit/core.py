@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import array
 import enum
+import inspect
 import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -340,20 +341,51 @@ def _require(obj: dict, key: str, kind, where: str):
 
 
 def _reject_extra(obj: dict, allowed, where: Optional[str] = None) -> None:
-    extra = set(obj) - set(allowed)
+    extra = set(obj).difference(allowed)
     if extra:
         message = f"unexpected field(s) {sorted(extra)}"
         raise SchemaError(message if where is None else f"{where}: {message}")
 
 
-def _optional_flag(value, name: str) -> None:
-    if value is not None and not isinstance(value, bool):
-        raise SchemaError(f"{name} must be true, false or null")
+class _Declared(NamedTuple):
+    """A record class's fields by their annotations. A scalar field is annotated ``str``, ``bool`` or
+    an enum, bare or ``Optional``; a line decode converts each enum and tuple-of-NamedTuple field."""
+
+    kinds: dict[str, type]  # each field's annotation without its Optional, in field order
+    required: tuple[str, ...]  # the fields without a default
+    scalars: tuple[tuple[str, type, bool], ...]  # (name, kind, optional)
+    enums: tuple[tuple[str, type, dict], ...]  # (name, kind, its members by value)
+    records: tuple[tuple[str, type, int], ...]  # (name, kind, n): a tuple of n ``kind`` records
 
 
-def _optional_member(value, kind: type[enum.Enum], name: str) -> None:
-    if value is not None and not isinstance(value, kind):
-        raise SchemaError(f"{name} must be a {kind.__name__} or None, got {value!r}")
+@cache
+def _declared(cls) -> _Declared:
+    """The :class:`_Declared` of a dataclass or NamedTuple, read from its signature once."""
+    params, hints = inspect.signature(cls).parameters, get_type_hints(cls)
+    kinds, scalars, enums, records = {}, [], [], []
+    for name in params:
+        optional = type(None) in get_args(hints[name])
+        kinds[name] = kind = get_args(hints[name])[0] if optional else hints[name]
+        if kind in (str, bool) or isinstance(kind, enum.EnumMeta):
+            scalars.append((name, kind, optional))
+        if isinstance(kind, enum.EnumMeta):
+            enums.append((name, kind, {member.value: member for member in kind}))
+        elif get_origin(kind) is tuple and hasattr(get_args(kind)[0], "_fields"):
+            records.append((name, get_args(kind)[0], len(get_args(kind))))
+    required = tuple(name for name, p in params.items() if p.default is p.empty)
+    return _Declared(kinds, required, tuple(scalars), tuple(enums), tuple(records))
+
+
+def _check_fields(record) -> None:
+    """Raise :class:`SchemaError` unless each scalar field of ``record`` holds its kind, or None if Optional."""
+    for name, kind, optional in _declared(type(record)).scalars:
+        value = getattr(record, name)
+        if not (isinstance(value, kind) or optional and value is None):
+            if kind is str:
+                raise SchemaError(f"{name} must be a string")
+            if kind is bool:
+                raise SchemaError(f"{name} must be {'true, false or null' if optional else 'true or false'}")
+            raise SchemaError(f"{name} must be a {kind.__name__}{' or None' if optional else ''}, got {value!r}")
 
 
 _POINT_FIELDS = {"t": int, "valid": bool, "x": float, "y": float, "heading": float, "speed": float}
@@ -428,6 +460,32 @@ def _json_value(value):
     if hasattr(value, "_fields"):
         return {name: _json_value(v) for name, v in zip(value._fields, value)}
     return [_json_value(v) for v in value]
+
+
+def _record_from_obj(cls, obj: dict, where: Optional[str] = None):
+    """``cls`` built from the JSON object ``obj`` by its declarations: no unknown field, every required
+    field present, each enum and records field converted and the rest passed on unconverted. Each
+    error names its field path, under ``where`` for a nested record."""
+    declared = _declared(cls)
+    _reject_extra(obj, declared.kinds, where)
+    head, at = ("", "") if where is None else (f"{where}: ", f"{where}.")
+    for name in declared.required:
+        if name not in obj:
+            raise SchemaError(f"{head}missing required field {name!r}")
+    kwargs = dict(obj)
+    for name, kind, members in declared.enums:
+        if name in obj:
+            try:
+                kwargs[name] = members[obj[name]]
+            except (KeyError, TypeError):  # not a value of the enum, or a list or object
+                raise SchemaError(f"{at}{name}: {obj[name]!r} is not a valid {kind.__name__}") from None
+    for name, kind, n in declared.records:  # the constructor checks the length
+        if name in obj:
+            value = obj[name]
+            if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+                raise SchemaError(f"{at}{name} must be a list of {n} objects, got {value!r}")
+            kwargs[name] = tuple(_record_from_obj(kind, item, f"{at}{name}[{i}]") for i, item in enumerate(value))
+    return cls(**kwargs)
 
 
 def _columns(rows: list, kinds: dict) -> Optional[tuple[dict, np.ndarray]]:
@@ -658,15 +716,18 @@ def serialize_scenario(s: Scenario) -> str:
     """One-line JSON encoding such that ``parse_scenario(serialize_scenario(s)) == s``: keys in
     sorted order and no spaces, the bytes ``json.dumps(..., sort_keys=True, separators=(",",
     ":"))`` writes for the document. Each point and centerline vertex is written from one row
-    template; a first t_index that is not an integer, or a number of the agents or lanes that is
-    not finite or exceeds MAX_ABS, raises :class:`SchemaError`, since no line holding it would
-    parse."""
+    template; a first t_index that is not an integer, a number of the agents or lanes that is not
+    finite or exceeds MAX_ABS, or an id or ``scenario_type`` that is not a string, raises
+    :class:`SchemaError`, since no line holding it would parse."""
     limits = [lane.speed_limit_kmh for lane in s.lanes if lane.speed_limit_kmh is not None]
     columns = (s.xy, s.headings, s.speeds, *(c for lane in s.lanes for c in (lane.xy, lane.headings)))
     if not (all(map(_bounded, columns)) and all(_is_number(v, MAX_ABS) for v in limits)):
         raise SchemaError(f"scenario {s.scenario_id}: agents and lanes must hold finite numbers {WITHIN}")
     if not all(map(_is_int, s.t0)):
         raise SchemaError(f"scenario {s.scenario_id}: each agent's first t_index must be an integer")
+    ids = (s.scenario_id, s.focal_agent_id, *s.agent_ids, *(lane.lane_id for lane in s.lanes))
+    if not all(isinstance(v, str) for v in ids) or not isinstance(s.scenario_type, (str, type(None))):
+        raise SchemaError(f"scenario {s.scenario_id}: its ids and scenario_type must be strings")
     agents = []
     x, y = s.xy[..., 0].tolist(), s.xy[..., 1].tolist()
     for a, (headings, speeds, valid) in enumerate(zip(s.headings.tolist(), s.speeds.tolist(), s.valid.tolist())):

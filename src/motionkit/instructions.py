@@ -34,13 +34,13 @@ from .behavior import (
 )
 from .core import (
     Scenario,
+    _check_fields,
+    _declared,
     _equal_by_value,
     _json_array,
     _json_mask,
-    _optional_flag,
-    _optional_member,
+    _record_from_obj,
     _record_obj,
-    _reject_extra,
 )
 from .errors import EmptyClass, SchemaError
 from .feasibility import FeasibilityParams, FeasibilityReport, FeasTag, feasibility_set, tag_instruction
@@ -111,16 +111,6 @@ def render_behavior_caption(safety: Safety, template: str) -> str:
     return f"[{decision_for(safety).value}] {template}"
 
 
-# The enum of each optional label field of a record, and of each label of a two_step entry.
-_LABEL_FIELDS = (
-    ("feas_tag", FeasTag),
-    ("safety_tag", Safety),
-    ("direction", DirectionLabel),
-    ("behavior", BehaviorLabel),
-)
-_STEP_KINDS = (DirectionLabel, SpeedCategory, AccelCategory)
-
-
 @dataclass(frozen=True, eq=False)
 class InstructionRecord:
     """One dataset row; exactly one of feas_tag / safety_tag is present, and the decision is
@@ -145,13 +135,7 @@ class InstructionRecord:
     __eq__ = _equal_by_value
 
     def __post_init__(self) -> None:
-        for name in ("scenario_id", "focal_agent_id", "instruction_text", "caption_text"):
-            if not isinstance(getattr(self, name), str):
-                raise SchemaError(f"{name} must be a string")
-        if not isinstance(self.decision, Decision):
-            raise SchemaError(f"decision must be a Decision, got {self.decision!r}")
-        for name, kind in _LABEL_FIELDS:
-            _optional_member(getattr(self, name), kind, name)
+        _check_fields(self)
         if (self.feas_tag is None) == (self.safety_tag is None):
             raise SchemaError("exactly one of feas_tag / safety_tag must be present")
         if self.decision is not decision_for(self.feas_tag if self.safety_tag is None else self.safety_tag):
@@ -161,12 +145,11 @@ class InstructionRecord:
                 raise SchemaError(f"two_step must be a tuple of 2 steps, got {self.two_step!r}")
             if len(self.two_step) != 2:
                 raise SchemaError(f"two_step must hold exactly 2 steps, got {len(self.two_step)}")
+            kinds = tuple(_declared(StepAttributes).kinds.values())
             for step in self.two_step:
-                if not (isinstance(step, (tuple, list)) and len(step) == 3 and all(map(isinstance, step, _STEP_KINDS))):
+                if not (isinstance(step, (tuple, list)) and tuple(map(type, step)) == kinds):
                     raise SchemaError(f"a two_step entry must hold a direction, speed and acceleration label: {step!r}")
             object.__setattr__(self, "two_step", tuple(map(StepAttributes._make, self.two_step)))
-        if not isinstance(self.has_gt_trajectory, bool):
-            raise SchemaError("has_gt_trajectory must be true or false")
         if self.has_gt_trajectory and self.gt_future_xy is None:
             raise SchemaError("has_gt_trajectory rows must carry gt_future_xy")
         if self.gt_future_xy is not None:
@@ -179,7 +162,6 @@ class InstructionRecord:
             if self.gt_future_xy is None or valid.shape != (len(self.gt_future_xy),):
                 raise SchemaError("gt_future_valid must be (T,), one flag per gt_future_xy point")
             object.__setattr__(self, "gt_future_valid", valid)
-        _optional_flag(self.with_context, "with_context")
 
     def to_obj(self) -> dict:
         return _record_obj(self)
@@ -189,36 +171,7 @@ class InstructionRecord:
         """One decoded dataset line; its arrays go to the constructor's checks unconverted."""
         if not isinstance(obj, dict):
             raise SchemaError("dataset row must be an object")
-        _reject_extra(obj, cls.__dataclass_fields__)
-        try:
-            two_step = None
-            if "two_step" in obj:
-                for i, step in enumerate(obj["two_step"]):
-                    if not isinstance(step, dict):
-                        raise TypeError(f"two_step[{i}] must be an object")
-                    _reject_extra(step, StepAttributes._fields, f"two_step[{i}]")
-                two_step = tuple(
-                    (DirectionLabel(s["direction"]), SpeedCategory(s["speed"]), AccelCategory(s["acceleration"]))
-                    for s in obj["two_step"]
-                )
-            return cls(
-                scenario_id=obj["scenario_id"],
-                focal_agent_id=obj["focal_agent_id"],
-                instruction_text=obj["instruction_text"],
-                caption_text=obj["caption_text"],
-                decision=Decision(obj["decision"]),
-                feas_tag=FeasTag(obj["feas_tag"]) if "feas_tag" in obj else None,
-                safety_tag=Safety(obj["safety_tag"]) if "safety_tag" in obj else None,
-                direction=DirectionLabel(obj["direction"]) if "direction" in obj else None,
-                behavior=BehaviorLabel(obj["behavior"]) if "behavior" in obj else None,
-                two_step=two_step,  # type: ignore[arg-type]
-                has_gt_trajectory=obj.get("has_gt_trajectory", False),
-                gt_future_xy=obj.get("gt_future_xy"),
-                gt_future_valid=obj.get("gt_future_valid"),
-                with_context=obj.get("with_context"),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise SchemaError(f"bad instruction record: {exc}") from exc
+        return _record_from_obj(cls, obj)
 
 
 def _gt_future(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:

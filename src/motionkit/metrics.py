@@ -17,7 +17,7 @@ import numpy as np
 
 from .attributes import DirectionLabel, LabelRules, chords, classify_direction_arrays
 from .behavior import Safety
-from .core import _equal_by_value, _json_array, _json_mask, _optional_flag, _optional_member, _reject_extra
+from .core import _check_fields, _equal_by_value, _json_array, _json_mask, _record_from_obj
 from .errors import NoValidOverlap, NonPositiveSigma, SchemaError
 from .feasibility import FeasTag
 from .instructions import Decision, InstructionRecord, decision_for
@@ -40,10 +40,7 @@ class PredictionSet:
     __eq__ = _equal_by_value
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scenario_id, str):
-            raise SchemaError("scenario_id must be a string")
-        _optional_member(self.direction, DirectionLabel, "direction")
-        _optional_member(self.decision, Decision, "decision")
+        _check_fields(self)
         traj = _json_array(self.trajectories, "trajectories")
         if traj.ndim != 3 or traj.shape[0] < 1 or traj.shape[2] != 2:
             raise SchemaError(f"trajectories must be (M, T, 2) with M >= 1, got {traj.shape}")
@@ -54,7 +51,6 @@ class PredictionSet:
         valid = _json_mask(np.ones(traj.shape[:2], dtype=bool) if self.valid is None else self.valid, "valid mask")
         if valid.shape != traj.shape[:2]:
             raise SchemaError("valid mask must be (M, T)")
-        _optional_flag(self.with_context, "with_context")
         for name, value in (("trajectories", traj), ("scores", scores), ("valid", valid)):
             object.__setattr__(self, name, value)
 
@@ -67,21 +63,7 @@ class PredictionSet:
         """One decoded prediction line; its arrays go to the constructor's checks unconverted."""
         if not isinstance(obj, dict):
             raise SchemaError("prediction line must be an object")
-        _reject_extra(obj, cls.__dataclass_fields__)
-        try:
-            if not isinstance(obj["scenario_id"], str):
-                raise TypeError("scenario_id must be a string")
-            return cls(
-                scenario_id=obj["scenario_id"],
-                trajectories=obj["trajectories"],
-                scores=obj.get("scores"),
-                valid=obj.get("valid"),
-                direction=DirectionLabel(obj["direction"]) if "direction" in obj else None,
-                decision=Decision(obj["decision"]) if "decision" in obj else None,
-                with_context=obj.get("with_context"),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise SchemaError(str(exc)) from exc
+        return _record_from_obj(cls, obj)
 
 
 def classify_prediction(
@@ -168,7 +150,7 @@ def _require_t_pred(gt_xy: np.ndarray, gt_valid: Optional[np.ndarray], preds: Pr
     if gt_xy.shape != (*rows, *preds.trajectories.shape[-2:]) or (
         gt_valid is not None and gt_valid.shape != gt_xy.shape[:-1]
     ):
-        raise SchemaError("ground truth and prediction must share t_pred")
+        raise SchemaError("ground truth gt_future_xy and prediction trajectories must share t_pred")
 
 
 def _joint_mask(

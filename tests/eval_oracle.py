@@ -23,7 +23,7 @@ def _joint_offsets(gt_xy: np.ndarray, gt_valid: np.ndarray, preds: PredictionSet
     gt_xy = np.asarray(gt_xy, dtype=float)
     gt_valid = np.asarray(gt_valid, dtype=bool)
     if gt_xy.shape != preds.trajectories.shape[1:] or gt_valid.shape != preds.valid.shape[1:]:
-        raise SchemaError("ground truth and prediction must share t_pred")
+        raise SchemaError("ground truth gt_future_xy and prediction trajectories must share t_pred")
     mask = preds.valid & gt_valid
     if not mask.any():
         raise NoValidOverlap("no mode shares a valid step with the ground truth")

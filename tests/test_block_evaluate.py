@@ -121,7 +121,8 @@ def test_the_lowest_bad_line_is_reported(tmp_path, monkeypatch, capsys, mismatch
     assert evaluate(tmp_path, monkeypatch, rows, preds)[0] == 1
     err = capsys.readouterr().err
     if mismatch < broken:
-        assert err == f"error: dataset line {mismatch}: ground truth and prediction must share t_pred\n"
+        message = "ground truth gt_future_xy and prediction trajectories must share t_pred"
+        assert err == f"error: dataset line {mismatch}: {message}\n"
     else:
         assert err.startswith(f"error: dataset line {broken}: Expecting property name enclosed in double quotes")
 

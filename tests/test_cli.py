@@ -852,8 +852,8 @@ class TestEvaluateCmd:
     def test_one_edited_field_is_kept_only_where_the_readme_allows_it(self, target, edit):
         """Line 2 of the dataset or of the predictions with one top-level field deleted or set to
         one JSON value, run through evaluate, and stats for a dataset edit, in process. Exit 1
-        prints one line naming line 2; exit 0 needs a value of the field's type, a null the
-        field reads as absent, or the deletion of an optional field."""
+        prints one line naming line 2 and the edited field; exit 0 needs a value of the field's
+        type, a null the field reads as absent, or the deletion of an optional field."""
         where, name = target
         kind, optional, nullable = self.RECORD_FIELDS[where][name]
         action, value = edit
@@ -882,6 +882,7 @@ class TestEvaluateCmd:
                 message = err.getvalue()
                 if rc == 1:
                     assert message.startswith(prefix) and message.count("\n") == 1, message
+                    assert name in message, message
                 else:
                     assert rc == 0 and allowed, (argv[0], rc, message)
 

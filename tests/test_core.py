@@ -689,3 +689,30 @@ class TestWriter:
         s, _ = build_corpus(1, seed=4)[0]
         with pytest.raises(errors.SchemaError, match="first t_index must be an integer"):
             serialize_scenario(dataclasses.replace(s, t0=(t0,)))
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            (field, bad)
+            for field in ("scenario_id", "focal_agent_id", "agent_id", "lane_id", "scenario_type")
+            for bad in (5, 2.5, True, None)
+            if not (field == "scenario_type" and bad is None)  # None is no scenario_type
+        ],
+    )
+    def test_an_id_or_scenario_type_that_is_not_a_string_raises(self, field, bad):
+        """``json.dumps`` wrote a line that parse rejects: an id of another JSON type, or a
+        ``scenario_type`` other than a string or null."""
+        s, _ = build_corpus(1, seed=4)[0]
+        focal = s.focal_track
+        if field == "focal_agent_id":  # the focal agent's id, an AgentTrack built in code
+            tracks, focal_id = [dataclasses.replace(focal, agent_id=bad)], bad
+        else:  # a second agent, which may carry the bad id
+            other = dataclasses.replace(focal, agent_id=bad if field == "agent_id" else "other")
+            tracks, focal_id = [focal, other], focal.agent_id
+        lanes = (dataclasses.replace(s.lanes[0], lane_id=bad),) if field == "lane_id" else s.lanes
+        s = core.Scenario.from_tracks(s.scenario_id, focal_id, tracks, lanes, s.horizon, s.scenario_type)
+        if field in ("scenario_id", "scenario_type"):
+            s = dataclasses.replace(s, **{field: bad})
+        message = f"scenario {s.scenario_id}: its ids and scenario_type must be strings"
+        with pytest.raises(errors.SchemaError, match=f"^{re.escape(message)}$"):
+            serialize_scenario(s)

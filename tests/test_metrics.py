@@ -1,5 +1,6 @@
 """IFR, displacement errors, detection accuracies, and GMM loss arithmetic."""
 
+import enum
 import math
 import re
 
@@ -9,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motionkit import errors
-from motionkit.attributes import DirectionLabel, DirectionThresholds, LabelRules
-from motionkit.behavior import Safety
+from motionkit.attributes import AccelCategory, DirectionLabel, DirectionThresholds, LabelRules, SpeedCategory
+from motionkit.behavior import BehaviorLabel, Safety
 from motionkit.core import MAX_ABS, HorizonConfig
 from motionkit.feasibility import FeasTag
-from motionkit.instructions import Decision
+from motionkit.instructions import Decision, InstructionRecord
 from motionkit.metrics import (
     PredictionSet,
     best_mode,
@@ -301,6 +302,88 @@ class TestPredictionSet:
         preds = PredictionSet.from_obj(obj)
         assert preds.trajectories.tobytes() == np.array(trajectories, dtype=float).tobytes()
         assert preds.scores.tobytes() == np.array(scores, dtype=float).tobytes()
+
+
+_STEP = (DirectionLabel.STRAIGHT, SpeedCategory.SLOW, AccelCategory.CONSTANT)
+
+# Each record with a valid value in every field, and the fields that also take None.
+RECORDS = [
+    (
+        InstructionRecord,
+        dict(
+            scenario_id="s",
+            focal_agent_id="ego",
+            instruction_text="i",
+            caption_text="c",
+            decision=Decision.ACCEPT,
+            feas_tag=FeasTag.GT,
+            safety_tag=None,
+            direction=DirectionLabel.STRAIGHT,
+            behavior=None,
+            two_step=(_STEP, _STEP),
+            has_gt_trajectory=True,
+            gt_future_xy=[[0.0, 1.0], [2.0, 3.0]],
+            gt_future_valid=[True, False],
+            with_context=False,
+        ),
+        {"direction", "two_step", "gt_future_valid", "with_context"},
+    ),
+    (
+        PredictionSet,
+        dict(
+            scenario_id="s",
+            trajectories=[[[0.0, 0.0], [1.0, 1.0]]],
+            scores=[1.0],
+            valid=[[True, True]],
+            direction=DirectionLabel.STRAIGHT,
+            decision=Decision.ACCEPT,
+            with_context=True,
+        ),
+        {"scores", "valid", "direction", "decision", "with_context"},
+    ),
+]
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+# The bare string value of every label a record field holds
+_LABEL_KINDS = (Decision, FeasTag, Safety, DirectionLabel, BehaviorLabel)
+BARE_LABELS = st.sampled_from([label.value for kind in _LABEL_KINDS for label in kind])
+
+
+def _json_type(value) -> type:
+    """The JSON type of a field value, an enum member's being its enum."""
+    if isinstance(value, enum.Enum):
+        return type(value)
+    if isinstance(value, (list, tuple)):
+        return list
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float
+    return type(value)
+
+
+class TestRecordFields:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_a_field_of_another_json_type_raises_schema_error(self, data):
+        """A record built in code with one field set to a JSON value of another type, or an enum
+        field set to a label's bare string, raises SchemaError, never another exception."""
+        cls, fields, nullable = data.draw(st.sampled_from(RECORDS))
+        name = data.draw(st.sampled_from(sorted(fields)))
+        value = data.draw(
+            st.one_of(JSON_VALUES, BARE_LABELS).filter(
+                lambda v: _json_type(v) is not _json_type(fields[name]) and not (v is None and name in nullable)
+            )
+        )
+        with pytest.raises(errors.SchemaError):
+            cls(**dict(fields, **{name: value}))
+
+    @pytest.mark.parametrize("cls,fields,nullable", RECORDS, ids=["InstructionRecord", "PredictionSet"])
+    def test_the_valid_fields_build(self, cls, fields, nullable):
+        cls(**fields)
+        cls(**dict(fields, **dict.fromkeys(nullable)))
 
 
 class TestIfrAggregation:

@@ -71,6 +71,8 @@ def test_one_span_per_unit_of_work(tmp_path):
     assert spans["gen-instructions", "attributes.classify_two_step"] == len(gt_rows)
     assert spans["evaluate", "metrics.aggregate"] == 1
     assert spans["evaluate", "metrics.prediction_set"] == len(lines)
+    # each dataset line is decoded through the traced name, so instructions.from_obj.us reads it
+    assert spans["evaluate", "instructions.from_obj"] == n_rows
     # the block pass: the rows with a prediction share one block, which one call labels and one
     # call per displacement metric scores, so neither metric's per-layer figure reads 0
     assert spans["evaluate", "metrics.classify_prediction"] == 1 < len(gt_rows) < n_rows
