@@ -11,12 +11,12 @@ import enum
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .attributes import speed_change_kmh
-from .core import AgentTrack, HorizonConfig
+from .attributes import _halves, speed_change_kmh
+from .core import AgentTrack, HorizonConfig, _record_from_obj
 from .errors import CapError, CoverageError, InsufficientPoints, SchemaError, UnknownScenarioType
 
 MAX_ENTRIES_PER_SIDE = 10
@@ -106,9 +106,10 @@ def classify_behavior(
         return speed_change_kmh(float(sub[-1] - sub[0]), steps, dt)
 
     band = params.delta_v_const_kmh
-    mid = n_steps // 2
-    dv1 = delta_v(speeds[offsets < mid], mid)
-    dv2 = delta_v(speeds[offsets >= mid], n_steps - mid)
+    (_, mid), _ = _halves(horizon)
+    cut = np.searchsorted(offsets, mid - start)  # the valid steps before ``mid`` are the first half's
+    dv1 = delta_v(speeds[:cut], mid - start)
+    dv2 = delta_v(speeds[cut:], stop - mid)
     if dv1 < -band and dv2 > band:
         return BehaviorLabel.SLOWING_THEN_SPEEDING
     if dv1 > band and dv2 < -band:
@@ -122,12 +123,49 @@ def classify_behavior(
     return BehaviorLabel.MAINTAINING_SPEED
 
 
+class Verdict(enum.Enum):
+    """A verdict as the guideline book spells it; ``Safety[verdict.name]`` is its label."""
+
+    SAFE = "safe"
+    UNSAFE = "unsafe"
+
+
+class GuidelineEntry(NamedTuple):
+    """One entry of a scenario type in the guideline book."""
+
+    behavior: BehaviorLabel
+    safety: Verdict
+    template: str
+
+
+class GuidelineType(NamedTuple):
+    """One scenario type of the guideline book."""
+
+    default: Optional[Verdict] = None
+    entries: tuple[GuidelineEntry, ...] = ()
+
+
 @dataclass(frozen=True)
 class GuidelineBook:
-    """Per-scenario-type safety verdicts: (type, behavior) -> (Safety, template)."""
+    """Per-scenario-type safety verdicts: (type, behavior) -> (Safety, template). A behavior that a
+    type of ``defaults`` leaves out gets the type's default verdict and a template made from its
+    phrase when the book is built; a type with no default must list all eight behaviors."""
 
     entries: dict[tuple[str, BehaviorLabel], tuple[Safety, str]]
     defaults: dict[str, Optional[Safety]]
+
+    def __post_init__(self) -> None:
+        entries = dict(self.entries)
+        for scenario_type, default in self.defaults.items():
+            missing = [b for b in BehaviorLabel if (scenario_type, b) not in entries]
+            if missing and default is None:
+                unlisted = sorted(b.value for b in missing)
+                raise CoverageError(f"{scenario_type}: behaviors {unlisted} unlisted and no default declared")
+            place = scenario_type.replace("_", " ")
+            for b in missing:
+                phrase, verdict = BEHAVIOR_PHRASE[b].capitalize(), default.name.lower()
+                entries[scenario_type, b] = default, f"{phrase} is considered {verdict} in a {place} scenario."
+        object.__setattr__(self, "entries", entries)
 
     @property
     def scenario_types(self) -> set[str]:
@@ -137,64 +175,37 @@ class GuidelineBook:
 def load_guidelines(text: str | bytes) -> GuidelineBook:
     """Parse and validate a guideline book JSON document.
 
-    Schema: ``{scenario_type: {default?: "safe"|"unsafe", entries:
-    [{behavior, safety, template}]}}``. Each type may list at most 10 safe and
-    10 unsafe entries, a behavior at most once, and must either cover all
-    eight behaviors or declare a default.
+    Schema: ``{scenario_type: {default?: "safe"|"unsafe", entries: [{behavior, safety,
+    template}]}}``, each type a :class:`GuidelineType`. A type lists at most 10 safe and 10 unsafe
+    entries, a behavior at most once and no empty template. Each error names its path, such as
+    ``t.entries[0].behavior``; :class:`GuidelineBook` checks the coverage.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SchemaError(f"invalid guideline JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("guideline book must be a JSON object keyed by scenario type")
-
-    behaviors_by_value = {b.value: b for b in BehaviorLabel}
-    safety_by_value = {"safe": Safety.SAFE, "unsafe": Safety.UNSAFE}
     entries: dict[tuple[str, BehaviorLabel], tuple[Safety, str]] = {}
     defaults: dict[str, Optional[Safety]] = {}
-
     for scenario_type, spec in obj.items():
-        if not isinstance(spec, dict) or set(spec) - {"default", "entries"}:
+        if not isinstance(spec, dict):
             raise SchemaError(f"{scenario_type}: expected an object with 'default'/'entries'")
-        default = spec.get("default")
-        if default is not None:
-            if default not in safety_by_value:
-                raise SchemaError(f"{scenario_type}: default must be 'safe' or 'unsafe'")
-            default = safety_by_value[default]
-        defaults[scenario_type] = default
-        raw_entries = spec.get("entries", [])
-        if not isinstance(raw_entries, list):
-            raise SchemaError(f"{scenario_type}: entries must be a list")
-        # The per-side cap is a raw count checked up front, so an over-long
-        # entry list reports the cap even when individual entries are broken.
-        for side in ("safe", "unsafe"):
-            count = sum(1 for e in raw_entries if isinstance(e, dict) and e.get("safety") == side)
-            if count > MAX_ENTRIES_PER_SIDE:
-                raise CapError(f"{scenario_type}: {count} {side} entries exceed the cap of {MAX_ENTRIES_PER_SIDE}")
-        seen: set[BehaviorLabel] = set()
-        for entry in raw_entries:
-            if not isinstance(entry, dict) or set(entry) != {"behavior", "safety", "template"}:
-                raise SchemaError(f"{scenario_type}: entry must have behavior/safety/template")
-            behavior_raw = entry["behavior"]
-            if behavior_raw not in behaviors_by_value:
-                raise SchemaError(f"{scenario_type}: unknown behavior {behavior_raw!r}")
-            behavior = behaviors_by_value[behavior_raw]
-            if entry["safety"] not in safety_by_value:
-                raise SchemaError(f"{scenario_type}: safety must be 'safe' or 'unsafe'")
-            safety = safety_by_value[entry["safety"]]
-            if not isinstance(entry["template"], str) or not entry["template"]:
-                raise SchemaError(f"{scenario_type}: template must be a non-empty string")
-            if behavior in seen:
-                raise SchemaError(f"{scenario_type}: duplicate entry for behavior {behavior_raw}")
-            seen.add(behavior)
-            entries[(scenario_type, behavior)] = (safety, entry["template"])
-        if default is None and seen != set(BehaviorLabel):
-            missing = sorted(b.value for b in set(BehaviorLabel) - seen)
-            raise CoverageError(f"{scenario_type}: behaviors {missing} unlisted and no default declared")
-
+        spec = _record_from_obj(GuidelineType, spec, scenario_type)
+        for verdict in Verdict:  # before the duplicate check, so an over-long list reports the cap
+            if (count := sum(entry.safety is verdict for entry in spec.entries)) > MAX_ENTRIES_PER_SIDE:
+                message = f"{count} {verdict.value} entries exceed the cap of {MAX_ENTRIES_PER_SIDE}"
+                raise CapError(f"{scenario_type}: {message}")
+        for i, (behavior, verdict, template) in enumerate(spec.entries):
+            at = f"{scenario_type}.entries[{i}]"
+            if not isinstance(template, str) or not template:
+                raise SchemaError(f"{at}.template must be a non-empty string")
+            if (scenario_type, behavior) in entries:
+                raise SchemaError(f"{at}: duplicate entry for behavior {behavior.value}")
+            entries[scenario_type, behavior] = Safety[verdict.name], template
+        defaults[scenario_type] = None if spec.default is None else Safety[spec.default.name]
     return GuidelineBook(entries=entries, defaults=defaults)
 
 
@@ -205,20 +216,7 @@ def load_default_guidelines() -> GuidelineBook:
 
 
 def label_safety(scenario_type: str, behavior: BehaviorLabel, book: GuidelineBook) -> tuple[Safety, str]:
-    """Look up the verdict and template, falling back to the type's default.
-
-    Fallback templates are synthesized deterministically from the behavior
-    phrase and verdict.
-    """
+    """The verdict and template of ``behavior`` in ``scenario_type``."""
     if scenario_type not in book.defaults:
         raise UnknownScenarioType(f"scenario_type {scenario_type!r} is not in the guideline book")
-    hit = book.entries.get((scenario_type, behavior))
-    if hit is not None:
-        return hit
-    default = book.defaults[scenario_type]
-    if default is None:  # unreachable for books that passed load-time coverage checks
-        raise CoverageError(f"{scenario_type}: no entry for {behavior.value} and no default")
-    phrase = BEHAVIOR_PHRASE[behavior].capitalize()
-    verdict = "safe" if default is Safety.SAFE else "unsafe"
-    template = f"{phrase} is considered {verdict} in a {scenario_type.replace('_', ' ')} scenario."
-    return default, template
+    return book.entries[scenario_type, behavior]

@@ -293,7 +293,7 @@ def _decoded(lines: list[tuple[int, str]], decode, what: str) -> Iterator[tuple[
     for i, line in lines:
         try:
             value = decode(json.loads(line))
-        except (json.JSONDecodeError, MotionKitError) as exc:
+        except (json.JSONDecodeError, RecursionError, MotionKitError) as exc:  # RecursionError: nested too deep
             raise SchemaError(f"{what} {i}: {exc}") from exc
         yield i, value
 

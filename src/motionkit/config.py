@@ -107,7 +107,7 @@ def load_config(path: Optional[str] = None) -> Config:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

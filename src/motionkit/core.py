@@ -209,24 +209,29 @@ def _built(at: str, cls, *args, **kwargs):
         raise type(exc)(f"{at}: {exc}") from exc
 
 
-def _point_count_error(where: str, agent_id: str, count: int, n_steps: int) -> SchemaError:
-    return SchemaError(f"{where}: agent {agent_id} has {count} points, horizon requires {n_steps}")
+def _point_count_error(where: str, a: int, agent_id: str, count: int, n_steps: int) -> SchemaError:
+    """Agent ``a``'s point count, which is not the horizon's ``n_steps``."""
+    message = f"agent {agent_id} has {count} points, horizon requires {n_steps} (t_obs + t_pred)"
+    return SchemaError(f"{where}.agents[{a}]: {message}")
 
 
 def _check_ids(where: str, focal_agent_id: str, agent_ids, lanes) -> None:
-    """A scenario's id checks: unique agent and lane ids, a focal agent among the agents, and lane
-    references that resolve."""
-    if len(set(agent_ids)) != len(agent_ids):
-        raise ReferenceError(f"{where}: duplicate agent_id")
-    lane_ids = {l.lane_id for l in lanes}
-    if len(lane_ids) != len(lanes):
-        raise ReferenceError(f"{where}: duplicate lane_id")
-    if focal_agent_id not in agent_ids:
-        raise ReferenceError(f"{where}: focal_agent_id {focal_agent_id!r} not among agents")
-    for lane in lanes:
-        for ref in (*lane.successors, lane.left_neighbor, lane.right_neighbor):
-            if ref is not None and ref not in lane_ids:
-                raise ReferenceError(f"{where}: lane {lane.lane_id} references unknown lane {ref!r}")
+    """A scenario's id checks: hashable, unique agent and lane ids, a focal agent among the agents,
+    and lane references that resolve."""
+    try:
+        if len(set(agent_ids)) != len(agent_ids):
+            raise ReferenceError(f"{where}: duplicate agent_id")
+        lane_ids = {l.lane_id for l in lanes}
+        if len(lane_ids) != len(lanes):
+            raise ReferenceError(f"{where}: duplicate lane_id")
+        if focal_agent_id not in agent_ids:
+            raise ReferenceError(f"{where}: focal_agent_id {focal_agent_id!r} not among agents")
+        for lane in lanes:
+            for ref in (*lane.successors, lane.left_neighbor, lane.right_neighbor):
+                if ref is not None and ref not in lane_ids:
+                    raise ReferenceError(f"{where}: lane {lane.lane_id} references unknown lane {ref!r}")
+    except TypeError as exc:  # an id that is a list or an object
+        raise SchemaError(f"{where}: agent and lane ids must be hashable ({exc})") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +278,7 @@ class Scenario:
             raise SchemaError(f"{where}: the block must be xy (A, n, 2) and (A, n) for the rest, for A agents")
         _check_ids(where, self.focal_agent_id, self.agent_ids, self.lanes)
         if shape[1] != self.horizon.n_steps:
-            raise _point_count_error(where, self.agent_ids[0], shape[1], self.horizon.n_steps)
+            raise _point_count_error(where, 0, self.agent_ids[0], shape[1], self.horizon.n_steps)
 
     @classmethod
     def from_tracks(
@@ -286,9 +291,9 @@ class Scenario:
         scenario_type: Optional[str] = None,
     ) -> "Scenario":
         """The scenario whose block stacks ``tracks`` in order; each must have ``horizon.n_steps`` points."""
-        for t in tracks:
+        for i, t in enumerate(tracks):
             if len(t.xy) != horizon.n_steps:
-                raise _point_count_error(f"scenario {scenario_id}", t.agent_id, len(t.xy), horizon.n_steps)
+                raise _point_count_error(f"scenario {scenario_id}", i, t.agent_id, len(t.xy), horizon.n_steps)
         shape = (len(tracks), horizon.n_steps)
         return cls(
             scenario_id,
@@ -355,7 +360,7 @@ class _Declared(NamedTuple):
     required: tuple[str, ...]  # the fields without a default
     scalars: tuple[tuple[str, type, bool], ...]  # (name, kind, optional)
     enums: tuple[tuple[str, type, dict], ...]  # (name, kind, its members by value)
-    records: tuple[tuple[str, type, int], ...]  # (name, kind, n): a tuple of n ``kind`` records
+    records: tuple[tuple[str, type, Optional[int]], ...]  # (name, kind, n): n ``kind`` records, None: any number
 
 
 @cache
@@ -371,7 +376,8 @@ def _declared(cls) -> _Declared:
         if isinstance(kind, enum.EnumMeta):
             enums.append((name, kind, {member.value: member for member in kind}))
         elif get_origin(kind) is tuple and hasattr(get_args(kind)[0], "_fields"):
-            records.append((name, get_args(kind)[0], len(get_args(kind))))
+            n = None if get_args(kind)[-1] is Ellipsis else len(get_args(kind))
+            records.append((name, get_args(kind)[0], n))
     required = tuple(name for name, p in params.items() if p.default is p.empty)
     return _Declared(kinds, required, tuple(scalars), tuple(enums), tuple(records))
 
@@ -483,7 +489,8 @@ def _record_from_obj(cls, obj: dict, where: Optional[str] = None):
         if name in obj:
             value = obj[name]
             if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
-                raise SchemaError(f"{at}{name} must be a list of {n} objects, got {value!r}")
+                count = "" if n is None else f"{n} "
+                raise SchemaError(f"{at}{name} must be a list of {count}objects, got {value!r}")
             kwargs[name] = tuple(_record_from_obj(kind, item, f"{at}{name}[{i}]") for i, item in enumerate(value))
     return cls(**kwargs)
 
@@ -659,7 +666,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
         text = text.decode("utf-8")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("scenario document must be a JSON object")

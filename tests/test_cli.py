@@ -279,6 +279,17 @@ class TestMutatedAgentLine:
         serialize_scenario(gen_scenario(SynthSpec(kind="straight", speed=10.0), f"s{i}", H)[0]) for i in (0, 1, 3)
     ]
 
+    @staticmethod
+    def names_the_edit(err: str, key, k, name: str) -> bool:
+        """Whether ``err`` names the edited agent's or lane's path (``scenario s2.agents[1]``), or
+        each part of the edited top-level field's path (``horizon`` and ``t_obs``) for scenario s2.
+        An edit of scenario_id leaves no scenario to name, so its message names the field; an edit
+        that renames the focal agent ``a0`` (agents[0]) breaks the reference focal_agent_id makes."""
+        if key is not None:
+            return f"scenario s2.{key}[{k}]" in err or k == 0 and "focal_agent_id 'a0' not among agents" in err
+        path = name.split(" ", 1)[1]
+        return all(part in err for part in path.split(".")) and (path == "scenario_id" or "scenario s2" in err)
+
     @given(
         three_agent_docs(),
         st.one_of(
@@ -289,7 +300,7 @@ class TestMutatedAgentLine:
     )
     @settings(max_examples=100, deadline=None)
     def test_one_mutation_gives_the_same_outcome_at_one_two_and_three_jobs(self, doc, mutation):
-        key, k, (_, edit) = mutation
+        key, k, (name, edit) = mutation
         doc["scenario_id"] = "s2"
         if key is None:
             doc = edit(doc)
@@ -310,6 +321,7 @@ class TestMutatedAgentLine:
         assert rc in (0, 1)
         if rc == 1:
             assert err.startswith("error: line 3: ") and err.count("\n") == 1
+            assert self.names_the_edit(err, key, k, name), (name, err)
         else:  # line 3 is labelled, maybe under another scenario_id, or skipped
             ids = [json.loads(row)["scenario_id"] for row in out.splitlines()]
             assert {"s0", "s1", "s3"} <= set(ids) and len(ids) in (3, 4)
@@ -1413,6 +1425,52 @@ class TestInputThatIsNotUtf8:
         paths["empty"].write_text("")
         assert run(*(arg.format(**paths) for arg in argv)) == 1
         assert capsys.readouterr().err == f"error: cannot read {paths['bad']}: {self.MESSAGE}"
+        assert not paths["out"].exists()
+
+
+class TestDeeplyNestedJson:
+    """A line nested deeper than ``json.loads`` recurses (it raises RecursionError, not a JSON
+    error) is an input error in each reader's own form, not a traceback."""
+
+    DEEP = "[" * 200_000 + "]" * 200_000
+
+    @pytest.mark.parametrize(
+        "argv,prefix,code",
+        [
+            (("extract", "{corpus}", "--out", "{out}"), "error: line 2: invalid JSON: ", 1),
+            (("stats", "{deep}", "--out", "{out}"), "error: line 1: ", 1),
+            (
+                ("evaluate", "--dataset", "{empty}", "--predictions", "{deep}", "--report", "{out}"),
+                "error: predictions line 1: ",
+                1,
+            ),
+            (("stats", "{empty}", "--config", "{deep}", "--out", "{out}"), "config error: config file {deep} ", 2),
+            (
+                ("gen-instructions", "{empty}", "--mode", "behavior", "--guidelines", "{deep}", "--out", "{out}"),
+                "error: invalid guideline JSON: ",
+                1,
+            ),
+        ],
+        ids=["scenario_corpus", "report_input", "predictions", "config", "guidelines"],
+    )
+    def test_is_an_input_error(self, tmp_path, argv, prefix, code):
+        """The scenario corpus holds the deep line as line 2 of 3, and its error must not depend on
+        the job count."""
+        paths = {name: tmp_path / name for name in ("deep", "corpus", "empty", "out")}
+        paths["deep"].write_text(self.DEEP + "\n")
+        paths["empty"].write_text("")
+        assert run("synth", "--n", "2", "--seed", "5", "--out", str(paths["corpus"])) == 0
+        first, second = paths["corpus"].read_text().splitlines()
+        paths["corpus"].write_text(f"{first}\n{self.DEEP}\n{second}\n")
+        errs = set()
+        for jobs in ("1", "2", "3") if argv[0] == "extract" else ("1",):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main([arg.format(**paths) for arg in argv] + ["--jobs", jobs]) == code
+            errs.add(err.getvalue())
+        (message,) = errs
+        assert message.startswith(prefix.format(**paths)) and message.count("\n") == 1, message
+        assert "maximum recursion depth exceeded" in message
         assert not paths["out"].exists()
 
 

@@ -716,3 +716,20 @@ class TestWriter:
         message = f"scenario {s.scenario_id}: its ids and scenario_type must be strings"
         with pytest.raises(errors.SchemaError, match=f"^{re.escape(message)}$"):
             serialize_scenario(s)
+
+    @pytest.mark.parametrize("field", ["focal_agent_id", "agent_id", "lane_id"])
+    @pytest.mark.parametrize("bad", [["a"], {"x": 1}], ids=["list", "object"])
+    def test_an_unhashable_id_raises_when_the_scenario_is_built(self, field, bad):
+        """The id checks put the ids in sets; an id that is a list or an object is a SchemaError."""
+        s, _ = build_corpus(1, seed=4)[0]
+        focal = s.focal_track
+        if field == "focal_agent_id":
+            tracks, focal_id = [dataclasses.replace(focal, agent_id=bad)], bad
+        else:
+            other = dataclasses.replace(focal, agent_id=bad if field == "agent_id" else "other")
+            tracks, focal_id = [focal, other], focal.agent_id
+        lanes = (dataclasses.replace(s.lanes[0], lane_id=bad),) if field == "lane_id" else s.lanes
+        unhashable = f"unhashable type: '{type(bad).__name__}'"
+        message = f"scenario {s.scenario_id}: agent and lane ids must be hashable ({unhashable})"
+        with pytest.raises(errors.SchemaError, match=f"^{re.escape(message)}$"):
+            core.Scenario.from_tracks(s.scenario_id, focal_id, tracks, lanes, s.horizon, s.scenario_type)
