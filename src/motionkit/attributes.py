@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import MPS_TO_KMH, AgentTrack, HorizonConfig, _is_number
+from .core import MPS_TO_KMH, AgentTrack, HorizonConfig, _check_fields, _is_number
 from .errors import InsufficientPoints, NegativeSpeed
 from .geometry import EPSILON_DISP, wrap_angle
 
@@ -95,6 +95,7 @@ class DirectionThresholds:
     epsilon_disp: float = EPSILON_DISP
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         for name in ("v_stationary", "d_stationary", "theta_s", "d_v", "d_u"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .attributes import _halves, speed_change_kmh
-from .core import AgentTrack, HorizonConfig, _record_from_obj
+from .core import AgentTrack, HorizonConfig, _check_fields, _record_from_obj
 from .errors import CapError, CoverageError, InsufficientPoints, SchemaError, UnknownScenarioType
 
 MAX_ENTRIES_PER_SIDE = 10
@@ -65,6 +65,7 @@ class BehaviorParams:
     delta_v_const_kmh: float = 6.0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         for name in ("v_stop", "dwell_s", "delta_v_const_kmh"):
             if getattr(self, name) <= 0:
                 raise SchemaError(f"behavior param {name} must be positive")
@@ -147,16 +148,23 @@ class GuidelineType(NamedTuple):
 
 @dataclass(frozen=True)
 class GuidelineBook:
-    """Per-scenario-type safety verdicts: (type, behavior) -> (Safety, template). A behavior that a
-    type of ``defaults`` leaves out gets the type's default verdict and a template made from its
-    phrase when the book is built; a type with no default must list all eight behaviors."""
+    """Per-scenario-type safety verdicts: (type, behavior) -> (Safety, non-empty template), and a
+    default of Safety or None per type. A behavior that a type of ``defaults`` leaves out gets the
+    type's default verdict and a template made from its phrase when the book is built; a type with
+    no default must list all eight behaviors."""
 
     entries: dict[tuple[str, BehaviorLabel], tuple[Safety, str]]
     defaults: dict[str, Optional[Safety]]
 
     def __post_init__(self) -> None:
         entries = dict(self.entries)
+        for (scenario_type, behavior), value in entries.items():
+            pair = isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], Safety)
+            if not (pair and isinstance(value[1], str) and value[1]):
+                raise SchemaError(f"{scenario_type}: {behavior} must map to a (Safety, non-empty str) pair, got {value!r}")
         for scenario_type, default in self.defaults.items():
+            if not (default is None or isinstance(default, Safety)):
+                raise SchemaError(f"{scenario_type}: default must be a Safety or None, got {default!r}")
             missing = [b for b in BehaviorLabel if (scenario_type, b) not in entries]
             if missing and default is None:
                 unlisted = sorted(b.value for b in missing)
@@ -191,16 +199,15 @@ def load_guidelines(text: str | bytes) -> GuidelineBook:
     entries: dict[tuple[str, BehaviorLabel], tuple[Safety, str]] = {}
     defaults: dict[str, Optional[Safety]] = {}
     for scenario_type, spec in obj.items():
-        if not isinstance(spec, dict):
-            raise SchemaError(f"{scenario_type}: expected an object with 'default'/'entries'")
         spec = _record_from_obj(GuidelineType, spec, scenario_type)
+        _check_fields(spec, f"{scenario_type}.")
         for verdict in Verdict:  # before the duplicate check, so an over-long list reports the cap
             if (count := sum(entry.safety is verdict for entry in spec.entries)) > MAX_ENTRIES_PER_SIDE:
                 message = f"{count} {verdict.value} entries exceed the cap of {MAX_ENTRIES_PER_SIDE}"
                 raise CapError(f"{scenario_type}: {message}")
         for i, (behavior, verdict, template) in enumerate(spec.entries):
             at = f"{scenario_type}.entries[{i}]"
-            if not isinstance(template, str) or not template:
+            if not template:
                 raise SchemaError(f"{at}.template must be a non-empty string")
             if (scenario_type, behavior) in entries:
                 raise SchemaError(f"{at}: duplicate entry for behavior {behavior.value}")

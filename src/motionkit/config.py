@@ -2,7 +2,9 @@
 
 A config file is a JSON object whose top-level keys mirror the structures
 below; unknown keys fail fast so typos cannot silently fall back to defaults.
-The fully resolved config is echoed into every JSON report for provenance.
+Each section is decoded as a record of its structure, so the structure's
+declaration gives the kind of each field. The fully resolved config is echoed
+into every JSON report for provenance.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .attributes import (
     LabelRules,
 )
 from .behavior import BehaviorParams
-from .core import HorizonConfig, _is_int, _is_number
-from .errors import ConfigError, MotionKitError
+from .core import HorizonConfig, _check_fields, _is_int, _record_from_obj, _reject_extra
+from .errors import ConfigError, MotionKitError, SchemaError
 from .feasibility import FeasibilityParams
 
 
@@ -34,6 +36,9 @@ class SamplerDefaults:
 
     class_balanced: bool = True
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -65,37 +70,11 @@ class Config:
 _KEYS = frozenset(Config().to_obj())
 
 
-def _section(obj: dict, key: str) -> dict:
-    """The object under ``key`` (empty when absent)."""
-    section = obj.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key}: must be an object")
-    return section
-
-
-# The JSON values a field accepts, by the type of its default: flags take only
-# booleans and numbers never do; numbers are finite floats. The one tuple is t_select.
-_ACCEPTS = {
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    int: (_is_int, "an integer"),
-    float: (_is_number, "a number"),
-    tuple: (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
-}
-
-
 def _build(cls, obj: dict, key: str):
-    section = _section(obj, key)
-    fields = {f.name: f.default for f in dataclasses.fields(cls)}
-    unknown = set(section) - set(fields)
-    if unknown:
-        raise ConfigError(f"{key}: unknown key(s) {sorted(unknown)}")
-    for name, value in section.items():
-        accepts, expected = _ACCEPTS[type(fields[name])]
-        if not accepts(value):
-            raise ConfigError(f"{key}: {name} must be {expected}, got {json.dumps(value)}")
+    """The section under ``key`` (empty when absent) decoded as a ``cls``."""
     try:
-        return cls(**section)
-    except (MotionKitError, TypeError, ValueError) as exc:
+        return _record_from_obj(cls, obj.get(key, {}))
+    except (MotionKitError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -111,14 +90,17 @@ def load_config(path: Optional[str] = None) -> Config:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(obj) - _KEYS
-    if unknown:
-        raise ConfigError(f"config: unknown key(s) {sorted(unknown)}")
+    try:
+        _reject_extra(obj, _KEYS, "config")
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from exc
 
     collapse = dict(DEFAULT_COLLAPSE)
     if "direction_collapse" in obj:
+        if not isinstance(obj["direction_collapse"], dict):
+            raise ConfigError("direction_collapse: must be an object")
         try:
-            collapse = {FineDirection(k): DirectionLabel(v) for k, v in _section(obj, "direction_collapse").items()}
+            collapse = {FineDirection(k): DirectionLabel(v) for k, v in obj["direction_collapse"].items()}
         except ValueError as exc:
             raise ConfigError(f"direction_collapse: {exc}") from exc
         missing = set(FineDirection) - set(collapse)

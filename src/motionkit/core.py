@@ -16,6 +16,11 @@ raises the first problem with its field path, and the two are also the tests'
 reference for the column passes. The labellers read only
 ``Scenario.focal_track``, an :class:`AgentTrack` view of the focal row built
 once; ``Scenario.agents`` gives every agent's view and is built only when read.
+
+Every other JSON record (dataset and prediction lines, guideline-book types,
+config sections) is read by one decoder, ``_record_from_obj``, by its class's
+annotations, and ``_check_fields`` checks every declared field kind whenever a
+record is built, from a line or in code.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import chain
 from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
 
@@ -64,6 +69,78 @@ def _is_number(value, limit: float = sys.float_info.max) -> bool:
     return (_is_int(value) or isinstance(value, float)) and abs(value) <= limit
 
 
+#: A value as JSON, as a config file or a line holds it; what JSON cannot hold shows as its repr.
+_json_text = partial(json.dumps, default=repr, skipkeys=True)
+
+#: Each declared scalar kind's test, how an error names the kind and how it shows the value (None:
+#: not at all). Numbers are finite and never booleans.
+_KINDS: dict = {
+    str: (lambda v: isinstance(v, str), "a string", None),
+    bool: (lambda v: isinstance(v, bool), "true or false", None),
+    int: (_is_int, "an integer", _json_text),
+    float: (_is_number, "a number", _json_text),
+    tuple[int, ...]: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers", _json_text),
+}
+
+
+class _Declared(NamedTuple):
+    """A record class's fields by their annotations, each bare or ``Optional``: a scalar field of a
+    kind of :data:`_KINDS` or an enum, or a records field, a tuple of NamedTuples (``...``: any number)."""
+
+    names: tuple[str, ...]  # every field, in field order
+    required: tuple[str, ...]  # the fields without a default
+    scalars: tuple[tuple, ...]  # (name, the types passed untested, test, expected, shows) as in _KINDS
+    enums: tuple[tuple[str, type, dict], ...]  # (name, kind, its members by value)
+    records: tuple[tuple[str, type, Optional[int], bool], ...]  # (name, kind, n or None for any, optional)
+
+
+@cache
+def _declared(cls) -> _Declared:
+    """The :class:`_Declared` of a dataclass or NamedTuple, read from its signature once."""
+    params, hints = inspect.signature(cls).parameters, get_type_hints(cls)
+    scalars, enums, records = [], [], []
+    for name in params:
+        optional = type(None) in get_args(hints[name])
+        kind = get_args(hints[name])[0] if optional else hints[name]
+        if isinstance(kind, enum.EnumMeta):
+            enums.append((name, kind, {member.value: member for member in kind}))
+            accepts, expected, shows = (lambda v, kind=kind: isinstance(v, kind)), f"a {kind.__name__}", repr
+        elif kind in _KINDS:
+            accepts, expected, shows = _KINDS[kind]
+        else:
+            if get_origin(kind) is tuple and hasattr(get_args(kind)[0], "_fields"):
+                n = None if get_args(kind)[-1] is Ellipsis else len(get_args(kind))
+                records.append((name, get_args(kind)[0], n, optional))
+            continue
+        if optional:
+            expected = "true, false or null" if kind is bool else f"{expected} or None"
+        exact = {kind, type(None)} if optional else {kind}  # a float is always tested: it may be NaN
+        scalars.append((name, frozenset(exact - {float}), accepts, expected, shows))
+    required = tuple(name for name, p in params.items() if p.default is p.empty)
+    return _Declared(tuple(params), required, tuple(scalars), tuple(enums), tuple(records))
+
+
+def _check_fields(record, at: str = "") -> None:
+    """Raise :class:`SchemaError`, naming the field under ``at``, unless each declared field of
+    ``record`` holds its kind, or None if Optional: a records field holds a tuple or list (of the
+    declared count) of tuples or lists whose fields hold their kinds."""
+    declared = _declared(type(record))
+    for name, exact, accepts, expected, shows in declared.scalars:
+        value = getattr(record, name)
+        if type(value) not in exact and not accepts(value):
+            raise SchemaError(f"{at}{name} must be {expected}{'' if shows is None else f', got {shows(value)}'}")
+    for name, kind, n, optional in declared.records:
+        value = getattr(record, name)
+        if value is None and optional:
+            continue
+        if not isinstance(value, (tuple, list)) or n is not None and len(value) != n:
+            raise SchemaError(f"{at}{name} must be a tuple of {'' if n is None else f'{n} '}{kind.__name__}, got {value!r}")
+        for i, item in enumerate(value):
+            if not (isinstance(item, (tuple, list)) and len(item) == len(kind._fields)):
+                raise SchemaError(f"{at}{name}[{i}] must be a {kind.__name__}, got {item!r}")
+            _check_fields(kind._make(item), f"{at}{name}[{i}].")
+
+
 @dataclass(frozen=True)
 class HorizonConfig:
     """Observed/future step layout of a scenario.
@@ -81,18 +158,15 @@ class HorizonConfig:
     dt: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.t_obs) and _is_int(self.t_pred)):
-            raise SchemaError("t_obs and t_pred must be integers")
+        _check_fields(self)
         if self.t_obs < 2:
             raise SchemaError("t_obs must be >= 2 (heading inference needs two points)")
         if self.t_pred < 1:
             raise SchemaError("t_pred must be >= 1")
-        if not (_is_number(self.dt, MAX_ABS) and self.dt > 0):
+        if not 0 < self.dt <= MAX_ABS:
             raise SchemaError(f"dt must be a positive number {WITHIN}")
         t_select = tuple(self.t_select)
         for t in t_select:
-            if not _is_int(t):
-                raise SchemaError(f"t_select entry {t!r} is not an integer")
             if not 0 <= t < self.t_pred:
                 raise SchemaError(f"t_select entry {t} outside [0, {self.t_pred})")
         object.__setattr__(self, "t_select", t_select)
@@ -352,48 +426,6 @@ def _reject_extra(obj: dict, allowed, where: Optional[str] = None) -> None:
         raise SchemaError(message if where is None else f"{where}: {message}")
 
 
-class _Declared(NamedTuple):
-    """A record class's fields by their annotations. A scalar field is annotated ``str``, ``bool`` or
-    an enum, bare or ``Optional``; a line decode converts each enum and tuple-of-NamedTuple field."""
-
-    kinds: dict[str, type]  # each field's annotation without its Optional, in field order
-    required: tuple[str, ...]  # the fields without a default
-    scalars: tuple[tuple[str, type, bool], ...]  # (name, kind, optional)
-    enums: tuple[tuple[str, type, dict], ...]  # (name, kind, its members by value)
-    records: tuple[tuple[str, type, Optional[int]], ...]  # (name, kind, n): n ``kind`` records, None: any number
-
-
-@cache
-def _declared(cls) -> _Declared:
-    """The :class:`_Declared` of a dataclass or NamedTuple, read from its signature once."""
-    params, hints = inspect.signature(cls).parameters, get_type_hints(cls)
-    kinds, scalars, enums, records = {}, [], [], []
-    for name in params:
-        optional = type(None) in get_args(hints[name])
-        kinds[name] = kind = get_args(hints[name])[0] if optional else hints[name]
-        if kind in (str, bool) or isinstance(kind, enum.EnumMeta):
-            scalars.append((name, kind, optional))
-        if isinstance(kind, enum.EnumMeta):
-            enums.append((name, kind, {member.value: member for member in kind}))
-        elif get_origin(kind) is tuple and hasattr(get_args(kind)[0], "_fields"):
-            n = None if get_args(kind)[-1] is Ellipsis else len(get_args(kind))
-            records.append((name, get_args(kind)[0], n))
-    required = tuple(name for name, p in params.items() if p.default is p.empty)
-    return _Declared(kinds, required, tuple(scalars), tuple(enums), tuple(records))
-
-
-def _check_fields(record) -> None:
-    """Raise :class:`SchemaError` unless each scalar field of ``record`` holds its kind, or None if Optional."""
-    for name, kind, optional in _declared(type(record)).scalars:
-        value = getattr(record, name)
-        if not (isinstance(value, kind) or optional and value is None):
-            if kind is str:
-                raise SchemaError(f"{name} must be a string")
-            if kind is bool:
-                raise SchemaError(f"{name} must be {'true, false or null' if optional else 'true or false'}")
-            raise SchemaError(f"{name} must be a {kind.__name__}{' or None' if optional else ''}, got {value!r}")
-
-
 _POINT_FIELDS = {"t": int, "valid": bool, "x": float, "y": float, "heading": float, "speed": float}
 _VERTEX_FIELDS = {"x": float, "y": float, "heading": float}
 _JSON_TYPES = {int: {int}, bool: {bool}, float: {int, float}}
@@ -468,13 +500,17 @@ def _json_value(value):
     return [_json_value(v) for v in value]
 
 
-def _record_from_obj(cls, obj: dict, where: Optional[str] = None):
+def _record_from_obj(cls, obj, where: Optional[str] = None):
     """``cls`` built from the JSON object ``obj`` by its declarations: no unknown field, every required
-    field present, each enum and records field converted and the rest passed on unconverted. Each
-    error names its field path, under ``where`` for a nested record."""
-    declared = _declared(cls)
-    _reject_extra(obj, declared.kinds, where)
+    field present, each enum field converted to its member and each records field, a list of
+    objects (of the declared count, when fixed), to a tuple of records; the kinds are left to
+    :func:`_check_fields`, which a record dataclass's constructor calls. Each error names its field
+    path, under ``where`` for a nested record or one value of a larger document."""
     head, at = ("", "") if where is None else (f"{where}: ", f"{where}.")
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{head}must be an object")
+    declared = _declared(cls)
+    _reject_extra(obj, declared.names, where)
     for name in declared.required:
         if name not in obj:
             raise SchemaError(f"{head}missing required field {name!r}")
@@ -485,13 +521,17 @@ def _record_from_obj(cls, obj: dict, where: Optional[str] = None):
                 kwargs[name] = members[obj[name]]
             except (KeyError, TypeError):  # not a value of the enum, or a list or object
                 raise SchemaError(f"{at}{name}: {obj[name]!r} is not a valid {kind.__name__}") from None
-    for name, kind, n in declared.records:  # the constructor checks the length
+    for name, kind, n, _ in declared.records:
         if name in obj:
-            value = obj[name]
-            if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
-                count = "" if n is None else f"{n} "
-                raise SchemaError(f"{at}{name} must be a list of {count}objects, got {value!r}")
-            kwargs[name] = tuple(_record_from_obj(kind, item, f"{at}{name}[{i}]") for i, item in enumerate(value))
+            value, path, count = obj[name], f"{at}{name}", "" if n is None else f"{n} "
+            if not isinstance(value, list):
+                raise SchemaError(f"{path} must be a list of {count}objects, got {_json_text(value)}")
+            if n is not None and len(value) != n:
+                raise SchemaError(f"{path} must hold {n} objects, got {len(value)}")
+            for i, item in enumerate(value):
+                if not isinstance(item, dict):
+                    raise SchemaError(f"{path} must be a list of {count}objects; {path}[{i}] is {_json_text(item)}")
+            kwargs[name] = tuple(_record_from_obj(kind, item, f"{path}[{i}]") for i, item in enumerate(value))
     return cls(**kwargs)
 
 
@@ -724,12 +764,15 @@ def serialize_scenario(s: Scenario) -> str:
     sorted order and no spaces, the bytes ``json.dumps(..., sort_keys=True, separators=(",",
     ":"))`` writes for the document. Each point and centerline vertex is written from one row
     template; a first t_index that is not an integer, a number of the agents or lanes that is not
-    finite or exceeds MAX_ABS, or an id or ``scenario_type`` that is not a string, raises
-    :class:`SchemaError`, since no line holding it would parse."""
+    finite or exceeds MAX_ABS, a negative point speed or lane speed limit, or an id or
+    ``scenario_type`` that is not a string, raises :class:`SchemaError`, since no line holding it
+    would parse."""
     limits = [lane.speed_limit_kmh for lane in s.lanes if lane.speed_limit_kmh is not None]
     columns = (s.xy, s.headings, s.speeds, *(c for lane in s.lanes for c in (lane.xy, lane.headings)))
     if not (all(map(_bounded, columns)) and all(_is_number(v, MAX_ABS) for v in limits)):
         raise SchemaError(f"scenario {s.scenario_id}: agents and lanes must hold finite numbers {WITHIN}")
+    if (s.speeds < 0).any() or any(v < 0 for v in limits):
+        raise SchemaError(f"scenario {s.scenario_id}: point speeds and lane speed limits must be >= 0")
     if not all(map(_is_int, s.t0)):
         raise SchemaError(f"scenario {s.scenario_id}: each agent's first t_index must be an integer")
     ids = (s.scenario_id, s.focal_agent_id, *s.agent_ids, *(lane.lane_id for lane in s.lanes))

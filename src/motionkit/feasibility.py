@@ -12,13 +12,13 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .attributes import DirectionLabel, LabelRules, classify_direction_fine, classify_turn
-from .core import MPS_TO_KMH, Lane, Scenario
+from .core import MPS_TO_KMH, Lane, Scenario, _check_fields
 from .errors import InvalidAnchor, SchemaError
 from .geometry import point_along_polyline, polyline_arclength, rotate_into_frame, wrap_angle
 
@@ -37,17 +37,10 @@ class FeasibilityParams:
     sample_spacing_m: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "max_speed_increase_kmh",
-            "horizon_s",
-            "max_range_m",
-            "stationary_speed_cap_kmh",
-            "lane_assoc_radius_m",
-            "lane_assoc_heading_tol_deg",
-            "sample_spacing_m",
-        ):
-            if getattr(self, name) <= 0:
-                raise SchemaError(f"feasibility param {name} must be positive")
+        _check_fields(self)
+        for f in fields(self):  # every number, not the flag
+            if isinstance(f.default, float) and getattr(self, f.name) <= 0:
+                raise SchemaError(f"feasibility param {f.name} must be positive")
 
 
 class FeasTag(enum.Enum):

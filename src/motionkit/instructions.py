@@ -35,7 +35,6 @@ from .behavior import (
 from .core import (
     Scenario,
     _check_fields,
-    _declared,
     _equal_by_value,
     _json_array,
     _json_mask,
@@ -141,14 +140,6 @@ class InstructionRecord:
         if self.decision is not decision_for(self.feas_tag if self.safety_tag is None else self.safety_tag):
             raise SchemaError(f"decision {self.decision.value} inconsistent with tag")
         if self.two_step is not None:
-            if not isinstance(self.two_step, (tuple, list)):
-                raise SchemaError(f"two_step must be a tuple of 2 steps, got {self.two_step!r}")
-            if len(self.two_step) != 2:
-                raise SchemaError(f"two_step must hold exactly 2 steps, got {len(self.two_step)}")
-            kinds = tuple(_declared(StepAttributes).kinds.values())
-            for step in self.two_step:
-                if not (isinstance(step, (tuple, list)) and tuple(map(type, step)) == kinds):
-                    raise SchemaError(f"a two_step entry must hold a direction, speed and acceleration label: {step!r}")
             object.__setattr__(self, "two_step", tuple(map(StepAttributes._make, self.two_step)))
         if self.has_gt_trajectory and self.gt_future_xy is None:
             raise SchemaError("has_gt_trajectory rows must carry gt_future_xy")
@@ -166,12 +157,7 @@ class InstructionRecord:
     def to_obj(self) -> dict:
         return _record_obj(self)
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "InstructionRecord":
-        """One decoded dataset line; its arrays go to the constructor's checks unconverted."""
-        if not isinstance(obj, dict):
-            raise SchemaError("dataset row must be an object")
-        return _record_from_obj(cls, obj)
+    from_obj = classmethod(_record_from_obj)  # one decoded dataset line
 
 
 def _gt_future(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -277,6 +263,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if not 0.0 <= self.gt_fraction <= 1.0 or not 0.0 <= self.if_fraction <= 1.0:
             raise SchemaError("mixture fractions must lie in [0, 1]")
         if abs(self.gt_fraction + self.if_fraction - 1.0) > 1e-9:

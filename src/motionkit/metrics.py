@@ -58,12 +58,7 @@ class PredictionSet:
     def n_modes(self) -> int:
         return int(self.trajectories.shape[0])
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "PredictionSet":
-        """One decoded prediction line; its arrays go to the constructor's checks unconverted."""
-        if not isinstance(obj, dict):
-            raise SchemaError("prediction line must be an object")
-        return _record_from_obj(cls, obj)
+    from_obj = classmethod(_record_from_obj)  # one decoded prediction line
 
 
 def classify_prediction(
@@ -120,11 +115,14 @@ def _grouped(pairs: Iterable[tuple]) -> dict[object, list]:
     return groups
 
 
+def _mean(values: Sequence[float]) -> float:
+    """The mean of ``values`` (0.0 for none) by numpy's pairwise sum, as every corpus mean is taken."""
+    return float(np.sum(np.asarray(values, dtype=float)) / len(values)) if values else 0.0
+
+
 def ifr_micro(per_scenario: Sequence[float]) -> float:
     """Corpus IFR: plain mean of per-scenario fractions."""
-    if not per_scenario:
-        return 0.0
-    return float(np.sum(np.asarray(per_scenario, dtype=float)) / len(per_scenario))
+    return _mean(per_scenario)
 
 
 def ifr_macro(
@@ -221,7 +219,7 @@ def _per_row(best: np.ndarray):
 def detection_accuracy(decisions: Sequence[tuple[Decision, FeasTag]]) -> dict[FeasTag, float]:
     """Per-tag accuracy: a decision is correct when it is :func:`decision_for` its tag."""
     hits = _grouped((tag, decision == decision_for(tag)) for decision, tag in decisions)
-    return {tag: sum(h) / len(h) for tag, h in hits.items()}
+    return {tag: _mean(h) for tag, h in hits.items()}
 
 
 def safety_accuracy(
@@ -229,7 +227,7 @@ def safety_accuracy(
 ) -> dict[tuple[Safety, bool], float]:
     """Accuracy split four ways by (safety tag, with/without context)."""
     hits = _grouped(((safety, bool(ctx)), decision == decision_for(safety)) for decision, safety, ctx in decisions)
-    return {key: sum(h) / len(h) for key, h in hits.items()}
+    return {key: _mean(h) for key, h in hits.items()}
 
 
 def best_mode(mode_xy: np.ndarray, gt_xy: np.ndarray, t_select: Sequence[int]) -> int:
@@ -441,8 +439,7 @@ def aggregate(results: Sequence[dict]) -> EvalReport:
     ades = [r["ade"] for r in results if r["ade"] is not None]
     fdes = [r["fde"] for r in results if r["fde"] is not None]
     if ades:
-        report.min_ade = float(np.sum(np.asarray(ades)) / len(ades))
-        report.min_fde = float(np.sum(np.asarray(fdes)) / len(fdes))
+        report.min_ade, report.min_fde = _mean(ades), _mean(fdes)
 
     decided = [r for r in results if r["decision"] is not None]
     feas_pairs = [(r["decision"], r["feas_tag"]) for r in decided if r["feas_tag"] is not None]

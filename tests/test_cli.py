@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -20,11 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionkit import cli
-from motionkit.attributes import DirectionLabel
+from motionkit import cli, errors
+from motionkit.attributes import DirectionLabel, DirectionThresholds
+from motionkit.behavior import BehaviorParams
 from motionkit.cli import main
-from motionkit.config import load_config
+from motionkit.config import SamplerDefaults, load_config
 from motionkit.core import HorizonConfig, parse_scenario, serialize_scenario
+from motionkit.feasibility import FeasibilityParams
+from motionkit.instructions import SamplerConfig
 from motionkit.metrics import classify_prediction
 from motionkit.synth import SynthSpec, gen_prediction_set, gen_scenario
 
@@ -39,7 +43,11 @@ TWO_STEP_CASES = [
         lambda row: dict(row, two_step=[dict(step, extra=1) for step in row["two_step"]]),
         "two_step[0]: unexpected field(s) ['extra']",
     ),
-    (lambda row: dict(row, two_step=row["two_step"] * 2), "two_step must hold exactly 2 steps, got 4"),
+    (lambda row: dict(row, two_step=row["two_step"] * 2), "two_step must hold 2 objects, got 4"),
+    (  # the item is named, and the list is not echoed
+        lambda row: dict(row, two_step=[row["two_step"][0], "x"]),
+        'two_step must be a list of 2 objects; two_step[1] is "x"',
+    ),
 ]
 
 
@@ -50,7 +58,7 @@ ROW_CASES = [
         "unexpected field(s) ['gt_future_vaild']",
         id="unknown_field",
     ),
-    pytest.param(lambda row: [1, 2], "dataset row must be an object", id="non_object"),
+    pytest.param(lambda row: [1, 2], "must be an object", id="non_object"),
     pytest.param(lambda row: dict(row, focal_agent_id=7), "focal_agent_id must be a string", id="int_focal_agent_id"),
     pytest.param(lambda row: dict(row, instruction_text=None), "instruction_text must be a string", id="null_text"),
     pytest.param(lambda row: dict(row, caption_text=["c"]), "caption_text must be a string", id="list_caption"),
@@ -713,7 +721,7 @@ class TestEvaluateCmd:
         dataset.write_text("".join(l + "\n" for l in rows))
         assert self._evaluate_fails_on_line_2(tmp_path, capsys, dataset, predictions).endswith(f": {message}\n")
 
-    @pytest.mark.parametrize("change,message", TWO_STEP_CASES, ids=["extra_key", "four_steps"])
+    @pytest.mark.parametrize("change,message", TWO_STEP_CASES, ids=["extra_key", "four_steps", "string_step"])
     def test_bad_two_step_is_a_line_error(self, tmp_path, capsys, change, message):
         dataset, predictions = self._build_eval_inputs(tmp_path, [6, 2, 1])
         rows = dataset.read_text().splitlines()
@@ -1181,7 +1189,7 @@ class TestStatsCmd:
         assert run("stats", str(rows), "--out", str(tmp_path / "stats.json")) == 1
         assert capsys.readouterr().err == f"error: line 3: {message}\n"
 
-    @pytest.mark.parametrize("change,message", TWO_STEP_CASES, ids=["extra_key", "four_steps"])
+    @pytest.mark.parametrize("change,message", TWO_STEP_CASES, ids=["extra_key", "four_steps", "string_step"])
     def test_bad_two_step_is_a_line_error(self, tmp_path, capsys, corpus, change, message):
         corpus_path, _ = corpus
         rows = tmp_path / "rows.jsonl"
@@ -1201,7 +1209,56 @@ class TestStatsCmd:
         assert payload["direction_counts"] == {}
 
 
+# Each parameter set by its config section (SamplerConfig is built from flags, not a section),
+# and values of the wrong JSON kind by the kind of a field's default: 10**400 is an integer too
+# large for a float, so an int field draws a float instead.
+PARAMETER_SETS = {
+    "horizon": HorizonConfig,
+    "direction": DirectionThresholds,
+    "feasibility": FeasibilityParams,
+    "behavior": BehaviorParams,
+    "sampler": SamplerDefaults,
+    None: SamplerConfig,
+}
+_OTHER_KINDS = (None, "1", {"v": 1}, math.nan, math.inf, -math.inf)
+WRONG_KIND = {
+    float: (*_OTHER_KINDS, True, False, [1.0], 10**400),
+    int: (*_OTHER_KINDS, True, [1], 1.5),
+    bool: (*_OTHER_KINDS, 0, 1, [True]),
+    tuple: (*_OTHER_KINDS, True, 29, [29, True], [29, 1.5]),
+}
+
+
+@st.composite
+def wrong_kind_fields(draw):
+    """A config section (None for SamplerConfig), its parameter set, one field and a wrong value."""
+    section = draw(st.sampled_from(list(PARAMETER_SETS)))
+    field = draw(st.sampled_from(dataclasses.fields(PARAMETER_SETS[section])))
+    return section, PARAMETER_SETS[section], field.name, draw(st.sampled_from(WRONG_KIND[type(field.default)]))
+
+
 class TestConfigHandling:
+    @given(wrong_kind_fields())
+    @settings(max_examples=120, deadline=None)
+    def test_a_field_of_the_wrong_kind_names_the_field(self, drawn):
+        """Built in code, a parameter set whose field holds a value of the wrong kind raises
+        SchemaError naming the field, never TypeError or AttributeError; read from a config file,
+        it is a config error (exit 2) naming the section and the field."""
+        section, cls, name, value = drawn
+        with pytest.raises(errors.SchemaError, match=f"^{name} must be "):
+            cls(**{name: value})
+        if section is None:
+            return
+        with tempfile.TemporaryDirectory() as tmp:  # not tmp_path: hypothesis rejects function-scoped fixtures
+            cfg, src, out = Path(tmp, "cfg.json"), Path(tmp, "empty.jsonl"), Path(tmp, "stats.json")
+            cfg.write_text(json.dumps({section: {name: value}}))
+            src.write_text("")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run("stats", str(src), "--config", str(cfg), "--out", str(out)) == 2
+            assert err.getvalue().startswith(f"config error: {section}: {name} must be ")
+            assert not out.exists()
+
     def test_unknown_config_key_is_exit_2(self, tmp_path, corpus):
         corpus_path, _ = corpus
         cfg = tmp_path / "cfg.json"
@@ -1274,7 +1331,7 @@ class TestConfigHandling:
             ({"accel_thresholds_kmh": [6, 25, 46, True]}, f"acceleration {BANDS} [6, 25, 46, True]"),
             ({"accel_thresholds_kmh": [6, 25, 46, float("inf")]}, f"acceleration {BANDS} [6, 25, 46, inf]"),
             ({"accel_thresholds_kmh": [6, 25, 46, 10**400]}, f"acceleration {BANDS} [6, 25, 46, {10**400}]"),
-            ({"sampler": {"gt_fraction": 0.7, "if_fraction": 0.3}}, "sampler: unknown key(s) ['gt_fraction', 'if_fraction']"),
+            ({"sampler": {"gt_fraction": 0.7, "if_fraction": 0.3}}, "sampler: unexpected field(s) ['gt_fraction', 'if_fraction']"),
             (
                 {"direction_collapse": {"Sideways": "Straight"}},
                 "direction_collapse: 'Sideways' is not a valid FineDirection",
@@ -1323,10 +1380,10 @@ class TestConfigHandling:
             (
                 "feasibility",
                 {"feasibility": {"allow_neighbor_transitions": 0}},
-                "feasibility: allow_neighbor_transitions must be true or false, got 0",
+                "feasibility: allow_neighbor_transitions must be true or false",
             ),
             ("stats", {"jobs": True}, "jobs must be a positive integer"),
-            ("stats", {"sampler": {"class_balanced": 1}}, "sampler: class_balanced must be true or false, got 1"),
+            ("stats", {"sampler": {"class_balanced": 1}}, "sampler: class_balanced must be true or false"),
             ("stats", {"sampler": {"seed": False}}, "sampler: seed must be an integer, got false"),
             ("stats", {"horizon": {"dt": True}}, "horizon: dt must be a number, got true"),
             ("stats", {"horizon": {"t_pred": 80.0}}, "horizon: t_pred must be an integer, got 80.0"),

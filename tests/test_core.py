@@ -474,23 +474,31 @@ class TestHorizonConfig:
         with pytest.raises(errors.SchemaError):
             HorizonConfig(dt=dt)
 
-    @pytest.mark.parametrize("dt", [True, 1e10, "0.1"])
-    def test_dt_must_be_a_number_within_the_limit(self, dt):
-        with pytest.raises(errors.SchemaError, match="dt must be a positive number of magnitude at most 1e"):
+    @pytest.mark.parametrize(
+        "dt,message",
+        [
+            (True, "dt must be a number, got true"),
+            (1e10, "dt must be a positive number of magnitude at most 1e"),
+            ("0.1", 'dt must be a number, got "0.1"'),
+        ],
+        ids=["True", "1e10", "0.1"],
+    )
+    def test_dt_must_be_a_number_within_the_limit(self, dt, message):
+        with pytest.raises(errors.SchemaError, match=re.escape(message)):
             HorizonConfig(dt=dt)
 
     @pytest.mark.parametrize(
         "kwargs,message",
         [
-            ({"t_select": (True, 2.7)}, "t_select entry True is not an integer"),
-            ({"t_select": (29, 2.0)}, "t_select entry 2.0 is not an integer"),
-            ({"t_obs": 11.0}, "t_obs and t_pred must be integers"),
-            ({"t_pred": True}, "t_obs and t_pred must be integers"),
+            ({"t_select": (True, 2.7)}, "t_select must be a list of integers, got [true, 2.7]"),
+            ({"t_select": (29, 2.0)}, "t_select must be a list of integers, got [29, 2.0]"),
+            ({"t_obs": 11.0}, "t_obs must be an integer, got 11.0"),
+            ({"t_pred": True}, "t_pred must be an integer, got true"),
         ],
         ids=["bool_select", "float_select", "float_t_obs", "bool_t_pred"],
     )
     def test_step_fields_must_be_integers(self, kwargs, message):
-        with pytest.raises(errors.SchemaError, match=message):
+        with pytest.raises(errors.SchemaError, match=re.escape(message)):
             HorizonConfig(**kwargs)
 
     def test_t_select_is_stored_as_given(self):
@@ -652,6 +660,8 @@ def _dumps(s: core.Scenario) -> str:
 
 
 class TestWriter:
+    SCENARIO = build_corpus(1, seed=4)[0][0]
+
     @given(scenarios())
     @settings(max_examples=150, deadline=None)
     def test_row_templates_write_the_json_dumps_bytes(self, s):
@@ -682,6 +692,26 @@ class TestWriter:
         message = f"scenario synth-000000: agents and lanes must hold finite numbers {core.WITHIN}"
         with pytest.raises(errors.SchemaError, match=re.escape(message)):
             serialize_scenario(s)
+
+    @given(
+        speed=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, -1e-300, 0.0]),
+        limit=st.none() | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, -1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_writer_raises_or_writes_a_line_that_parses(self, speed, limit):
+        """A point speed and a lane speed limit drawn as any finite number: ``serialize_scenario``
+        raises, naming the scenario, or ``parse_scenario`` reads its line back."""
+        s = self.SCENARIO
+        speeds = s.speeds.copy()
+        speeds[0, 5] = speed
+        s = dataclasses.replace(s, speeds=speeds, lanes=(dataclasses.replace(s.lanes[0], speed_limit_kmh=limit),))
+        try:
+            line = serialize_scenario(s)
+        except errors.SchemaError as exc:
+            assert str(exc).startswith("scenario synth-000000: ")
+            assert speed < 0 or abs(speed) > core.MAX_ABS or limit is not None and not 0 <= limit <= core.MAX_ABS
+        else:
+            assert parse_scenario(line) == s
 
     @pytest.mark.parametrize("t0", [2.5, 3.0, True])
     def test_a_first_t_index_that_is_not_an_integer_raises(self, t0):

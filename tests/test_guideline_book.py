@@ -97,6 +97,11 @@ def test_one_edit_loads_or_raises_a_book_error_on_its_path(path, edit):
             {"default": "safe", "entries": [BOOK["a"]["entries"][0]] * 2},
             "t.entries[1]: duplicate entry for behavior NotMoving",
         ),
+        (
+            {"default": "safe", "entries": [BOOK["a"]["entries"][0], "x"]},
+            't.entries must be a list of objects; t.entries[1] is "x"',
+        ),
+        ({"default": "safe", "entries": [dict(BOOK["a"]["entries"][0], template=3)]}, "t.entries[0].template must be a string"),
     ],
 )
 def test_errors_name_their_path(spec, message):
@@ -122,3 +127,21 @@ def test_a_book_built_in_code_without_a_default_must_cover_every_behavior():
     entries = {("t", b): (Safety.SAFE, "x") for b in BehaviorLabel if b is not BehaviorLabel.STOPPING}
     with pytest.raises(errors.CoverageError, match=r"^t: behaviors \['Stopping'\] unlisted and no default declared$"):
         GuidelineBook(entries=entries, defaults={"t": None})
+
+
+@pytest.mark.parametrize(
+    "entries,defaults,message",
+    [
+        ({}, {"t": "safe"}, "t: default must be a Safety or None, got 'safe'"),
+        ({("t", BehaviorLabel.STOPPING): ("Safe", 5)}, {"t": Safety.SAFE}, "t: BehaviorLabel.STOPPING must map to"),
+        ({("t", BehaviorLabel.STOPPING): (Safety.SAFE, "")}, {"t": Safety.SAFE}, "t: BehaviorLabel.STOPPING must map to"),
+        ({("t", BehaviorLabel.STOPPING): Safety.SAFE}, {"t": Safety.SAFE}, "t: BehaviorLabel.STOPPING must map to"),
+    ],
+    ids=["string_default", "string_verdict", "empty_template", "verdict_alone"],
+)
+def test_a_book_built_in_code_is_checked_like_a_loaded_one(entries, defaults, message):
+    """A default that is not a Safety or None, or an entry that is not a (Safety, non-empty
+    template) pair, raises SchemaError naming the type and behavior."""
+    with pytest.raises(errors.SchemaError) as info:
+        GuidelineBook(entries=entries, defaults=defaults)
+    assert str(info.value).startswith(message)

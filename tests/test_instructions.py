@@ -160,11 +160,14 @@ class TestRecordInvariants:
             ({"safety_tag": "Safe"}, "safety_tag must be a Safety or None, got 'Safe'"),
             ({"direction": "Straight"}, "direction must be a DirectionLabel or None, got 'Straight'"),
             ({"behavior": 3}, "behavior must be a BehaviorLabel or None, got 3"),
-            ({"two_step": 5}, "two_step must be a tuple of 2 steps, got 5"),
-            ({"two_step": (STEP, STEP[:2])}, "a two_step entry must hold a direction, speed and acceleration label"),
-            ({"two_step": (STEP, ("Straight", "Slow", "Constant"))}, "a two_step entry must hold a direction"),
-            ({"two_step": (STEP, (SpeedCategory.SLOW, DirectionLabel.STRAIGHT, AccelCategory.CONSTANT))}, "entry"),
-            ({"two_step": (STEP, DirectionLabel.STRAIGHT)}, "a two_step entry must hold a direction"),
+            ({"two_step": 5}, "two_step must be a tuple of 2 StepAttributes, got 5"),
+            ({"two_step": (STEP, STEP[:2])}, "two_step[1] must be a StepAttributes, got (<DirectionLabel.STRAIGHT"),
+            ({"two_step": (STEP, ("Straight", "Slow", "Constant"))}, "two_step[1].direction must be a DirectionLabel"),
+            (
+                {"two_step": (STEP, (SpeedCategory.SLOW, DirectionLabel.STRAIGHT, AccelCategory.CONSTANT))},
+                "two_step[1].direction must be a DirectionLabel, got <SpeedCategory.SLOW",
+            ),
+            ({"two_step": (STEP, DirectionLabel.STRAIGHT)}, "two_step[1] must be a StepAttributes, got <Direction"),
         ],
     )
     def test_a_record_built_in_code_checks_its_labels(self, change, message):
