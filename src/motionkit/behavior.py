@@ -149,16 +149,21 @@ class GuidelineType(NamedTuple):
 @dataclass(frozen=True)
 class GuidelineBook:
     """Per-scenario-type safety verdicts: (type, behavior) -> (Safety, non-empty template), and a
-    default of Safety or None per type. A behavior that a type of ``defaults`` leaves out gets the
-    type's default verdict and a template made from its phrase when the book is built; a type with
-    no default must list all eight behaviors."""
+    default of Safety or None per type. Each entry's type is a type of ``defaults`` and its behavior
+    a BehaviorLabel. A behavior that a type leaves out gets the type's default verdict and a template
+    made from its phrase when the book is built; a type with no default must list all eight
+    behaviors."""
 
     entries: dict[tuple[str, BehaviorLabel], tuple[Safety, str]]
     defaults: dict[str, Optional[Safety]]
 
     def __post_init__(self) -> None:
         entries = dict(self.entries)
-        for (scenario_type, behavior), value in entries.items():
+        for key, value in entries.items():
+            pair = type(key) is tuple and len(key) == 2 and isinstance(key[1], BehaviorLabel)
+            if not (pair and isinstance(key[0], str) and key[0] in self.defaults):
+                raise SchemaError(f"entry key {key!r} must be a (str, BehaviorLabel) pair of a type in defaults")
+            scenario_type, behavior = key
             pair = isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], Safety)
             if not (pair and isinstance(value[1], str) and value[1]):
                 raise SchemaError(f"{scenario_type}: {behavior} must map to a (Safety, non-empty str) pair, got {value!r}")
@@ -185,8 +190,8 @@ def load_guidelines(text: str | bytes) -> GuidelineBook:
 
     Schema: ``{scenario_type: {default?: "safe"|"unsafe", entries: [{behavior, safety,
     template}]}}``, each type a :class:`GuidelineType`. A type lists at most 10 safe and 10 unsafe
-    entries, a behavior at most once and no empty template. Each error names its path, such as
-    ``t.entries[0].behavior``; :class:`GuidelineBook` checks the coverage.
+    entries and a behavior at most once. Each error names its path, such as
+    ``t.entries[0].behavior``; :class:`GuidelineBook` checks the templates and the coverage.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -206,11 +211,8 @@ def load_guidelines(text: str | bytes) -> GuidelineBook:
                 message = f"{count} {verdict.value} entries exceed the cap of {MAX_ENTRIES_PER_SIDE}"
                 raise CapError(f"{scenario_type}: {message}")
         for i, (behavior, verdict, template) in enumerate(spec.entries):
-            at = f"{scenario_type}.entries[{i}]"
-            if not template:
-                raise SchemaError(f"{at}.template must be a non-empty string")
             if (scenario_type, behavior) in entries:
-                raise SchemaError(f"{at}: duplicate entry for behavior {behavior.value}")
+                raise SchemaError(f"{scenario_type}.entries[{i}]: duplicate entry for behavior {behavior.value}")
             entries[scenario_type, behavior] = Safety[verdict.name], template
         defaults[scenario_type] = None if spec.default is None else Safety[spec.default.name]
     return GuidelineBook(entries=entries, defaults=defaults)

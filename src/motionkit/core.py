@@ -17,10 +17,10 @@ reference for the column passes. The labellers read only
 ``Scenario.focal_track``, an :class:`AgentTrack` view of the focal row built
 once; ``Scenario.agents`` gives every agent's view and is built only when read.
 
-Every other JSON record (dataset and prediction lines, guideline-book types,
-config sections) is read by one decoder, ``_record_from_obj``, by its class's
-annotations, and ``_check_fields`` checks every declared field kind whenever a
-record is built, from a line or in code.
+Every other JSON record (a document's horizon and lane fields, dataset and
+prediction lines, guideline-book types, config sections) is read by one
+decoder, ``_record_from_obj``, by its annotations; ``_check_fields`` checks
+every declared field kind of a record built from a line or in code.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ _KINDS: dict = {
     int: (_is_int, "an integer", _json_text),
     float: (_is_number, "a number", _json_text),
     tuple[int, ...]: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers", _json_text),
+    tuple[str, ...]: (
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v), "a list of strings", _json_text
+    ),
 }
 
 
@@ -89,9 +92,10 @@ class _Declared(NamedTuple):
 
     names: tuple[str, ...]  # every field, in field order
     required: tuple[str, ...]  # the fields without a default
+    optional: frozenset[str]  # the fields annotated Optional
     scalars: tuple[tuple, ...]  # (name, the types passed untested, test, expected, shows) as in _KINDS
     enums: tuple[tuple[str, type, dict], ...]  # (name, kind, its members by value)
-    records: tuple[tuple[str, type, Optional[int], bool], ...]  # (name, kind, n or None for any, optional)
+    records: tuple[tuple[str, type, Optional[int]], ...]  # (name, kind, n or None for any)
 
 
 @cache
@@ -99,9 +103,9 @@ def _declared(cls) -> _Declared:
     """The :class:`_Declared` of a dataclass or NamedTuple, read from its signature once."""
     params, hints = inspect.signature(cls).parameters, get_type_hints(cls)
     scalars, enums, records = [], [], []
+    optional = frozenset(name for name in params if type(None) in get_args(hints[name]))
     for name in params:
-        optional = type(None) in get_args(hints[name])
-        kind = get_args(hints[name])[0] if optional else hints[name]
+        kind = get_args(hints[name])[0] if name in optional else hints[name]
         if isinstance(kind, enum.EnumMeta):
             enums.append((name, kind, {member.value: member for member in kind}))
             accepts, expected, shows = (lambda v, kind=kind: isinstance(v, kind)), f"a {kind.__name__}", repr
@@ -110,28 +114,28 @@ def _declared(cls) -> _Declared:
         else:
             if get_origin(kind) is tuple and hasattr(get_args(kind)[0], "_fields"):
                 n = None if get_args(kind)[-1] is Ellipsis else len(get_args(kind))
-                records.append((name, get_args(kind)[0], n, optional))
+                records.append((name, get_args(kind)[0], n))
             continue
-        if optional:
+        if name in optional:
             expected = "true, false or null" if kind is bool else f"{expected} or None"
-        exact = {kind, type(None)} if optional else {kind}  # a float is always tested: it may be NaN
+        exact = {kind, type(None)} if name in optional else {kind}  # a float is always tested: it may be NaN
         scalars.append((name, frozenset(exact - {float}), accepts, expected, shows))
     required = tuple(name for name, p in params.items() if p.default is p.empty)
-    return _Declared(tuple(params), required, tuple(scalars), tuple(enums), tuple(records))
+    return _Declared(tuple(params), required, optional, tuple(scalars), tuple(enums), tuple(records))
 
 
-def _check_fields(record, at: str = "") -> None:
+def _check_fields(record, at: str = "", names=None) -> None:
     """Raise :class:`SchemaError`, naming the field under ``at``, unless each declared field of
-    ``record`` holds its kind, or None if Optional: a records field holds a tuple or list (of the
-    declared count) of tuples or lists whose fields hold their kinds."""
+    ``record`` (of ``names``, when given) holds its kind, or None if Optional: a records field holds
+    a tuple or list (of the declared count) of tuples or lists whose fields hold their kinds."""
     declared = _declared(type(record))
     for name, exact, accepts, expected, shows in declared.scalars:
         value = getattr(record, name)
-        if type(value) not in exact and not accepts(value):
+        if type(value) not in exact and (names is None or name in names) and not accepts(value):
             raise SchemaError(f"{at}{name} must be {expected}{'' if shows is None else f', got {shows(value)}'}")
-    for name, kind, n, optional in declared.records:
+    for name, kind, n in declared.records:
         value = getattr(record, name)
-        if value is None and optional:
+        if value is None and name in declared.optional:
             continue
         if not isinstance(value, (tuple, list)) or n is not None and len(value) != n:
             raise SchemaError(f"{at}{name} must be a tuple of {'' if n is None else f'{n} '}{kind.__name__}, got {value!r}")
@@ -165,11 +169,10 @@ class HorizonConfig:
             raise SchemaError("t_pred must be >= 1")
         if not 0 < self.dt <= MAX_ABS:
             raise SchemaError(f"dt must be a positive number {WITHIN}")
-        t_select = tuple(self.t_select)
-        for t in t_select:
+        object.__setattr__(self, "t_select", tuple(self.t_select))
+        for t in self.t_select:
             if not 0 <= t < self.t_pred:
                 raise SchemaError(f"t_select entry {t} outside [0, {self.t_pred})")
-        object.__setattr__(self, "t_select", t_select)
 
     @property
     def n_steps(self) -> int:
@@ -251,7 +254,8 @@ class AgentTrack:
 
 @dataclass(frozen=True, eq=False)
 class Lane:
-    """One lane: centerline columns ``xy`` (n, 2) and ``headings`` (n,), plus its graph wiring."""
+    """One lane: centerline columns ``xy`` (n, 2) and ``headings`` (n,), plus its graph wiring, each
+    field of its declared kind (``successors`` stored as a tuple) and a speed limit in [0, MAX_ABS]."""
 
     lane_id: str
     xy: np.ndarray
@@ -264,21 +268,25 @@ class Lane:
     __eq__ = _equal_by_value
 
     def __post_init__(self) -> None:
+        _check_fields(self)
+        if self.speed_limit_kmh is not None and not 0 <= self.speed_limit_kmh <= MAX_ABS:
+            raise SchemaError(f"speed_limit_kmh must be a number >= 0 {WITHIN}")
+        object.__setattr__(self, "successors", tuple(self.successors))
         _freeze(self, xy=float, headings=float)
         n = len(self.xy)
         if n < 2:
             raise GeometryError(f"lane {self.lane_id}: centerline needs >= 2 points")
         if self.xy.shape != (n, 2) or self.headings.shape != (n,):
             raise SchemaError(f"lane {self.lane_id}: columns must be xy (n, 2) and headings (n,)")
-        seg = np.linalg.norm(np.diff(self.xy, axis=0), axis=1)
-        if np.any(seg <= 0.0):
+        steps = self.xy[1:] - self.xy[:-1]  # squared segment lengths are 0 exactly where their norms are
+        if (np.add.reduce(steps * steps, axis=1) <= 0.0).any():
             raise GeometryError(f"lane {self.lane_id}: consecutive centerline points must be distinct")
 
 
-def _built(at: str, cls, *args, **kwargs):
-    """``cls(*args, **kwargs)``, with a constructor error raised again, of its class, as ``{at}: ...``."""
+def _built(at: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a constructor error raised again, of its class, as ``{at}: ...``."""
     try:
-        return cls(*args, **kwargs)
+        return make(*args, **kwargs)
     except (SchemaError, GeometryError) as exc:
         raise type(exc)(f"{at}: {exc}") from exc
 
@@ -300,10 +308,12 @@ def _check_ids(where: str, focal_agent_id: str, agent_ids, lanes) -> None:
             raise ReferenceError(f"{where}: duplicate lane_id")
         if focal_agent_id not in agent_ids:
             raise ReferenceError(f"{where}: focal_agent_id {focal_agent_id!r} not among agents")
-        for lane in lanes:
-            for ref in (*lane.successors, lane.left_neighbor, lane.right_neighbor):
+        for i, lane in enumerate(lanes):
+            refs = [("successors", ref) for ref in lane.successors]
+            refs += ("left_neighbor", lane.left_neighbor), ("right_neighbor", lane.right_neighbor)
+            for name, ref in refs:
                 if ref is not None and ref not in lane_ids:
-                    raise ReferenceError(f"{where}: lane {lane.lane_id} references unknown lane {ref!r}")
+                    raise ReferenceError(f"{where}.lanes[{i}]: {name} references unknown lane {ref!r}")
     except TypeError as exc:  # an id that is a list or an object
         raise SchemaError(f"{where}: agent and lane ids must be hashable ({exc})") from None
 
@@ -500,10 +510,11 @@ def _json_value(value):
     return [_json_value(v) for v in value]
 
 
-def _record_from_obj(cls, obj, where: Optional[str] = None):
-    """``cls`` built from the JSON object ``obj`` by its declarations: no unknown field, every required
-    field present, each enum field converted to its member and each records field, a list of
-    objects (of the declared count, when fixed), to a tuple of records; the kinds are left to
+def _record_from_obj(cls, obj, where: Optional[str] = None, required=None):
+    """``cls`` built from the JSON object ``obj`` by its declarations: no unknown field, each of
+    ``required`` (by default the fields without a default) present, each enum field converted to
+    its member and each records field, a list of objects (of the declared count, when fixed), to a
+    tuple of records; null in an Optional field reads as the field left out. The kinds are left to
     :func:`_check_fields`, which a record dataclass's constructor calls. Each error names its field
     path, under ``where`` for a nested record or one value of a larger document."""
     head, at = ("", "") if where is None else (f"{where}: ", f"{where}.")
@@ -511,18 +522,18 @@ def _record_from_obj(cls, obj, where: Optional[str] = None):
         raise SchemaError(f"{head}must be an object")
     declared = _declared(cls)
     _reject_extra(obj, declared.names, where)
-    for name in declared.required:
-        if name not in obj:
+    kwargs = {name: value for name, value in obj.items() if value is not None or name not in declared.optional}
+    for name in declared.required if required is None else required:
+        if name not in kwargs:
             raise SchemaError(f"{head}missing required field {name!r}")
-    kwargs = dict(obj)
     for name, kind, members in declared.enums:
-        if name in obj:
+        if name in kwargs:
             try:
                 kwargs[name] = members[obj[name]]
             except (KeyError, TypeError):  # not a value of the enum, or a list or object
                 raise SchemaError(f"{at}{name}: {obj[name]!r} is not a valid {kind.__name__}") from None
-    for name, kind, n, _ in declared.records:
-        if name in obj:
+    for name, kind, n in declared.records:
+        if name in kwargs:
             value, path, count = obj[name], f"{at}{name}", "" if n is None else f"{n} "
             if not isinstance(value, list):
                 raise SchemaError(f"{path} must be a list of {count}objects, got {_json_text(value)}")
@@ -653,46 +664,19 @@ def _read_agent(agent, at: str) -> AgentTrack:
     return track
 
 
+_LANE_FIELDS = frozenset({"lane_id", "speed_limit_kmh", "successors", "left_neighbor", "right_neighbor", "centerline"})
+
+
 def _parse_lane(obj: dict, where: str) -> Lane:
+    """A lane object: its centerline read by :func:`_table`, and every other field by the record
+    decoder, as a :class:`Lane` field."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: lane must be an object")
-    _reject_extra(
-        obj,
-        {"lane_id", "speed_limit_kmh", "successors", "left_neighbor", "right_neighbor", "centerline"},
-        where,
-    )
-    lane_id = _require(obj, "lane_id", str, where)
+    _reject_extra(obj, _LANE_FIELDS, where)
     floats = _table(obj, "centerline", _VERTEX_FIELDS, where)[1]  # rows x, y, heading
-    limit = None
-    if obj.get("speed_limit_kmh") is not None:
-        limit = _require(obj, "speed_limit_kmh", float, where)
-        if limit < 0:
-            raise SchemaError(f"{where}: speed_limit_kmh must be >= 0")
-    successors = obj.get("successors", [])
-    if not isinstance(successors, list) or not all(isinstance(s, str) for s in successors):
-        raise SchemaError(f"{where}: successors must be a list of lane ids")
-
-    def _opt_str(key: str) -> Optional[str]:
-        value = obj.get(key)
-        if value is not None and not isinstance(value, str):
-            raise SchemaError(f"{where}: {key} must be a string or null")
-        return value
-
-    return _built(
-        where,
-        Lane,
-        lane_id=lane_id,
-        xy=_read_only(floats[:2].T.copy()),
-        headings=_read_only(_normalize_headings(floats[2])),
-        speed_limit_kmh=limit,
-        successors=tuple(successors),
-        left_neighbor=_opt_str("left_neighbor"),
-        right_neighbor=_opt_str("right_neighbor"),
-    )
-
-
-def _parse_lanes(obj: dict, where: str) -> tuple[Lane, ...]:
-    return tuple(_parse_lane(l, f"{where}.lanes[{i}]") for i, l in enumerate(_require(obj, "lanes", list, where)))
+    lane = {name: value for name, value in obj.items() if name != "centerline"}
+    lane["xy"], lane["headings"] = _read_only(floats[:2].T.copy()), _read_only(_normalize_headings(floats[2]))
+    return _built(where, _record_from_obj, Lane, lane)
 
 
 def parse_scenario(text: str | bytes) -> Scenario:
@@ -710,33 +694,26 @@ def parse_scenario(text: str | bytes) -> Scenario:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("scenario document must be a JSON object")
-    _reject_extra(
-        obj, {"scenario_id", "focal_agent_id", "scenario_type", "horizon", "agents", "lanes"}, "scenario"
-    )
+    _reject_extra(obj, {"scenario_id", "focal_agent_id", "scenario_type", "horizon", "agents", "lanes"}, "scenario")
     scenario_id = _require(obj, "scenario_id", str, "scenario")
     where = f"scenario {scenario_id}"
-    at = f"{where}.horizon"
-    horizon_raw = _require(obj, "horizon", dict, where)
-    _reject_extra(horizon_raw, {"t_obs", "t_pred", "t_select", "dt"}, at)
-    t_select = _require(horizon_raw, "t_select", list, at)
-    if not all(map(_is_int, t_select)):
-        raise SchemaError(f"{at}: t_select must be a list of integers")
-    t_obs, t_pred = _require(horizon_raw, "t_obs", int, at), _require(horizon_raw, "t_pred", int, at)
-    dt = _require(horizon_raw, "dt", float, at)
-    horizon = _built(at, HorizonConfig, t_obs, t_pred, tuple(t_select), dt)
+    # Of any kind (the decoder wants an object) and with every field, where a config section keeps defaults.
+    horizon, fields = _require(obj, "horizon", object, where), _declared(HorizonConfig).names
+    horizon = _built(f"{where}.horizon", _record_from_obj, HorizonConfig, horizon, required=fields)
     scenario_type = obj.get("scenario_type")
-    if scenario_type is not None and not isinstance(scenario_type, str):
-        raise SchemaError(f"{where}: scenario_type must be a string or null")
     agents = _require(obj, "agents", list, where)
     block = _agent_block(agents)
     if block is None:
         tracks = [_read_agent(agent, f"{where}.agents[{i}]") for i, agent in enumerate(agents)]
-    lanes = _parse_lanes(obj, where)
+    lanes = tuple(_parse_lane(l, f"{where}.lanes[{i}]") for i, l in enumerate(_require(obj, "lanes", list, where)))
     focal_agent_id = _require(obj, "focal_agent_id", str, where)
     if block is not None:
-        return Scenario(scenario_id, focal_agent_id, *block, lanes=lanes, horizon=horizon, scenario_type=scenario_type)
-    _check_ids(where, focal_agent_id, [t.agent_id for t in tracks], lanes)
-    return Scenario.from_tracks(scenario_id, focal_agent_id, tracks, lanes, horizon, scenario_type)
+        scenario = Scenario(scenario_id, focal_agent_id, *block, lanes, horizon, scenario_type)
+    else:
+        _check_ids(where, focal_agent_id, [t.agent_id for t in tracks], lanes)
+        scenario = Scenario.from_tracks(scenario_id, focal_agent_id, tracks, lanes, horizon, scenario_type)
+    _check_fields(scenario, f"{where}: ", ("scenario_type",))  # the reads above check the other fields
+    return scenario
 
 
 _JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
@@ -763,21 +740,16 @@ def serialize_scenario(s: Scenario) -> str:
     """One-line JSON encoding such that ``parse_scenario(serialize_scenario(s)) == s``: keys in
     sorted order and no spaces, the bytes ``json.dumps(..., sort_keys=True, separators=(",",
     ":"))`` writes for the document. Each point and centerline vertex is written from one row
-    template; a first t_index that is not an integer, a number of the agents or lanes that is not
-    finite or exceeds MAX_ABS, a negative point speed or lane speed limit, or an id or
-    ``scenario_type`` that is not a string, raises :class:`SchemaError`, since no line holding it
+    template. A field not of its declared kind (an id that is not a string, a first t_index that is
+    not an integer), a number of the agents or lanes that is not finite or exceeds MAX_ABS, or a
+    negative point speed raises :class:`SchemaError` naming the scenario, since no line holding it
     would parse."""
-    limits = [lane.speed_limit_kmh for lane in s.lanes if lane.speed_limit_kmh is not None]
+    _check_fields(s, f"scenario {s.scenario_id}: ")
     columns = (s.xy, s.headings, s.speeds, *(c for lane in s.lanes for c in (lane.xy, lane.headings)))
-    if not (all(map(_bounded, columns)) and all(_is_number(v, MAX_ABS) for v in limits)):
+    if not all(map(_bounded, columns)):
         raise SchemaError(f"scenario {s.scenario_id}: agents and lanes must hold finite numbers {WITHIN}")
-    if (s.speeds < 0).any() or any(v < 0 for v in limits):
-        raise SchemaError(f"scenario {s.scenario_id}: point speeds and lane speed limits must be >= 0")
-    if not all(map(_is_int, s.t0)):
-        raise SchemaError(f"scenario {s.scenario_id}: each agent's first t_index must be an integer")
-    ids = (s.scenario_id, s.focal_agent_id, *s.agent_ids, *(lane.lane_id for lane in s.lanes))
-    if not all(isinstance(v, str) for v in ids) or not isinstance(s.scenario_type, (str, type(None))):
-        raise SchemaError(f"scenario {s.scenario_id}: its ids and scenario_type must be strings")
+    if (s.speeds < 0).any():
+        raise SchemaError(f"scenario {s.scenario_id}: point speeds must be >= 0")
     agents = []
     x, y = s.xy[..., 0].tolist(), s.xy[..., 1].tolist()
     for a, (headings, speeds, valid) in enumerate(zip(s.headings.tolist(), s.speeds.tolist(), s.valid.tolist())):

@@ -1,6 +1,6 @@
 """Scenario documents as JSON objects, for the parse and CLI tests: a minimal valid document,
-hypothesis strategies for valid three-agent documents, and one-agent, one-lane or one top-level
-field edits that break them."""
+hypothesis strategies for valid three-agent documents, and one-agent, one-centerline, one lane
+field or one top-level field edits that break them."""
 
 from __future__ import annotations
 
@@ -199,25 +199,40 @@ _TOP_LEVEL_VALUES = st.one_of(
     _OTHER_TYPES,
     st.sampled_from([0, -1, 3, 0.2, math.nan, 10**400, "a1", "traversing_intersection", [0], [99]]),
 )
+_LANE_KEYS = ("lane_id", "speed_limit_kmh", "successors", "left_neighbor", "right_neighbor")
+_LANE_VALUES = st.one_of(
+    _OTHER_TYPES, st.sampled_from([-1, 1e10, math.nan, 10**400, "lane_a", "nowhere", ["lane_a"], ["nowhere"], [None]])
+)
 
 
 @st.composite
-def top_level_mutations(draw):
-    """One edit of a top-level field of a document or of one key of its horizon: ``(name, edit)``,
-    where ``edit(doc)`` deletes the field or sets it to another JSON value and returns the document."""
-    path = draw(st.sampled_from(_TOP_LEVEL_PATHS))
+def field_mutations(draw, paths: tuple, values):
+    """One edit of a field of an object or of one key of an object it holds (``horizon.t_obs``):
+    ``(name, edit)``, where ``edit(obj)`` deletes the field or sets it to one of ``values`` and
+    returns the object."""
+    path = draw(st.sampled_from(paths))
     delete = draw(st.booleans())
-    value = draw(_TOP_LEVEL_VALUES)
+    value = draw(values)
     *parents, key = path.split(".")
 
-    def edit(doc):
-        target = doc
+    def edit(obj):
+        target = obj
         for parent in parents:
             target = target[parent]
         if delete:
             target.pop(key, None)
         else:
             target[key] = value
-        return doc
+        return obj
 
     return f"{'drop' if delete else 'set'} {path}", edit
+
+
+def top_level_mutations():
+    """One edit of a top-level field of a document or of one key of its horizon."""
+    return field_mutations(_TOP_LEVEL_PATHS, _TOP_LEVEL_VALUES)
+
+
+def lane_field_mutations():
+    """One edit of a lane field other than the centerline, to null among other JSON values."""
+    return field_mutations(_LANE_KEYS, _LANE_VALUES)

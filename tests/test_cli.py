@@ -14,7 +14,9 @@ import signal
 import tempfile
 import time
 import types
+from importlib import resources
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -23,16 +25,22 @@ from hypothesis import strategies as st
 
 from motionkit import cli, errors
 from motionkit.attributes import DirectionLabel, DirectionThresholds
-from motionkit.behavior import BehaviorParams
+from motionkit.behavior import BehaviorLabel, BehaviorParams, GuidelineType
 from motionkit.cli import main
 from motionkit.config import SamplerDefaults, load_config
-from motionkit.core import HorizonConfig, parse_scenario, serialize_scenario
+from motionkit.core import HorizonConfig, Lane, parse_scenario, serialize_scenario
 from motionkit.feasibility import FeasibilityParams
-from motionkit.instructions import SamplerConfig
-from motionkit.metrics import classify_prediction
+from motionkit.instructions import InstructionRecord, SamplerConfig
+from motionkit.metrics import PredictionSet, classify_prediction
 from motionkit.synth import SynthSpec, gen_prediction_set, gen_scenario
 
-from agent_docs import agent_mutations, centerline_mutations, three_agent_docs, top_level_mutations
+from agent_docs import (
+    agent_mutations,
+    centerline_mutations,
+    lane_field_mutations,
+    three_agent_docs,
+    top_level_mutations,
+)
 
 H = HorizonConfig()
 
@@ -139,8 +147,8 @@ class TestSynthAndExtract:
             (("agents", 0, "points", 12), "speed", "points[12]: field 'speed'"),
             (("lanes", 0, "centerline", 1), "x", "centerline[1]: field 'x'"),
             (("lanes", 0, "centerline", 1), "heading", "centerline[1]: field 'heading'"),
-            (("lanes", 0), "speed_limit_kmh", "lanes[0]: field 'speed_limit_kmh'"),
-            (("horizon",), "dt", "horizon: field 'dt'"),
+            (("lanes", 0), "speed_limit_kmh", "lanes[0]: speed_limit_kmh must be a number or None, got "),
+            (("horizon",), "dt", "horizon: dt must be a number, got "),
         ],
     )
     def test_non_finite_numbers_are_rejected(self, tmp_path, capsys, path, field, named, token):
@@ -264,8 +272,8 @@ class TestBlockBoundaries:
 
 
 class TestMutatedAgentLine:
-    """Four scenario lines with one agent, the centerline or one top-level field of line 3
-    edited, run through ``extract`` in process. At --jobs 2 the parent runs lines 1-2 and the
+    """Four scenario lines with one agent, the centerline, one lane field or one top-level field of
+    line 3 edited, run through ``extract`` in process. At --jobs 2 the parent runs lines 1-2 and the
     child lines 3-4, and at --jobs 3 the parent line 1 and the two children lines 2 and 3-4, so
     the edited line crosses a process boundary; the outcome must not depend on it."""
 
@@ -290,19 +298,23 @@ class TestMutatedAgentLine:
     @staticmethod
     def names_the_edit(err: str, key, k, name: str) -> bool:
         """Whether ``err`` names the edited agent's or lane's path (``scenario s2.agents[1]``), or
-        each part of the edited top-level field's path (``horizon`` and ``t_obs``) for scenario s2.
-        An edit of scenario_id leaves no scenario to name, so its message names the field; an edit
-        that renames the focal agent ``a0`` (agents[0]) breaks the reference focal_agent_id makes."""
+        scenario s2, and each part of the edited field's path (``horizon`` and ``t_obs``) when the
+        edit is of a lane field or a top-level field. An edit of scenario_id leaves no scenario to
+        name, so its message names the field; an edit that renames the focal agent ``a0``
+        (agents[0]) breaks the reference focal_agent_id makes."""
+        path = name.split(" ", 1)[1] if name.startswith(("drop ", "set ")) else ""
+        named = all(part in err for part in path.split("."))
         if key is not None:
-            return f"scenario s2.{key}[{k}]" in err or k == 0 and "focal_agent_id 'a0' not among agents" in err
-        path = name.split(" ", 1)[1]
-        return all(part in err for part in path.split(".")) and (path == "scenario_id" or "scenario s2" in err)
+            renamed_focal = k == 0 and "focal_agent_id 'a0' not among agents" in err
+            return named and (f"scenario s2.{key}[{k}]" in err or renamed_focal)
+        return named and (path == "scenario_id" or "scenario s2" in err)
 
     @given(
         three_agent_docs(),
         st.one_of(
             st.tuples(st.just("agents"), st.integers(min_value=0, max_value=2), agent_mutations()),
             st.tuples(st.just("lanes"), st.just(0), centerline_mutations()),
+            st.tuples(st.just("lanes"), st.just(0), lane_field_mutations()),
             st.tuples(st.none(), st.none(), top_level_mutations()),
         ),
     )
@@ -823,10 +835,10 @@ class TestEvaluateCmd:
             "decision": (str, False, False),
             "has_gt_trajectory": (bool, True, False),
             "feas_tag": (str, False, False),
-            "safety_tag": (str, True, False),
-            "direction": (str, True, False),
-            "behavior": (str, True, False),
-            "two_step": (list, True, False),
+            "safety_tag": (str, True, True),
+            "direction": (str, True, True),
+            "behavior": (str, True, True),
+            "two_step": (list, True, True),
             "gt_future_xy": (list, True, True),
             "gt_future_valid": (list, True, True),
             "with_context": (bool, True, True),
@@ -836,8 +848,8 @@ class TestEvaluateCmd:
             "trajectories": (list, False, False),
             "scores": (list, True, True),
             "valid": (list, True, True),
-            "direction": (str, True, False),
-            "decision": (str, True, False),
+            "direction": (str, True, True),
+            "decision": (str, True, True),
             "with_context": (bool, True, True),
         },
     }
@@ -1051,12 +1063,12 @@ class TestMagnitudeLimit:
     @pytest.mark.parametrize(
         "path,field,named",
         [
-            (("agents", 0, "points", 40), "x", "agents[0].points[40]: field 'x'"),
-            (("agents", 0, "points", 12), "y", "agents[0].points[12]: field 'y'"),
-            (("agents", 0, "points", 12), "heading", "agents[0].points[12]: field 'heading'"),
-            (("agents", 0, "points", 12), "speed", "agents[0].points[12]: field 'speed'"),
-            (("lanes", 0, "centerline", 1), "y", "lanes[0].centerline[1]: field 'y'"),
-            (("lanes", 0), "speed_limit_kmh", "lanes[0]: field 'speed_limit_kmh'"),
+            (("agents", 0, "points", 40), "x", "agents[0].points[40]: field 'x' must be a finite number"),
+            (("agents", 0, "points", 12), "y", "agents[0].points[12]: field 'y' must be a finite number"),
+            (("agents", 0, "points", 12), "heading", "agents[0].points[12]: field 'heading' must be a finite number"),
+            (("agents", 0, "points", 12), "speed", "agents[0].points[12]: field 'speed' must be a finite number"),
+            (("lanes", 0, "centerline", 1), "y", "lanes[0].centerline[1]: field 'y' must be a finite number"),
+            (("lanes", 0), "speed_limit_kmh", "lanes[0]: speed_limit_kmh must be a number >= 0"),
         ],
     )
     def test_scenario_number_past_the_limit(self, tmp_path, capsys, path, field, named):
@@ -1069,7 +1081,7 @@ class TestMagnitudeLimit:
         src = tmp_path / "bad.jsonl"
         src.write_text(serialize_scenario(good) + "\n" + json.dumps(doc) + "\n")
         assert run("extract", str(src), "--out", str(tmp_path / "o.jsonl")) == 1
-        assert capsys.readouterr().err == f"error: line 2: scenario s.{named} must be a finite number {self.LIMIT}\n"
+        assert capsys.readouterr().err == f"error: line 2: scenario s.{named} {self.LIMIT}\n"
 
     def test_huge_steps_give_no_label(self, tmp_path, capsys):
         """x of steps 40-90 of a left turn at +-1e308 once labelled LeftTurn and overflowed."""
@@ -1459,6 +1471,135 @@ class TestConfigHandling:
         assert run("synth", "--suite", "other", "--out", str(out)) == 2
         assert capsys.readouterr().err == "config error: unknown suite 'other'\n"
         assert not out.exists()
+
+
+class TestOneHorizonMessageSet:
+    """A config file's horizon section and a scenario line's horizon are read by one decoder, so one
+    bad value gives one text after each reader's prefix. A scenario line must hold every horizon
+    field, while a config section keeps the default of a field it leaves out."""
+
+    @pytest.mark.parametrize(
+        "key,value,text",
+        [
+            ("t_obs", 1.5, "t_obs must be an integer, got 1.5"),
+            ("dt", True, "dt must be a number, got true"),
+            ("t_select", [29, True], "t_select must be a list of integers, got [29, true]"),
+            ("extra", 1, "unexpected field(s) ['extra']"),
+            ("dt", None, "missing required field 'dt'"),  # None: the key is left out
+        ],
+        ids=["float_t_obs", "bool_dt", "bool_in_t_select", "unknown_key", "missing_key"],
+    )
+    def test_a_config_section_and_a_scenario_line_give_one_text(self, tmp_path, capsys, key, value, text):
+        good = serialize_scenario(gen_scenario(SynthSpec(kind="straight", speed=10.0), "s", H)[0])
+        doc = json.loads(good)
+        if value is None:
+            del doc["horizon"][key]
+        else:
+            doc["horizon"][key] = value
+        src, cfg, out = tmp_path / "corpus.jsonl", tmp_path / "cfg.json", tmp_path / "attrs.jsonl"
+        src.write_text(good + "\n" + json.dumps(doc) + "\n")
+        assert run("extract", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: line 2: scenario s.horizon: {text}\n"
+        cfg.write_text(json.dumps({"horizon": doc["horizon"]}))
+        src.write_text(good + "\n")
+        rc = run("extract", str(src), "--config", str(cfg), "--out", str(out))
+        if value is None:
+            assert rc == 0 and capsys.readouterr().err == ""
+        else:
+            assert rc == 2 and capsys.readouterr().err == f"config error: horizon: {text}\n"
+
+
+def optional_fields(cls) -> list[str]:
+    """The fields ``cls`` annotates as Optional."""
+    return [name for name, kind in get_type_hints(cls).items() if type(None) in get_args(kind)]
+
+
+class TestNullReadsAsAbsent:
+    """JSON null in an Optional field reads as the field left out, in every reader: an input with
+    one such field set to null gives the same exit code, stderr and output as the input without
+    the field. The fields are those each record declares Optional: a dataset row, a prediction, a
+    guideline-book type and a scenario document's first lane, plus the document's scenario_type.
+    A report's ``inputs`` entry, which holds the hash of the input bytes, is left out of the
+    comparison."""
+
+    TYPES = ("waiting_for_pedestrian_to_cross", "every_behavior_listed")
+    FIELDS = [
+        *(("dataset", name) for name in optional_fields(InstructionRecord)),
+        *(("predictions", name) for name in optional_fields(PredictionSet)),
+        *(("book", name) for name in optional_fields(GuidelineType)),
+        *(("corpus", f"lanes.{name}") for name in optional_fields(Lane)),
+        ("corpus", "scenario_type"),
+    ]
+
+    @functools.cached_property
+    def inputs(self) -> dict[str, list]:
+        """The dataset, prediction and corpus lines, and the guideline book as (type, spec) pairs:
+        a type that lists every behavior, so it loads without its default, then the shipped book."""
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset, predictions = TestEvaluateCmd()._build_eval_inputs(Path(tmp), [6, 2, 1])
+            lines = {"dataset": dataset.read_text().splitlines(), "predictions": predictions.read_text().splitlines()}
+        shipped = resources.files("motionkit.data").joinpath("guidelines.json").read_text(encoding="utf-8")
+        entries = [{"behavior": b.value, "safety": "safe", "template": f"{b.value} is fine."} for b in BehaviorLabel]
+        book = {"every_behavior_listed": {"default": "unsafe", "entries": entries}, **json.loads(shipped)}
+        lines["book"] = [json.dumps({t: spec}) for t, spec in book.items()]
+        lines["corpus"] = [
+            serialize_scenario(gen_scenario(SynthSpec(kind="straight", speed=v), f"s{i}", H, scenario_type=t)[0])
+            for i, (v, t) in enumerate([(10.0, self.TYPES[0]), (0.0, self.TYPES[1]), (5.0, None)])
+        ]
+        return lines
+
+    @staticmethod
+    def outcomes(files: dict[str, Path], where: str, out: Path) -> list:
+        """(exit code, stderr, output) of each command that reads ``where``, run in process."""
+        corpus, book = str(files["corpus"]), str(files["book"])
+        behavior = ["gen-instructions", corpus, "--mode", "behavior", "--guidelines", book]
+        runs = {
+            "dataset": [
+                ["evaluate", "--dataset", str(files["dataset"]), "--predictions", str(files["predictions"])],
+                ["stats", str(files["dataset"])],
+            ],
+            "book": [behavior],
+            "corpus": [["feasibility", corpus], behavior],
+        }
+        runs["predictions"] = runs["dataset"][:1]
+        results = []
+        for argv in runs[where]:
+            out.unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(argv + (["--report", str(out)] if argv[0] == "evaluate" else ["--out", str(out)]))
+            text = out.read_text() if out.exists() else None
+            if text is not None and argv[0] in ("evaluate", "stats"):
+                text = {k: v for k, v in json.loads(text).items() if k != "inputs"}
+            results.append((rc, err.getvalue(), text))
+        return results
+
+    @given(st.sampled_from(FIELDS), st.integers(min_value=0, max_value=2))
+    @settings(max_examples=60, deadline=None)
+    def test_a_null_field_reads_as_the_field_left_out(self, target, k):
+        where, path = target
+        outcomes = []
+        for null in (True, False):
+            lines = {w: list(ls) for w, ls in self.inputs.items()}
+            obj = json.loads(lines[where][k])
+            record = next(iter(obj.values())) if where == "book" else obj
+            *parents, key = path.split(".")
+            for parent in parents:
+                record = record[parent][0]
+            if null:
+                record[key] = None
+            else:
+                record.pop(key, None)
+            lines[where][k] = json.dumps(obj)
+            with tempfile.TemporaryDirectory() as tmp:  # not tmp_path: hypothesis rejects function-scoped fixtures
+                files = {w: Path(tmp) / f"{w}.jsonl" for w in lines}
+                for w, ls in lines.items():
+                    if w == "book":  # one object of its (type, spec) pairs
+                        files[w].write_text(json.dumps({t: s for line in ls for t, s in json.loads(line).items()}))
+                    else:
+                        files[w].write_text("".join(line + "\n" for line in ls))
+                outcomes.append(self.outcomes(files, where, Path(tmp) / "out"))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestInputThatIsNotUtf8:

@@ -144,29 +144,29 @@ class TestScenarioRejections:
             (
                 _edit(("lanes", 0, "speed_limit_kmh"), -1.0),
                 errors.SchemaError,
-                "scenario s1.lanes[0]: speed_limit_kmh must be >= 0",
+                "scenario s1.lanes[0]: speed_limit_kmh must be a number >= 0 of magnitude at most 1e+09",
             ),
             (
                 _edit(("lanes", 0, "successors"), "lane_b"),
                 errors.SchemaError,
-                "scenario s1.lanes[0]: successors must be a list of lane ids",
+                'scenario s1.lanes[0]: successors must be a list of strings, got "lane_b"',
             ),
             (
                 _edit(("lanes", 0, "successors"), [1]),
                 errors.SchemaError,
-                "scenario s1.lanes[0]: successors must be a list of lane ids",
+                "scenario s1.lanes[0]: successors must be a list of strings, got [1]",
             ),
             (
                 _edit(("lanes", 0, "left_neighbor"), 3),
                 errors.SchemaError,
-                "scenario s1.lanes[0]: left_neighbor must be a string or null",
+                "scenario s1.lanes[0]: left_neighbor must be a string or None",
             ),
-            (_edit(("scenario_type",), 3), errors.SchemaError, "scenario s1: scenario_type must be a string or null"),
+            (_edit(("scenario_type",), 3), errors.SchemaError, "scenario s1: scenario_type must be a string or None"),
             (lambda: [], errors.SchemaError, "scenario document must be a JSON object"),
             (
                 _edit(("horizon", "t_select"), [2.5]),
                 errors.SchemaError,
-                "scenario s1.horizon: t_select must be a list of integers",
+                "scenario s1.horizon: t_select must be a list of integers, got [2.5]",
             ),
             (_edit(("lanes",), {}), errors.SchemaError, "scenario s1: field 'lanes' has wrong type dict"),
             (
@@ -187,7 +187,7 @@ class TestScenarioRejections:
             (
                 _edit(("horizon", "dt"), "0.1"),
                 errors.SchemaError,
-                "scenario s1.horizon: field 'dt' must be a finite number of magnitude at most 1e+09",
+                'scenario s1.horizon: dt must be a number, got "0.1"',
             ),
             (
                 _edit(("agents", 0, "agent_kind"), "robot"),
@@ -679,9 +679,11 @@ class TestWriter:
         wrote ``NaN``, ``Infinity`` or a number that parse rejects."""
         s, _ = build_corpus(1, seed=4)[0]
         lane = s.lanes[0]
-        if column == "speed_limit_kmh":
-            s = dataclasses.replace(s, lanes=(dataclasses.replace(lane, speed_limit_kmh=bad),))
-        elif column.startswith("lane "):
+        if column == "speed_limit_kmh":  # a Lane checks its own speed limit when it is built
+            with pytest.raises(errors.SchemaError, match="^speed_limit_kmh must be a number"):
+                dataclasses.replace(lane, speed_limit_kmh=bad)
+            return
+        if column.startswith("lane "):
             values = getattr(lane, column[5:]).copy()
             values.flat[5] = bad
             s = dataclasses.replace(s, lanes=(dataclasses.replace(lane, **{column[5:]: values}),))
@@ -699,16 +701,17 @@ class TestWriter:
     )
     @settings(max_examples=100, deadline=None)
     def test_the_writer_raises_or_writes_a_line_that_parses(self, speed, limit):
-        """A point speed and a lane speed limit drawn as any finite number: ``serialize_scenario``
-        raises, naming the scenario, or ``parse_scenario`` reads its line back."""
+        """A point speed and a lane speed limit drawn as any finite number: the lane refuses the
+        limit when it is built, naming the field, ``serialize_scenario`` raises, naming the
+        scenario, or ``parse_scenario`` reads its line back."""
         s = self.SCENARIO
         speeds = s.speeds.copy()
         speeds[0, 5] = speed
-        s = dataclasses.replace(s, speeds=speeds, lanes=(dataclasses.replace(s.lanes[0], speed_limit_kmh=limit),))
         try:
+            s = dataclasses.replace(s, speeds=speeds, lanes=(dataclasses.replace(s.lanes[0], speed_limit_kmh=limit),))
             line = serialize_scenario(s)
         except errors.SchemaError as exc:
-            assert str(exc).startswith("scenario synth-000000: ")
+            assert str(exc).startswith(("scenario synth-000000: ", "speed_limit_kmh "))
             assert speed < 0 or abs(speed) > core.MAX_ABS or limit is not None and not 0 <= limit <= core.MAX_ABS
         else:
             assert parse_scenario(line) == s
@@ -717,7 +720,7 @@ class TestWriter:
     def test_a_first_t_index_that_is_not_an_integer_raises(self, t0):
         """``%d`` would write 2.5 as 2; ``json.dumps`` wrote a t that parse rejects."""
         s, _ = build_corpus(1, seed=4)[0]
-        with pytest.raises(errors.SchemaError, match="first t_index must be an integer"):
+        with pytest.raises(errors.SchemaError, match=r"^scenario synth-000000: t0 must be a list of integers, got \["):
             serialize_scenario(dataclasses.replace(s, t0=(t0,)))
 
     @pytest.mark.parametrize(
@@ -731,35 +734,71 @@ class TestWriter:
     )
     def test_an_id_or_scenario_type_that_is_not_a_string_raises(self, field, bad):
         """``json.dumps`` wrote a line that parse rejects: an id of another JSON type, or a
-        ``scenario_type`` other than a string or null."""
+        ``scenario_type`` other than a string or null. A lane refuses such an id when it is built."""
         s, _ = build_corpus(1, seed=4)[0]
+        if field == "lane_id":
+            with pytest.raises(errors.SchemaError, match="^lane_id must be a string$"):
+                dataclasses.replace(s.lanes[0], lane_id=bad)
+            return
         focal = s.focal_track
         if field == "focal_agent_id":  # the focal agent's id, an AgentTrack built in code
             tracks, focal_id = [dataclasses.replace(focal, agent_id=bad)], bad
         else:  # a second agent, which may carry the bad id
             other = dataclasses.replace(focal, agent_id=bad if field == "agent_id" else "other")
             tracks, focal_id = [focal, other], focal.agent_id
-        lanes = (dataclasses.replace(s.lanes[0], lane_id=bad),) if field == "lane_id" else s.lanes
-        s = core.Scenario.from_tracks(s.scenario_id, focal_id, tracks, lanes, s.horizon, s.scenario_type)
+        s = core.Scenario.from_tracks(s.scenario_id, focal_id, tracks, s.lanes, s.horizon, s.scenario_type)
         if field in ("scenario_id", "scenario_type"):
             s = dataclasses.replace(s, **{field: bad})
-        message = f"scenario {s.scenario_id}: its ids and scenario_type must be strings"
-        with pytest.raises(errors.SchemaError, match=f"^{re.escape(message)}$"):
+        message = f"scenario {s.scenario_id}: {'agent_ids' if field == 'agent_id' else field} must be "
+        with pytest.raises(errors.SchemaError, match=f"^{re.escape(message)}"):
             serialize_scenario(s)
 
     @pytest.mark.parametrize("field", ["focal_agent_id", "agent_id", "lane_id"])
     @pytest.mark.parametrize("bad", [["a"], {"x": 1}], ids=["list", "object"])
     def test_an_unhashable_id_raises_when_the_scenario_is_built(self, field, bad):
-        """The id checks put the ids in sets; an id that is a list or an object is a SchemaError."""
+        """The id checks put the ids in sets; an id that is a list or an object is a SchemaError. A
+        lane refuses such an id when it is built."""
         s, _ = build_corpus(1, seed=4)[0]
+        if field == "lane_id":
+            with pytest.raises(errors.SchemaError, match="^lane_id must be a string$"):
+                dataclasses.replace(s.lanes[0], lane_id=bad)
+            return
         focal = s.focal_track
         if field == "focal_agent_id":
             tracks, focal_id = [dataclasses.replace(focal, agent_id=bad)], bad
         else:
             other = dataclasses.replace(focal, agent_id=bad if field == "agent_id" else "other")
             tracks, focal_id = [focal, other], focal.agent_id
-        lanes = (dataclasses.replace(s.lanes[0], lane_id=bad),) if field == "lane_id" else s.lanes
         unhashable = f"unhashable type: '{type(bad).__name__}'"
         message = f"scenario {s.scenario_id}: agent and lane ids must be hashable ({unhashable})"
         with pytest.raises(errors.SchemaError, match=f"^{re.escape(message)}$"):
-            core.Scenario.from_tracks(s.scenario_id, focal_id, tracks, lanes, s.horizon, s.scenario_type)
+            core.Scenario.from_tracks(s.scenario_id, focal_id, tracks, s.lanes, s.horizon, s.scenario_type)
+
+
+class TestLaneBuiltInCode:
+    """A lane built in code is checked as a lane read from a line: each field holds its declared
+    kind, ``successors`` is stored as a tuple and a speed limit lies in [0, MAX_ABS]."""
+
+    XY, HEADINGS = [(0.0, 0.0), (10.0, 0.0)], [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"lane_id": 5}, "lane_id must be a string"),
+            ({"successors": "b"}, 'successors must be a list of strings, got "b"'),
+            ({"successors": ("b", None)}, 'successors must be a list of strings, got ["b", null]'),
+            ({"left_neighbor": 3}, "left_neighbor must be a string or None"),
+            ({"speed_limit_kmh": "50"}, 'speed_limit_kmh must be a number or None, got "50"'),
+            ({"speed_limit_kmh": math.nan}, "speed_limit_kmh must be a number or None, got NaN"),
+            ({"speed_limit_kmh": -1.0}, f"speed_limit_kmh must be a number >= 0 {core.WITHIN}"),
+            ({"speed_limit_kmh": 1.5e9}, f"speed_limit_kmh must be a number >= 0 {core.WITHIN}"),
+        ],
+    )
+    def test_a_field_of_the_wrong_kind_or_range_raises_naming_it(self, fields, message):
+        with pytest.raises(errors.SchemaError) as info:
+            core.Lane(**{"lane_id": "a", "xy": self.XY, "headings": self.HEADINGS, **fields})
+        assert str(info.value) == message
+
+    def test_successors_are_stored_as_a_tuple(self):
+        lane = core.Lane("a", self.XY, self.HEADINGS, speed_limit_kmh=0, successors=["b", "c"])
+        assert lane.successors == ("b", "c")

@@ -91,7 +91,7 @@ def test_one_edit_loads_or_raises_a_book_error_on_its_path(path, edit):
         ({"default": "safe", "entries": 3}, "t.entries must be a list of objects, got 3"),
         (
             {"default": "safe", "entries": [dict(BOOK["a"]["entries"][0], template="")]},
-            "t.entries[0].template must be a non-empty string",
+            "t: BehaviorLabel.NOT_MOVING must map to a (Safety, non-empty str) pair, got (<Safety.SAFE: 'Safe'>, '')",
         ),
         (
             {"default": "safe", "entries": [BOOK["a"]["entries"][0]] * 2},
@@ -145,3 +145,23 @@ def test_a_book_built_in_code_is_checked_like_a_loaded_one(entries, defaults, me
     with pytest.raises(errors.SchemaError) as info:
         GuidelineBook(entries=entries, defaults=defaults)
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        ("t", "Stopping"),
+        ("u", BehaviorLabel.STOPPING),
+        "t",
+        ("t", BehaviorLabel.STOPPING, "x"),
+        (BehaviorLabel.STOPPING, "t"),
+    ],
+    ids=["string_behavior", "type_not_in_defaults", "not_a_pair", "triple", "swapped"],
+)
+def test_a_book_built_in_code_checks_its_entry_keys(key):
+    """An entry key that is not a (type of ``defaults``, BehaviorLabel) pair raises SchemaError
+    naming the key: ``label_safety`` could never read it, and the type's default would answer in
+    its place."""
+    with pytest.raises(errors.SchemaError) as info:
+        GuidelineBook(entries={key: (Safety.UNSAFE, "x")}, defaults={"t": Safety.SAFE})
+    assert str(info.value) == f"entry key {key!r} must be a (str, BehaviorLabel) pair of a type in defaults"
